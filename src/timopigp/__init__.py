@@ -8,7 +8,6 @@ identification, and entropy-based sensor placement.
 from timopigp.quantities import QuantityKind
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
-from timopigp.kernels import KernelParams
 from timopigp.gp import Theta
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "NoiseSpec",
     "Dataset",
     "BoundaryCondition",
-    "KernelParams",
     "Theta",
 ]
 

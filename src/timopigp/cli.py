@@ -20,12 +20,11 @@ import numpy as np
 from timopigp import beam as beam_mod
 from timopigp import experiments, gp, mcmc, placement
 from timopigp.beam import BeamConfig, NoiseSpec
-from timopigp.data import (BoundaryCondition, Dataset, read_datasets_csv,
+from timopigp.data import (BoundaryCondition, read_datasets_csv,
                            write_datasets_csv)
 from timopigp.errors import (DataFormatError, EnumerationGuardError,
-                             IllConditionedModelError, StuckChainError)
-from timopigp.gp import Theta
-from timopigp.kernels import KernelParams
+                             IllConditionedModelError,
+                             NonFiniteCovarianceError, StuckChainError)
 from timopigp.mcmc import McmcConfig, PosteriorChain
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 greedy_place)
@@ -188,6 +187,17 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     kinds = [_kind(k) for k in p.get("kinds", ["w"])]
     criteria = [_criterion(c) for c in p.get("criteria", ["physics"])]
 
+    # The map does not depend on the criterion: one per kind, written for
+    # each criterion.
+    maps = {}
+    if p.get("entropy_map", False):
+        for kind in kinds:
+            maps[kind] = placement.exhaustive_entropy_map(
+                PlacementProblem(candidates=candidates, kinds=kind,
+                                 n_sensors=n_sensors, params=params, bcs=bcs),
+                max_combos=int(p.get("max_combos", 300_000)),
+                full_scale=full_scale)
+
     results = []
     outputs = {}
     for crit in criteria:
@@ -206,16 +216,13 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
                 "params": {"sigma_s2": params.sigma_s2, "ell": params.ell,
                            "EI": params.EI, "kGA": params.kGA},
             })
-            if p.get("entropy_map", False):
-                rows = placement.exhaustive_entropy_map(
-                    problem, max_combos=int(p.get("max_combos", 300_000)),
-                    full_scale=full_scale)
+            if kind in maps:
                 name = f"entropy_map_{crit.value}_{kind.code}.csv"
                 with open(out_dir / name, "w", newline="",
                           encoding="utf-8") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["subset", "normalized_entropy"])
-                    for subset, h in rows:
+                    for subset, h in maps[kind]:
                         writer.writerow(["|".join(map(str, subset)), repr(h)])
                 outputs[name] = {"seed": seed}
 
@@ -357,7 +364,7 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
 
     n_grid = int(pcfg.get("n_grid", 101))
     x_star = np.linspace(0.0, beam.L, n_grid)
-    outputs = {}
+    queries = []
     for code in pcfg.get("kinds", ["w"]):
         kind = _kind(code)
         if kind is QuantityKind.STRAIN:
@@ -365,11 +372,12 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
             xs = np.linspace(0.0, beam.L, int(sg["nx"]))
             zs = np.linspace(-beam.h / 2.0, beam.h / 2.0, int(sg["nz"]))
             xx, zz = np.meshgrid(xs, zs, indexing="ij")
-            pred = gp.predict_mixture(datasets, bcs, chain, kind,
-                                      xx.ravel(), z_star=zz.ravel())
+            queries.append((kind, xx.ravel(), zz.ravel()))
         else:
-            pred = gp.predict_mixture(datasets, bcs, chain, kind, x_star)
-        name = f"pred_{kind.code}.csv"
+            queries.append((kind, x_star, None))
+    outputs = {}
+    for pred in gp.predict_mixture(datasets, bcs, chain, queries):
+        name = f"pred_{pred.kind.code}.csv"
         _write_prediction_csv(out_dir / name, pred)
         outputs[name] = {"seed": seed}
     _write_manifest(out_dir, cfg, seed, outputs)
@@ -386,21 +394,11 @@ def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str,
     if full_scale:
         reps = int(scfg.get("full_replications", 1000))
 
-    if study_name == "noise":
-        points = experiments.noise_study(
-            scfg.get("snrs", [5, 10, 20, 50, 100]), reps, seed, mcfg,
-            r=float(scfg.get("r", 1.0)))
-    elif study_name == "rigidity":
-        points = experiments.rigidity_study(
-            scfg.get("r_values", [1e-3, 1e-2, 1.0, 1e2]), reps, seed, mcfg,
-            snr=float(scfg.get("snr", 10.0)))
-    elif study_name == "ndp":
-        points = experiments.ndp_study(
-            scfg.get("values", [1, 2, 5, 10]), reps, seed, mcfg,
-            snr=float(scfg.get("snr", 10.0)))
-    else:
-        raise ConfigError(f"unknown study {study_name!r}; "
-                          "expected noise|rigidity|ndp")
+    study = experiments.STUDIES[study_name]
+    settings = {k: float(scfg[k]) for k in study.settings if k in scfg}
+    points = experiments.sweep_study(
+        study_name, scfg.get(study.config_key, study.default), reps, seed,
+        mcfg, **settings)
 
     name = f"study_{study_name}.csv"
     fields = ["sweep_value", "n_reps", "n_failed",
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="replicated sweep studies")
     common(p)
     p.add_argument("--study", required=True,
-                   choices=["noise", "rigidity", "ndp"])
+                   choices=list(experiments.STUDIES))
     p.add_argument("--full-scale", action="store_true",
                    help="lift enumeration and replication guards")
     return parser
@@ -489,8 +487,8 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (IllConditionedModelError, StuckChainError,
-            np.linalg.LinAlgError) as exc:
+    except (IllConditionedModelError, NonFiniteCovarianceError,
+            StuckChainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

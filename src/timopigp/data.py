@@ -7,7 +7,7 @@ of {w, phi, eps, M, V, q}; z is empty unless quantity = eps.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,6 +14,17 @@ class IllConditionedModelError(RuntimeError):
         )
 
 
+class NonFiniteCovarianceError(ArithmeticError):
+    """A covariance matrix held inf or NaN entries before factorization."""
+
+    def __init__(self, n_bad: int, shape):
+        super().__init__(
+            f"non-finite covariance: {n_bad} of {'x'.join(map(str, shape))} "
+            "entries are inf or NaN; the hyperparameters are outside the "
+            "range the kernels can evaluate"
+        )
+
+
 class StuckChainError(RuntimeError):
     """The sampler rejected every proposal for an excessive number of steps."""
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from timopigp import beam as beam_mod
-from timopigp import gp, mcmc, placement
+from timopigp import mcmc
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
 from timopigp.gp import Theta
-from timopigp.kernels import KernelParams
-from timopigp.mcmc import Flat, McmcConfig, UniformBounded
+from timopigp.mcmc import McmcConfig, UniformBounded
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 greedy_place)
 from timopigp.quantities import QuantityKind
@@ -61,11 +61,11 @@ def support_bcs(beam: BeamConfig) -> list:
 
 
 def placement_params(beam: BeamConfig, ell: float | None = None,
-                     sigma_s2: float = 1.0) -> KernelParams:
+                     sigma_s2: float = 1.0) -> Theta:
     """Pre-data kernel parameters for placement (no learned theta exists)."""
-    return KernelParams(sigma_s2=sigma_s2,
-                        ell=ell if ell is not None else beam.L / 8.0,
-                        EI=beam.EI_true, kGA=beam.kGA_true)
+    return Theta(sigma_s2=sigma_s2,
+                 ell=ell if ell is not None else beam.L / 8.0,
+                 EI=beam.EI_true, kGA=beam.kGA_true)
 
 
 def sensor_set(beam: BeamConfig, kind: QuantityKind,
@@ -183,24 +183,16 @@ class SweepTask:
     chain_seed: int
     mcmc: McmcConfig
     bc_mode: str = "support"  # "none" | "deflection" | "support"
-    use_deflections: bool = True
-    use_rotations: bool = True
     n_sensors: int = 7
     n_candidates: int = 31
 
 
 def _run_sweep_task(task: SweepTask) -> dict:
     beam = scenario_beam(task.beam_r)
-    w_locs = sensor_set(beam, QuantityKind.DEFLECTION,
-                        PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
-                        n_sensors=task.n_sensors,
-                        n_candidates=task.n_candidates) \
-        if task.use_deflections else None
-    phi_locs = sensor_set(beam, QuantityKind.ROTATION,
-                          PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
-                          n_sensors=task.n_sensors,
-                          n_candidates=task.n_candidates) \
-        if task.use_rotations else None
+    w_locs, phi_locs = (
+        sensor_set(beam, kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                   n_sensors=task.n_sensors, n_candidates=task.n_candidates)
+        for kind in (QuantityKind.DEFLECTION, QuantityKind.ROTATION))
     datasets = synth_identification_data(beam, w_locs, phi_locs,
                                          snr=task.snr, seed=task.seed,
                                          ndp=task.ndp)
@@ -253,62 +245,50 @@ def _aggregate(point_results: list) -> dict:
     return out
 
 
-def _sweep_points(point_tasks: dict, parallel: bool) -> dict:
-    flat, index = [], []
-    for value, tasks in point_tasks.items():
-        for t in tasks:
-            flat.append(t)
-            index.append(value)
-    results = run_sweep(flat, parallel=parallel)
-    grouped: dict = {v: [] for v in point_tasks}
-    for value, res in zip(index, results):
-        grouped[value].append(res)
-    return {value: _aggregate(res) for value, res in grouped.items()}
+class Study(NamedTuple):
+    """A sweep study: its swept setting and what it reads from a config.
+
+    ``offset`` shifts the point index, which keeps the replication seeds of
+    studies that share a root seed disjoint; ``settings`` names the fixed
+    ``sweep_study`` arguments the study takes from its config section.
+    """
+
+    offset: int
+    field: str
+    config_key: str
+    default: tuple
+    settings: tuple
 
 
-def noise_study(snrs, replications: int, root_seed: int, cfg: McmcConfig,
-                r: float = 1.0, parallel: bool = True) -> dict:
+STUDIES = {"noise": Study(0, "snr", "snrs", (5, 10, 20, 50, 100), ("r",)),
+           "rigidity": Study(1000, "beam_r", "r_values",
+                             (1e-3, 1e-2, 1.0, 1e2), ("snr",)),
+           "ndp": Study(2000, "ndp", "values", (1, 2, 5, 10), ("snr",))}
+
+
+def sweep_study(study: str, values, replications: int, root_seed: int,
+                cfg: McmcConfig, snr: float = 10.0, r: float = 1.0,
+                parallel: bool = True) -> dict:
+    """Replicated identification at each value of one swept setting.
+
+    ``noise`` sweeps the SNR at rigidity ``r``, ``rigidity`` sweeps r at
+    ``snr``, and ``ndp`` sweeps the data points per sensor at ``snr`` and
+    ``r``.  Returns the aggregate of each value's replications.
+    """
+    spec = STUDIES[study]
     points = {}
-    for p, snr in enumerate(snrs):
-        points[snr] = [
-            SweepTask(beam_r=r, snr=snr, ndp=1,
-                      seed=replication_seed(root_seed, p, rep),
-                      chain_seed=replication_seed(root_seed, p, rep) ^ 0x9E37,
-                      mcmc=cfg)
-            for rep in range(replications)]
-    return _sweep_points(points, parallel)
-
-
-def rigidity_study(r_values, replications: int, root_seed: int,
-                   cfg: McmcConfig, snr: float = 10.0,
-                   use_deflections: bool = True, use_rotations: bool = True,
-                   parallel: bool = True) -> dict:
-    points = {}
-    for p, r in enumerate(r_values):
-        points[r] = [
-            SweepTask(beam_r=r, snr=snr, ndp=1,
-                      seed=replication_seed(root_seed, 1000 + p, rep),
-                      chain_seed=replication_seed(root_seed, 1000 + p,
-                                                  rep) ^ 0x9E37,
-                      mcmc=cfg, use_deflections=use_deflections,
-                      use_rotations=use_rotations)
-            for rep in range(replications)]
-    return _sweep_points(points, parallel)
-
-
-def ndp_study(ndp_values, replications: int, root_seed: int,
-              cfg: McmcConfig, snr: float = 10.0, r: float = 1.0,
-              parallel: bool = True) -> dict:
-    points = {}
-    for p, ndp in enumerate(ndp_values):
-        points[ndp] = [
-            SweepTask(beam_r=r, snr=snr, ndp=int(ndp),
-                      seed=replication_seed(root_seed, 2000 + p, rep),
-                      chain_seed=replication_seed(root_seed, 2000 + p,
-                                                  rep) ^ 0x9E37,
-                      mcmc=cfg)
-            for rep in range(replications)]
-    return _sweep_points(points, parallel)
+    for p, value in enumerate(values):
+        setting = {"beam_r": r, "snr": snr, "ndp": 1,
+                   spec.field: int(value) if spec.field == "ndp" else value}
+        seeds = [replication_seed(root_seed, spec.offset + p, rep)
+                 for rep in range(replications)]
+        points[value] = [SweepTask(**setting, seed=seed,
+                                   chain_seed=seed ^ 0x9E37, mcmc=cfg)
+                         for seed in seeds]
+    results = iter(run_sweep([t for tasks in points.values() for t in tasks],
+                             parallel=parallel))
+    return {value: _aggregate([next(results) for _ in tasks])
+            for value, tasks in points.items()}
 
 
 def effective_sample_size(x: np.ndarray) -> float:

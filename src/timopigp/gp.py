@@ -1,24 +1,30 @@
 """Joint covariance assembly, marginal likelihood and predictive equations.
 
+``covariance`` is the one builder of covariance blocks, for the
+likelihood's K, the predictive cross-covariances and placement alike.
+
 Datasets and boundary conditions are stacked in the fixed block order
 (w, phi, eps, M, V, q), with measurement noise added on diagonal blocks
-only.  Noiseless boundary-condition blocks make the matrix singular in
-exact arithmetic, so a bounded jitter ladder (relative to the kernel
-diagonal) is escalated until the Cholesky factorization succeeds.
+only.  A K with inf or NaN entries is refused by name.  Noiseless
+boundary-condition blocks make the matrix singular in exact arithmetic, so
+a bounded jitter ladder (relative to the kernel diagonal) is escalated
+until the Cholesky factorization succeeds.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from timopigp import kernels
-from timopigp.data import BoundaryCondition, Dataset
-from timopigp.errors import IllConditionedModelError
-from timopigp.kernels import KernelParams
+from timopigp.data import Dataset
+from timopigp.errors import IllConditionedModelError, NonFiniteCovarianceError
 from timopigp.quantities import BLOCK_INDEX, QuantityKind
 
 JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
@@ -28,24 +34,34 @@ NEGATIVE_VARIANCE_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class Theta:
-    """GP hyperparameters: kernel scales, stiffness and per-dataset noise."""
+    """GP hyperparameters: kernel scales, stiffness and per-dataset noise.
+
+    The kernels read the first four fields.  ``sigma_n`` is left out of the
+    hash, so a Theta can key a set or a dict.
+    """
 
     sigma_s2: float
     ell: float
     EI: float
     kGA: float
-    sigma_n: dict = field(default_factory=dict)
+    sigma_n: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        if not (self.sigma_s2 > 0 and self.ell > 0 and self.EI > 0
-                and self.kGA > 0):
-            raise ValueError("sigma_s2, ell, EI and kGA must be positive")
-        if any(v < 0 for v in self.sigma_n.values()):
-            raise ValueError("noise standard deviations must be non-negative")
+        for name in ("sigma_s2", "ell", "EI", "kGA"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if not all(0 <= v < math.inf for v in self.sigma_n.values()):
+            raise ValueError("noise standard deviations must be finite and "
+                             "non-negative")
 
-    def kernel_params(self) -> KernelParams:
-        return KernelParams(sigma_s2=self.sigma_s2, ell=self.ell,
-                            EI=self.EI, kGA=self.kGA)
+
+class Points(NamedTuple):
+    """Locations of one quantity: the rows or columns of one block."""
+
+    kind: QuantityKind
+    x: np.ndarray
+    z: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -69,26 +85,12 @@ class CovarianceModel:
     chol: np.ndarray
     jitter: float
     y: np.ndarray
-    slices: tuple
-
-    @property
-    def n(self) -> int:
-        return self.y.size
 
     def log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return cho_solve((self.chol, True), b)
-
-    def diagnostics(self) -> dict:
-        d = np.diag(self.chol)
-        return {
-            "n": int(self.n),
-            "jitter": self.jitter,
-            "condition_estimate": float((d.max() / d.min()) ** 2),
-            "log_likelihood": log_marginal_likelihood(self),
-        }
 
 
 def _effective_sigma(entry: Dataset, theta: Theta) -> float:
@@ -104,11 +106,46 @@ def order_entries(datasets, bcs) -> tuple:
     return tuple(entries)
 
 
-def _cross_block(kind_a, x_a, z_a, kind_b, x_b, z_b, params):
-    z = None if z_a is None else z_a[:, None]
-    zp = None if z_b is None else z_b[None, :]
-    return kernels.kernel(kind_a, kind_b, x_a[:, None], x_b[None, :],
-                          params, z=z, z_prime=zp)
+def _slices(entries) -> tuple:
+    ends = list(itertools.accumulate((len(e.x) for e in entries), initial=0))
+    return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+
+
+def covariance(rows, theta: Theta, cols=None) -> np.ndarray:
+    """Dense covariance between two lists of entries.
+
+    An entry is anything with ``kind``, ``x`` and ``z`` (a dataset, a
+    boundary condition's dataset, ``Points``); each block pair is one
+    broadcast kernel call.  Without ``cols`` the result is the symmetric
+    covariance of ``rows``: the upper block triangle is computed and
+    mirrored.
+    """
+    symmetric = cols is None
+    cols = rows if symmetric else cols
+    r_sl = _slices(rows)
+    c_sl = r_sl if symmetric else _slices(cols)
+    K = np.empty((r_sl[-1].stop, c_sl[-1].stop))
+    # Overflow shows up as inf/NaN entries, which the callers name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, ea in enumerate(rows):
+            for b in range(a if symmetric else 0, len(cols)):
+                eb = cols[b]
+                block = kernels.kernel(
+                    ea.kind, eb.kind, ea.x[:, None], eb.x[None, :], theta,
+                    z=None if ea.z is None else ea.z[:, None],
+                    z_prime=None if eb.z is None else eb.z[None, :])
+                K[r_sl[a], c_sl[b]] = block
+                if symmetric and b != a:
+                    K[c_sl[b], r_sl[a]] = block.T
+    return K
+
+
+def check_finite(K: np.ndarray) -> np.ndarray:
+    """Return K, or raise NonFiniteCovarianceError if it holds inf/NaN."""
+    finite = np.isfinite(K)
+    if not finite.all():
+        raise NonFiniteCovarianceError(K.size - int(finite.sum()), K.shape)
+    return K
 
 
 def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
@@ -116,27 +153,14 @@ def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
     entries = order_entries(datasets, bcs)
     if not entries:
         raise ValueError("at least one dataset or boundary condition required")
-    params = theta.kernel_params()
-
-    sizes = [len(e) for e in entries]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offsets[-1])
-    slices = tuple(slice(int(offsets[i]), int(offsets[i + 1]))
-                   for i in range(len(entries)))
-
-    K = np.empty((n, n))
-    for a, ea in enumerate(entries):
-        for b, eb in enumerate(entries[a:], start=a):
-            block = _cross_block(ea.kind, ea.x, ea.z, eb.kind, eb.x, eb.z,
-                                 params)
-            K[slices[a], slices[b]] = block
-            if b != a:
-                K[slices[b], slices[a]] = block.T
+    slices = _slices(entries)
+    K = covariance(entries, theta)
     for a, ea in enumerate(entries):
         sig = _effective_sigma(ea, theta)
         if sig > 0:
             idx = np.arange(slices[a].start, slices[a].stop)
             K[idx, idx] += sig**2
+    check_finite(K)
 
     y = np.concatenate([e.y for e in entries])
 
@@ -152,10 +176,8 @@ def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
             L = cholesky(Kj, lower=True)
         except np.linalg.LinAlgError:
             continue
-        except Exception:
-            continue
         return CovarianceModel(entries=entries, theta=theta, K=K, chol=L,
-                               jitter=level, y=y, slices=slices)
+                               jitter=level, y=y)
     raise IllConditionedModelError(attempted)
 
 
@@ -179,20 +201,14 @@ def predict(model: CovarianceModel, kind: QuantityKind, x_star,
             raise ValueError("strain predictions require depths z_star")
         z_star = np.broadcast_to(np.asarray(z_star, float),
                                  x_star.shape).copy()
-    params = model.theta.kernel_params()
-
-    ks = np.empty((x_star.size, model.n))
-    for e, sl in zip(model.entries, model.slices):
-        z = None if z_star is None else z_star[:, None]
-        zp = None if e.z is None else e.z[None, :]
-        ks[:, sl] = kernels.kernel(kind, e.kind, x_star[:, None],
-                                   e.x[None, :], params, z=z, z_prime=zp)
+    ks = check_finite(covariance([Points(kind, x_star, z_star)],
+                                 model.theta, model.entries))
 
     mean = ks @ model.solve(model.y)
     v = solve_triangular(model.chol, ks.T, lower=True)
-    k_diag = kernels.kernel(kind, kind, x_star, x_star, params,
+    k_diag = kernels.kernel(kind, kind, x_star, x_star, model.theta,
                             z=z_star, z_prime=z_star)
-    k_diag = np.atleast_1d(np.asarray(k_diag, float))
+    k_diag = check_finite(np.atleast_1d(np.asarray(k_diag, float)))
     var = k_diag - np.sum(v * v, axis=0)
 
     floor = -NEGATIVE_VARIANCE_SLACK * np.maximum(k_diag, 0.0)
@@ -203,26 +219,28 @@ def predict(model: CovarianceModel, kind: QuantityKind, x_star,
                       var=np.maximum(var, 0.0), z_star=z_star)
 
 
-def predict_mixture(datasets, bcs, chain, kind: QuantityKind, x_star,
-                    z_star=None) -> Prediction:
+def predict_mixture(datasets, bcs, chain, queries) -> list:
     """Fully Bayesian prediction averaging per-draw Gaussian predictives.
 
-    The mixture mean is the average of per-draw means; the mixture variance
-    adds the spread of the per-draw means to the average per-draw variance.
+    One Prediction per ``(kind, x_star, z_star)`` query; each draw is
+    assembled once for all queries.  The mixture mean is the average of
+    per-draw means; the mixture variance adds the spread of the per-draw
+    means to the average per-draw variance.
     """
     thetas = chain.thetas if hasattr(chain, "thetas") else list(chain)
     if not thetas:
         raise ValueError("posterior chain must be non-empty")
-    means, variances = [], []
-    out_x = out_z = None
+    per_query = [[] for _ in queries]
     for theta in thetas:
         model = assemble(datasets, bcs, theta)
-        pred = predict(model, kind, x_star, z_star=z_star)
-        means.append(pred.mean)
-        variances.append(pred.var)
-        out_x, out_z = pred.x_star, pred.z_star
-    means = np.asarray(means)
-    variances = np.asarray(variances)
-    mu = means.mean(axis=0)
-    var = variances.mean(axis=0) + np.mean((means - mu) ** 2, axis=0)
-    return Prediction(kind=kind, x_star=out_x, mean=mu, var=var, z_star=out_z)
+        for (kind, x_star, z_star), preds in zip(queries, per_query):
+            preds.append(predict(model, kind, x_star, z_star=z_star))
+    out = []
+    for preds in per_query:
+        means = np.asarray([p.mean for p in preds])
+        variances = np.asarray([p.var for p in preds])
+        mu = means.mean(axis=0)
+        var = variances.mean(axis=0) + np.mean((means - mu) ** 2, axis=0)
+        out.append(Prediction(kind=preds[-1].kind, x_star=preds[-1].x_star,
+                              mean=mu, var=var, z_star=preds[-1].z_star))
+    return out

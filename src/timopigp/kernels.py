@@ -10,15 +10,21 @@ kernel.  The SE derivatives follow the Hermite-polynomial recursion
 with the coefficient tables below generated once from He_{n+1} = u He_n -
 n He_{n-1} and committed as source; the test suite validates every order
 against finite differences.
+
+The kernels read four fields of a ``gp.Theta``: sigma_s2, ell, EI and kGA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from timopigp.quantities import QuantityKind
+
+if TYPE_CHECKING:
+    from timopigp.gp import Theta
 
 MAX_ORDER = 4
 
@@ -36,28 +42,13 @@ _HERMITE = (
 )
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Hyperparameters entering the physics-informed kernels."""
-
-    sigma_s2: float
-    ell: float
-    EI: float
-    kGA: float
-
-    def __post_init__(self):
-        if not (self.sigma_s2 > 0 and self.ell > 0 and self.EI > 0
-                and self.kGA > 0):
-            raise ValueError("sigma_s2, ell, EI and kGA must be positive")
-
-
-def se_base(x, x_prime, params: KernelParams):
+def se_base(x, x_prime, params: Theta):
     """Squared-exponential base kernel sigma_s^2 exp(-(x-x')^2 / 2 ell^2)."""
     u = (np.asarray(x, float) - np.asarray(x_prime, float)) / params.ell
     return params.sigma_s2 * np.exp(-0.5 * u * u)
 
 
-def se_derivative(m: int, n: int, x, x_prime, params: KernelParams):
+def se_derivative(m: int, n: int, x, x_prime, params: Theta):
     """Mixed partial d^m/dx^m d^n/dx'^n of the SE base kernel.
 
     With u = (x - x')/ell the closed form is
@@ -67,7 +58,10 @@ def se_derivative(m: int, n: int, x, x_prime, params: KernelParams):
         raise ValueError(f"derivative orders must be in 0..{MAX_ORDER}")
     u = (np.asarray(x, float) - np.asarray(x_prime, float)) / params.ell
     sign = -1.0 if m % 2 else 1.0
-    scale = params.sigma_s2 * sign * params.ell ** (-(m + n))
+    try:
+        scale = params.sigma_s2 * sign * params.ell ** (-(m + n))
+    except OverflowError:  # tiny ell: a non-finite covariance, named later
+        scale = sign * math.inf
     return scale * np.polyval(_HERMITE[m + n], u) * np.exp(-0.5 * u * u)
 
 
@@ -75,7 +69,7 @@ def se_derivative(m: int, n: int, x, x_prime, params: KernelParams):
 # derivative order).  The Timoshenko deflection/rotation/strain operators
 # carry shear corrections scaled by a = EI/kGA; moments, shears and loads
 # are identical at both levels.
-def _terms(kind: QuantityKind, params: KernelParams, timoshenko: bool):
+def _terms(kind: QuantityKind, params: Theta, timoshenko: bool):
     a = params.EI / params.kGA
     if kind is QuantityKind.DEFLECTION:
         return ((1.0, 0, 0), (-a, 0, 2)) if timoshenko else ((1.0, 0, 0),)
@@ -110,7 +104,7 @@ def _combine(i, j, x, x_prime, params, z, z_prime, timoshenko):
 
 
 def kernel(i: QuantityKind, j: QuantityKind, x, x_prime,
-           params: KernelParams, z=None, z_prime=None):
+           params: Theta, z=None, z_prime=None):
     """Timoshenko-level covariance between quantities i at x and j at x'.
 
     Broadcasts over array inputs; strain indices require the matching
@@ -120,6 +114,6 @@ def kernel(i: QuantityKind, j: QuantityKind, x, x_prime,
 
 
 def bernoulli_kernel(i: QuantityKind, j: QuantityKind, x, x_prime,
-                     params: KernelParams, z=None, z_prime=None):
+                     params: Theta, z=None, z_prime=None):
     """Covariance for the shear-rigid (Euler-Bernoulli) beam quantities."""
     return _combine(i, j, x, x_prime, params, z, z_prime, timoshenko=False)

@@ -10,12 +10,13 @@ the proposal ratio cancels in the acceptance probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from timopigp import gp
-from timopigp.errors import IllConditionedModelError, StuckChainError
+from timopigp.errors import (IllConditionedModelError,
+                             NonFiniteCovarianceError, StuckChainError)
 from timopigp.gp import Theta
 
 LOG_PARAMS = ("sigma_s2", "ell")
@@ -144,7 +145,7 @@ def log_posterior(theta: Theta, datasets, bcs, priors: dict) -> float:
         return -np.inf
     try:
         model = gp.assemble(datasets, bcs, theta)
-    except IllConditionedModelError:
+    except (IllConditionedModelError, NonFiniteCovarianceError):
         return -np.inf
     return gp.log_marginal_likelihood(model) + lp
 

@@ -7,6 +7,11 @@ baselines are blind to the physical domain, so they yield the same sets
 for deflection and rotation candidates; the physics-informed criterion
 couples domains through the cross-covariance kernels.  Placement is
 pre-data: only locations and kernel parameters enter the scores.
+
+Joint entropies come from one conditioned covariance, Sigma = K_SS -
+K_Sb K_bb^-1 K_bS of ``gp.covariance`` blocks (``conditioned_covariance``).
+``set_entropy`` uses Sigma of its set; the exhaustive map builds Sigma once
+over all candidates and scores each subset from a principal submatrix.
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky
 
 from timopigp import gp, kernels
 from timopigp.data import Dataset
 from timopigp.errors import EnumerationGuardError
 from timopigp.gp import JITTER_LADDER, Theta
-from timopigp.kernels import KernelParams
 from timopigp.quantities import BLOCK_INDEX, QuantityKind
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
@@ -42,7 +46,7 @@ class PlacementProblem:
     candidates: np.ndarray
     kinds: list
     n_sensors: int
-    params: KernelParams
+    params: Theta
     bcs: list = field(default_factory=list)
     criterion: PlacementCriterion = PlacementCriterion.PHYSICS_INFORMED_ENTROPY
     joint_budget: bool = False
@@ -58,10 +62,8 @@ class PlacementProblem:
                              "sensors in the x-only domains")
         if self.n_sensors < 0:
             raise ValueError("n_sensors must be non-negative")
-        n_domains = len(set(self.kinds))
-        budget = self.n_sensors * (1 if self.joint_budget else n_domains)
         if self.n_sensors > self.candidates.size and not self.joint_budget \
-                and n_domains == 1:
+                and len(set(self.kinds)) == 1:
             raise ValueError("n_sensors exceeds candidate count")
 
 
@@ -73,12 +75,6 @@ class PlacementResult:
     step_entropies: list
     criterion: PlacementCriterion
     set_entropy: float | None = None
-    normalized_set_entropy: float | None = None
-
-
-def _theta(params: KernelParams) -> Theta:
-    return Theta(sigma_s2=params.sigma_s2, ell=params.ell, EI=params.EI,
-                 kGA=params.kGA)
 
 
 def _placed_datasets(placed):
@@ -98,14 +94,14 @@ def _pi_conditional_var(x_star, kind, placed, bcs, params):
     datasets = _placed_datasets(placed)
     if not datasets and not bcs:
         return k_diag, JITTER_LADDER[0] * k_diag
-    model = gp.assemble(datasets, bcs, _theta(params))
+    model = gp.assemble(datasets, bcs, params)
     var = gp.predict(model, kind, x_star).var
     floor = max(model.jitter, JITTER_LADDER[0]) * k_diag
     return var, floor
 
 
 def conditional_entropy(x_star, kind: QuantityKind, placed, bcs,
-                        params: KernelParams) -> float:
+                        params: Theta) -> float:
     """Entropy 0.5 ln(2 pi e sigma^2) of one candidate given placed sensors."""
     var, floor = _pi_conditional_var(x_star, kind, placed, bcs, params)
     var = np.maximum(var, floor)
@@ -206,35 +202,30 @@ def greedy_place(problem: PlacementProblem) -> PlacementResult:
     return result
 
 
-def _joint_covariance(selected, problem: PlacementProblem) -> np.ndarray:
-    """Prior covariance of a sensor set, conditioned on the problem's BCs."""
-    params = problem.params
-    xs = np.array([s[0] for s in selected], float)
-    kinds = [s[1] for s in selected]
-    k = len(selected)
-    K = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            K[i, j] = K[j, i] = float(kernels.kernel(
-                kinds[i], kinds[j], xs[i], xs[j], params))
-    if not problem.bcs:
-        return K
-    model = gp.assemble([], problem.bcs, _theta(params))
-    ks = np.empty((k, model.n))
-    for i in range(k):
-        for e, sl in zip(model.entries, model.slices):
-            ks[i, sl] = kernels.kernel(kinds[i], e.kind, xs[i], e.x, params)
-    return K - ks @ model.solve(ks.T)
+def conditioned_covariance(selected, problem: PlacementProblem) -> np.ndarray:
+    """Prior covariance of (x, kind) sensors, conditioned on the BCs.
 
-
-def set_entropy(selected, problem: PlacementProblem) -> float:
-    """Joint Gaussian entropy of a selected sensor set under the PI prior."""
-    if not selected:
-        raise ValueError("selection must be non-empty")
-    locs = [(round(s[0], 12), s[1]) for s in selected]
+    Sigma = K_SS - K_Sb K_bb^-1 K_bS in the order of ``selected``, with
+    K_bb factorized by ``gp.assemble([], bcs, theta)``.  The sensors must
+    be distinct, or Sigma is singular.
+    """
+    locs = [(round(x, 12), kind) for x, kind in selected]
     if len(set(locs)) != len(locs):
         raise ValueError("selected sensors must be distinct")
-    sigma = _joint_covariance(selected, problem)
+    theta = problem.params
+    entries = [gp.Points(kind, np.array([x for x, _ in run], float))
+               for kind, run in itertools.groupby(selected,
+                                                  key=lambda s: s[1])]
+    sigma = gp.covariance(entries, theta)
+    if problem.bcs:
+        model = gp.assemble([], problem.bcs, theta)
+        ks = gp.covariance(entries, theta, model.entries)
+        sigma = sigma - ks @ model.solve(ks.T)
+    return gp.check_finite(sigma)
+
+
+def _gaussian_entropy(sigma: np.ndarray) -> float:
+    """0.5 ln det(2 pi e Sigma), up the jitter ladder if Sigma is singular."""
     k = sigma.shape[0]
     diag = np.maximum(np.diag(sigma), 1e-300)
     for level in (0.0,) + JITTER_LADDER:
@@ -245,6 +236,13 @@ def set_entropy(selected, problem: PlacementProblem) -> float:
     eig = np.linalg.eigvalsh(sigma)
     eig = np.maximum(eig, JITTER_LADDER[-1] * max(diag.max(), 1e-300))
     return float(0.5 * (k * _LOG_2PIE + np.sum(np.log(eig))))
+
+
+def set_entropy(selected, problem: PlacementProblem) -> float:
+    """Joint Gaussian entropy of a selected sensor set under the PI prior."""
+    if not selected:
+        raise ValueError("selection must be non-empty")
+    return _gaussian_entropy(conditioned_covariance(selected, problem))
 
 
 def exhaustive_entropy_map(problem: PlacementProblem,
@@ -262,14 +260,15 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     n_combos = math.comb(n_p, n_s)
     if n_combos > max_combos and not full_scale:
         raise EnumerationGuardError(n_combos, max_combos)
+    if n_s == 0:
+        raise ValueError("selection must be non-empty")
 
     kind = problem.kinds[0]
-    raw = []
+    sigma = conditioned_covariance(
+        [(float(x), kind) for x in problem.candidates], problem)
     subsets = list(itertools.combinations(range(n_p), n_s))
-    for subset in subsets:
-        sel = [(float(problem.candidates[i]), kind) for i in subset]
-        raw.append(set_entropy(sel, problem))
-    raw = np.asarray(raw)
+    raw = np.asarray([_gaussian_entropy(sigma[np.ix_(subset, subset)])
+                      for subset in subsets])
     lo, hi = raw.min(), raw.max()
     span = hi - lo if hi > lo else 1.0
     return [(subset, float((h - lo) / span))

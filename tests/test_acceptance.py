@@ -20,7 +20,6 @@ from timopigp import cli, experiments, gp, kernels, mcmc, placement
 from timopigp.beam import BeamConfig
 from timopigp.data import Dataset
 from timopigp.gp import Theta
-from timopigp.kernels import KernelParams
 from timopigp.mcmc import McmcConfig, UniformBounded
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 greedy_place, set_entropy)
@@ -63,7 +62,7 @@ def _symbolic_pair_table():
 
 def test_acceptance_1_kernel_correctness():
     t0 = time.time()
-    params = KernelParams(sigma_s2=1.7, ell=0.35, EI=1.3, kGA=2.1)
+    params = Theta(sigma_s2=1.7, ell=0.35, EI=1.3, kGA=2.1)
     rng = np.random.default_rng(2024)
     xs = rng.uniform(0.0, 1.0, 200)
     xps = rng.uniform(0.0, 1.0, 200)
@@ -129,7 +128,7 @@ def test_acceptance_1_kernel_correctness():
 def test_acceptance_2_shear_rigid_limit():
     t0 = time.time()
     L = 1.0
-    params = KernelParams(sigma_s2=1.0, ell=0.2, EI=1.0, kGA=1e12 / L**2)
+    params = Theta(sigma_s2=1.0, ell=0.2, EI=1.0, kGA=1e12 / L**2)
     xs = np.linspace(0.0, L, 21)
     worst = 0.0
     for i, j in [(QuantityKind.DEFLECTION, QuantityKind.DEFLECTION),
@@ -347,7 +346,7 @@ def test_acceptance_4_stiffness_identification():
 def test_acceptance_5_noise_trend():
     t0 = time.time()
     cfg = McmcConfig(n_total=4000, n_b=1500, n_t=5)
-    points = experiments.noise_study([5, 20, 100], replications=50,
+    points = experiments.sweep_study("noise", [5, 20, 100], replications=50,
                                      root_seed=42, cfg=cfg)
     elapsed = time.time() - t0
     ei_lo, ei_hi = points[100]["EI_post_std"], points[5]["EI_post_std"]
@@ -365,9 +364,8 @@ def test_acceptance_5_noise_trend():
 def test_acceptance_6_rigidity_trend():
     t0 = time.time()
     cfg = McmcConfig(n_total=4000, n_b=1500, n_t=5)
-    points = experiments.rigidity_study([1e-3, 1e-2, 1.0, 1e2],
-                                        replications=8, root_seed=42,
-                                        cfg=cfg)
+    points = experiments.sweep_study("rigidity", [1e-3, 1e-2, 1.0, 1e2],
+                                     replications=8, root_seed=42, cfg=cfg)
     elapsed = time.time() - t0
     ei_err = abs(points[1e-3]["EI_mean"] - 1.0)
     kga_err = abs(points[1e2]["kGA_mean"] - 1.0)
@@ -445,8 +443,8 @@ def test_acceptance_8_mixture_moments():
               Theta(sigma_s2=0.5, ell=0.4, EI=1.3, kGA=2.0),
               Theta(sigma_s2=2.0, ell=0.25, EI=0.8, kGA=4.0)]
     x_star = [0.5]
-    mix = gp.predict_mixture(datasets, [], thetas, QuantityKind.DEFLECTION,
-                             x_star)
+    [mix] = gp.predict_mixture(datasets, [], thetas,
+                               [(QuantityKind.DEFLECTION, x_star, None)])
     singles = [gp.predict(gp.assemble(datasets, [], t),
                           QuantityKind.DEFLECTION, x_star) for t in thetas]
     mus = np.array([s.mean[0] for s in singles])

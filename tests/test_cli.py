@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from timopigp import beam, cli
+from timopigp import beam, cli, placement
 from timopigp.beam import BeamConfig
 from timopigp.quantities import QuantityKind
 
@@ -143,6 +143,37 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--full-scale" in capsys.readouterr().err
 
+    @staticmethod
+    def place_config(tmp_path, **placement_kw):
+        cfg = {"version": 1, "beam": BEAM, "seed": 0,
+               "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+               "placement": dict({"n_candidates": 9, "n_sensors": 2,
+                                  "kinds": ["w"], "criteria": ["physics"]},
+                                 **placement_kw)}
+        # A literal 1e400 parses as inf, as it would from a user's file.
+        text = json.dumps(cfg).replace('"@inf"', "1e400")
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_non_finite_signal_variance_names_field(self, tmp_path, capsys):
+        code = run(["place", "--config",
+                    self.place_config(tmp_path, sigma_s2="@inf"),
+                    "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sigma_s2" in err and "finite" in err
+
+    def test_tiny_length_scale_names_non_finite_covariance(self, tmp_path,
+                                                          capsys):
+        code = run(["place", "--config",
+                    self.place_config(tmp_path, ell=1e-200),
+                    "--out", tmp_path / "o"])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "non-finite covariance" in err
+        assert "Traceback" not in err
+
 
 class TestPlace:
     def test_zero_sensors_succeeds(self, tmp_path):
@@ -174,6 +205,28 @@ class TestPlace:
         vals = np.array([float(r["normalized_entropy"]) for r in rows])
         assert vals.min() == pytest.approx(0.0)
         assert vals.max() == pytest.approx(1.0)
+
+    def test_entropy_map_once_per_kind(self, tmp_path, monkeypatch):
+        calls = []
+        real = placement.exhaustive_entropy_map
+        monkeypatch.setattr(placement, "exhaustive_entropy_map",
+                            lambda p, **kw: calls.append(p.kinds[0])
+                            or real(p, **kw))
+        criteria = ["physics", "entropy", "mi"]
+        cfg = {"version": 1, "beam": BEAM, "seed": 0,
+               "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+               "placement": {"n_candidates": 8, "n_sensors": 3,
+                             "kinds": ["w", "phi"], "criteria": criteria,
+                             "entropy_map": True}}
+        out = tmp_path / "out"
+        assert run(["place", "--config", write_config(tmp_path, cfg),
+                    "--out", out]) == 0
+        assert calls == [QuantityKind.DEFLECTION, QuantityKind.ROTATION]
+        for kind in ("w", "phi"):
+            maps = [(out / f"entropy_map_{c}_{kind}.csv").read_bytes()
+                    for c in criteria]
+            assert maps[0] == maps[1] == maps[2]
+
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +293,25 @@ class TestIdentifyPredict:
             assert abs(v + table[(x, round(-z, 9))]) < \
                 1e-6 * max(scale, 1e-300)
 
+    def test_query_block_overflow_named(self, workflow, capsys):
+        # At ell = 1e-35 the deflection covariance is finite, but a shear
+        # query's cross-covariance (derivative order 5) overflows.
+        tmp_path, out_id, _ = workflow
+        with open(out_id / "chain.csv", newline="") as fh:
+            names, row = list(csv.reader(fh))[:2]
+        row[names.index("ell")] = "1e-35"
+        chain = tmp_path / "tiny_ell_chain.csv"
+        chain.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
+        cfg = {"version": 1, "beam": BEAM,
+               "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+               "predict": {"kinds": ["V"], "n_grid": 5}}
+        code = run(["predict", "--config",
+                    write_config(tmp_path, cfg, "tiny_ell.json"),
+                    "--out", tmp_path / "tiny_ell_pred", "--chain", chain,
+                    "--data", tmp_path / "sim" / "data_w.csv"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "non-finite covariance" in capsys.readouterr().err
+
     def test_manifest_lists_outputs(self, workflow):
         _, out_id, out_pred = workflow
         m_id = json.loads((out_id / "manifest.json").read_text())
@@ -267,3 +339,19 @@ class TestStudy:
         assert [float(r["sweep_value"]) for r in rows] == [10.0, 50.0]
         for r in rows:
             assert int(r["n_reps"]) + int(r["n_failed"]) == 2
+
+    def test_ndp_study_ignores_rigidity(self, tmp_path, monkeypatch):
+        # The ndp study runs at r = 1 whatever its config section says.
+        monkeypatch.setenv("TIMO_PIGP_THREADS", "2")
+        outputs = []
+        for tag, extra in (("plain", {}), ("with_r", {"r": 0.3})):
+            cfg = {"version": 1, "beam": BEAM, "seed": 42,
+                   "mcmc": {"n_total": 400, "n_b": 150, "n_t": 5},
+                   "study": {"ndp": dict({"values": [1, 2],
+                                          "replications": 1}, **extra)}}
+            out = tmp_path / tag
+            assert run(["study", "--study", "ndp", "--config",
+                        write_config(tmp_path, cfg, f"{tag}.json"),
+                        "--out", out]) == 0
+            outputs.append((out / "study_ndp.csv").read_bytes())
+        assert outputs[0] == outputs[1]

@@ -102,6 +102,26 @@ class TestSensorSet:
         assert np.all((0.0 <= xs) & (xs <= beam.L))
         assert np.all(np.diff(xs) > 0)
 
+    # Default physics sets on 31 candidates, as candidate indices (x * 30).
+    # The greedy breaks near-exact ties, so any reordering of the
+    # covariance arithmetic would move these.
+    PINNED = {
+        1e-3: ([3, 7, 11, 15, 19, 23, 27], [0, 8, 11, 15, 19, 22, 30]),
+        1e-2: ([3, 7, 13, 16, 19, 24, 27], [0, 9, 12, 15, 19, 22, 30]),
+        0.3: ([3, 6, 9, 12, 18, 21, 27], [0, 6, 13, 15, 21, 23, 30]),
+        1.0: ([2, 9, 12, 18, 20, 24, 27], [0, 6, 13, 15, 22, 24, 30]),
+        100.0: ([3, 6, 12, 15, 21, 24, 27], [0, 6, 13, 15, 22, 24, 30]),
+    }
+
+    @pytest.mark.parametrize("r", sorted(PINNED))
+    def test_physics_sets_pinned(self, r):
+        beam = scenario_beam(r)
+        for kind, want in zip((QuantityKind.DEFLECTION, QuantityKind.ROTATION),
+                              self.PINNED[r]):
+            xs = sensor_set(beam, kind,
+                            PlacementCriterion.PHYSICS_INFORMED_ENTROPY)
+            assert [int(round(x * 30)) for x in xs] == want
+
 
 class TestSweeps:
     def test_failed_replications_are_recorded(self):

@@ -8,6 +8,7 @@ import pytest
 from timopigp import beam, gp, kernels
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
+from timopigp.errors import NonFiniteCovarianceError
 from timopigp.gp import Theta
 from timopigp.quantities import QuantityKind
 
@@ -40,7 +41,7 @@ class TestAssemble:
         ds = Dataset(kind=QuantityKind.DEFLECTION, x=[0.2, 0.8], y=[0.0, 0.0],
                      sigma_n=0.5)
         model = gp.assemble([ds], [], THETA)
-        params = THETA.kernel_params()
+        params = THETA
         k00 = kernels.kernel(QuantityKind.DEFLECTION, QuantityKind.DEFLECTION,
                              0.2, 0.2, params)
         k01 = kernels.kernel(QuantityKind.DEFLECTION, QuantityKind.DEFLECTION,
@@ -54,7 +55,7 @@ class TestAssemble:
         ds_m = Dataset(kind=QuantityKind.MOMENT, x=[0.7], y=[0.0],
                        sigma_n=0.2)
         model = gp.assemble([ds_w, ds_m], [], THETA)
-        params = THETA.kernel_params()
+        params = THETA
         want = kernels.kernel(QuantityKind.DEFLECTION, QuantityKind.MOMENT,
                               0.3, 0.7, params)
         assert model.K[0, 1] == pytest.approx(want, rel=1e-12)
@@ -85,6 +86,13 @@ class TestAssemble:
         model = gp.assemble([ds], [], THETA)
         assert model.jitter in (0.0,) + gp.JITTER_LADDER
         assert model.jitter > 0.0
+
+    def test_non_finite_covariance_named(self):
+        # ell**-8 overflows: the kernels give inf/NaN instead of raising,
+        # and assembly names the matrix before trying the jitter ladder.
+        theta = Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0)
+        with pytest.raises(NonFiniteCovarianceError, match="non-finite"):
+            gp.assemble([w_dataset([0.3, 0.6])], [support_bc()], theta)
 
     def test_positive_semidefinite(self):
         datasets = [w_dataset(np.linspace(0.05, 0.95, 12), sigma=0.0)]
@@ -151,14 +159,14 @@ class TestPredict:
                           np.array([0.0, 1.0]))
         prior = float(kernels.kernel(QuantityKind.DEFLECTION,
                                      QuantityKind.DEFLECTION, 0.0, 0.0,
-                                     THETA.kernel_params()))
+                                     THETA))
         assert np.max(np.abs(pred.mean)) < 1e-4 * prior
         assert np.max(pred.var) <= 10.0 * max(model.jitter,
                                               gp.JITTER_LADDER[0]) * prior
 
     def test_posterior_variance_shrinks(self):
         xq = np.linspace(0.0, 1.0, 21)
-        params = THETA.kernel_params()
+        params = THETA
         prior = np.atleast_1d(kernels.kernel(
             QuantityKind.DEFLECTION, QuantityKind.DEFLECTION, xq, xq, params))
         model = gp.assemble([w_dataset([0.25, 0.5, 0.75], sigma=0.01)], [],
@@ -231,6 +239,15 @@ class TestPredict:
             np.testing.assert_allclose(a, b, rtol=1e-6,
                                        atol=1e-6 * np.max(np.abs(a)))
 
+    def test_non_finite_query_block_named(self):
+        # At this ell the deflection K is finite, but the shear query's
+        # cross-covariance (derivative order 5) overflows.
+        theta = Theta(sigma_s2=1.0, ell=1e-35, EI=1.0, kGA=3.0)
+        model = gp.assemble([w_dataset([0.3, 0.6], sigma=0.01)], [], theta)
+        gp.predict(model, QuantityKind.DEFLECTION, np.array([0.45]))
+        with pytest.raises(NonFiniteCovarianceError, match="non-finite"):
+            gp.predict(model, QuantityKind.SHEAR, np.array([0.45]))
+
 
 class TestPredictMixture:
     def test_single_draw_degenerates_to_predict(self):
@@ -238,8 +255,8 @@ class TestPredictMixture:
         datasets = [w_dataset([0.3, 0.7], sigma=0.05)]
         single = gp.predict(gp.assemble(datasets, [], model_theta),
                             QuantityKind.DEFLECTION, [0.5])
-        mix = gp.predict_mixture(datasets, [], [model_theta],
-                                 QuantityKind.DEFLECTION, [0.5])
+        [mix] = gp.predict_mixture(datasets, [], [model_theta],
+                                   [(QuantityKind.DEFLECTION, [0.5], None)])
         assert mix.mean[0] == pytest.approx(single.mean[0], rel=1e-12)
         assert mix.var[0] == pytest.approx(single.var[0], rel=1e-12)
 
@@ -250,18 +267,38 @@ class TestPredictMixture:
         singles = [gp.predict(gp.assemble(datasets, [], t),
                               QuantityKind.DEFLECTION, [0.5])
                    for t in thetas]
-        mix = gp.predict_mixture(datasets, [], thetas,
-                                 QuantityKind.DEFLECTION, [0.5])
+        [mix] = gp.predict_mixture(datasets, [], thetas,
+                                   [(QuantityKind.DEFLECTION, [0.5], None)])
         mus = np.array([s.mean[0] for s in singles])
         vs = np.array([s.var[0] for s in singles])
         assert mix.mean[0] == pytest.approx(mus.mean(), rel=1e-12)
         want_var = vs.mean() + np.mean((mus - mus.mean()) ** 2)
         assert mix.var[0] == pytest.approx(want_var, rel=1e-12)
 
+    def test_one_assembly_per_draw_for_all_queries(self, monkeypatch):
+        datasets = [w_dataset([0.3, 0.7], sigma=0.05)]
+        thetas = [Theta(sigma_s2=1.0, ell=0.3, EI=1.0, kGA=3.0),
+                  Theta(sigma_s2=0.5, ell=0.4, EI=1.3, kGA=2.0)]
+        queries = [(QuantityKind.DEFLECTION, [0.2, 0.5], None),
+                   (QuantityKind.MOMENT, [0.4], None),
+                   (QuantityKind.STRAIN, [0.6], [0.05])]
+        alone = [gp.predict_mixture(datasets, [], thetas, [q])[0]
+                 for q in queries]
+        calls = []
+        real = gp.assemble
+        monkeypatch.setattr(gp, "assemble",
+                            lambda *a: calls.append(1) or real(*a))
+        together = gp.predict_mixture(datasets, [], thetas, queries)
+        assert len(calls) == len(thetas)
+        for a, b in zip(alone, together):
+            assert a.kind is b.kind
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.var, b.var)
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             gp.predict_mixture([w_dataset([0.5], sigma=0.1)], [], [],
-                               QuantityKind.DEFLECTION, [0.5])
+                               [(QuantityKind.DEFLECTION, [0.5], None)])
 
 
 class TestTheta:
@@ -272,6 +309,28 @@ class TestTheta:
         base.update(kw)
         with pytest.raises(ValueError):
             Theta(**base)
+
+    @pytest.mark.parametrize("kw", [dict(sigma_s2=float("inf")),
+                                    dict(ell=float("nan")),
+                                    dict(EI=float("inf")),
+                                    dict(kGA=float("nan"))])
+    def test_non_finite_rejected_by_name(self, kw):
+        base = dict(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=1.0)
+        base.update(kw)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            Theta(**base)
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ValueError):
+            Theta(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=1.0,
+                  sigma_n={"w": float("inf")})
+
+    def test_hash_ignores_noise(self):
+        a = Theta(sigma_s2=1.0, ell=0.3, EI=1.0, kGA=3.0, sigma_n={"w": 0.1})
+        b = Theta(sigma_s2=1.0, ell=0.3, EI=1.0, kGA=3.0, sigma_n={"w": 0.2})
+        assert hash(a) == hash(b) and a != b
+        assert len({a, b, Theta(sigma_s2=1.0, ell=0.3, EI=1.0,
+                                kGA=3.0)}) == 3
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -284,7 +343,7 @@ class TestTheta:
         theta = Theta(sigma_s2=1.0, ell=0.3, EI=1.0, kGA=3.0,
                       sigma_n={"w": 0.5})
         model = gp.assemble([ds], [], theta)
-        params = theta.kernel_params()
+        params = theta
         k00 = kernels.kernel(QuantityKind.DEFLECTION, QuantityKind.DEFLECTION,
                              0.2, 0.2, params)
         assert model.K[0, 0] == pytest.approx(k00 + 0.25, rel=1e-12)

@@ -11,10 +11,10 @@ import pytest
 import sympy as sp
 
 from timopigp import kernels
-from timopigp.kernels import KernelParams
+from timopigp.gp import Theta
 from timopigp.quantities import BLOCK_ORDER, QuantityKind
 
-PARAMS = KernelParams(sigma_s2=1.3, ell=0.4, EI=1.2, kGA=2.5)
+PARAMS = Theta(sigma_s2=1.3, ell=0.4, EI=1.2, kGA=2.5)
 ALL_KINDS = list(BLOCK_ORDER)
 X_KINDS = [k for k in ALL_KINDS if k is not QuantityKind.STRAIN]
 
@@ -80,7 +80,7 @@ def _eval_kernel(fn, i, j, x, xp, params, z=1.0, zp=1.0):
 
 class TestSeBase:
     def test_value_at_zero_distance(self):
-        p = KernelParams(sigma_s2=4.0, ell=0.5, EI=1.0, kGA=1.0)
+        p = Theta(sigma_s2=4.0, ell=0.5, EI=1.0, kGA=1.0)
         assert kernels.se_base(0.3, 0.3, p) == pytest.approx(4.0)
 
     def test_decay(self):
@@ -88,7 +88,7 @@ class TestSeBase:
         assert vals[0] > vals[1] > vals[2] > vals[3] > 0.0
 
     def test_value_at_one_length_scale(self):
-        p = KernelParams(sigma_s2=2.0, ell=0.3, EI=1.0, kGA=1.0)
+        p = Theta(sigma_s2=2.0, ell=0.3, EI=1.0, kGA=1.0)
         assert kernels.se_base(0.0, 0.3, p) == \
             pytest.approx(2.0 * np.exp(-0.5), rel=1e-14)
 
@@ -221,7 +221,7 @@ class TestKernelPairs:
         xs = np.linspace(0.0, 1.0, 11)
         prev = None
         for EI in (1e-2, 1e-4, 1e-6, 1e-8):
-            p = KernelParams(sigma_s2=1.0, ell=0.4, EI=EI, kGA=2.5)
+            p = Theta(sigma_s2=1.0, ell=0.4, EI=EI, kGA=2.5)
             val = np.max(np.abs(kernels.kernel(
                 QuantityKind.LOAD, QuantityKind.DEFLECTION, xs, 0.5, p)))
             if prev is not None:
@@ -267,8 +267,8 @@ class TestBernoulliKernel:
     def test_shear_rigid_limit(self):
         """Timoshenko kernels converge to shear-rigid ones as kGA grows."""
         xs = np.linspace(0.0, 1.0, 13)
-        p_rigid = KernelParams(sigma_s2=1.3, ell=0.4, EI=1.2,
-                               kGA=1e12 * 1.2)
+        p_rigid = Theta(sigma_s2=1.3, ell=0.4, EI=1.2,
+                        kGA=1e12 * 1.2)
         for i, j in [(QuantityKind.DEFLECTION, QuantityKind.DEFLECTION),
                      (QuantityKind.ROTATION, QuantityKind.ROTATION),
                      (QuantityKind.DEFLECTION, QuantityKind.ROTATION),
@@ -320,4 +320,4 @@ class TestKernelParamsValidation:
         base = dict(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=1.0)
         base.update(kw)
         with pytest.raises(ValueError):
-            KernelParams(**base)
+            Theta(**base)

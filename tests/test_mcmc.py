@@ -85,6 +85,12 @@ class TestLogPosterior:
         assert log_posterior(theta, datasets, bcs, priors) == \
             pytest.approx(want, rel=1e-12)
 
+    def test_non_finite_covariance_is_zero_density(self):
+        datasets, bcs = tiny_problem()
+        theta = Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0,
+                      sigma_n={})
+        assert log_posterior(theta, datasets, bcs, {}) == -np.inf
+
     def test_outside_prior_support(self):
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=0.01, ell=0.3, EI=3.0, kGA=3.0)

@@ -7,14 +7,14 @@ import pytest
 
 from timopigp import kernels, placement
 from timopigp.data import BoundaryCondition
-from timopigp.errors import EnumerationGuardError
-from timopigp.kernels import KernelParams
+from timopigp.errors import EnumerationGuardError, NonFiniteCovarianceError
+from timopigp.gp import Theta
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 conditional_entropy, exhaustive_entropy_map,
                                 greedy_place, set_entropy)
 from timopigp.quantities import QuantityKind
 
-PARAMS = KernelParams(sigma_s2=1.0, ell=0.125, EI=1.0, kGA=3.0)
+PARAMS = Theta(sigma_s2=1.0, ell=0.125, EI=1.0, kGA=3.0)
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 
@@ -44,7 +44,7 @@ class TestConditionalEntropy:
 
     def test_unit_variance_entropy(self):
         # A kernel with unit prior variance gives H = 0.5 ln(2 pi e).
-        p = KernelParams(sigma_s2=1.0, ell=1e6, EI=1.0, kGA=1e12)
+        p = Theta(sigma_s2=1.0, ell=1e6, EI=1.0, kGA=1e12)
         h = conditional_entropy(0.5, QuantityKind.DEFLECTION, [], [], p)
         assert h == pytest.approx(0.5 * LOG_2PIE, abs=1e-6)
         assert 0.5 * LOG_2PIE == pytest.approx(1.4189385332046727)
@@ -190,8 +190,8 @@ class TestGreedyPlace:
         the origin as the beam becomes more shear-dominated."""
         lags = []
         for r in (0.01, 1.0, 100.0):
-            p = KernelParams(sigma_s2=1.0, ell=0.125, EI=1.0,
-                             kGA=3.0 / r)
+            p = Theta(sigma_s2=1.0, ell=0.125, EI=1.0,
+                      kGA=3.0 / r)
             taus = np.linspace(0.0, 1.5, 3001)
             vals = np.atleast_1d(kernels.kernel(
                 QuantityKind.DEFLECTION, QuantityKind.DEFLECTION,
@@ -199,6 +199,36 @@ class TestGreedyPlace:
             neg = np.nonzero(vals < 0.0)[0]
             lags.append(taus[neg[0]] if neg.size else np.inf)
         assert lags[0] > lags[1] > lags[2]
+
+
+class TestConditionedCovariance:
+    def test_matches_scalar_kernels_and_bc_conditioning(self):
+        """Sigma = K_SS - K_Sb K_bb^-1 K_bS, in selection order, for a
+        mixed-kind set."""
+        sel = [(0.3, QuantityKind.ROTATION), (0.7, QuantityKind.DEFLECTION),
+               (0.2, QuantityKind.DEFLECTION), (0.9, QuantityKind.ROTATION)]
+        p = problem([QuantityKind.DEFLECTION] * 4,
+                    PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                    n_sensors=2, n_candidates=4, bcs=support_bcs())
+        got = placement.conditioned_covariance(sel, p)
+        K = np.array([[float(kernels.kernel(ki, kj, xi, xj, PARAMS))
+                       for xj, kj in sel] for xi, ki in sel])
+        xb = np.array([0.0, 1.0])
+        w = QuantityKind.DEFLECTION
+        Kbb = np.atleast_2d(kernels.kernel(w, w, xb[:, None], xb[None, :],
+                                           PARAMS))
+        Ksb = np.array([kernels.kernel(k, w, x, xb, PARAMS) for x, k in sel])
+        want = K - Ksb @ np.linalg.solve(Kbb, Ksb.T)
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(K)))
+
+    def test_non_finite_named(self):
+        p = problem(QuantityKind.DEFLECTION,
+                    PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                    params=Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0))
+        with pytest.raises(NonFiniteCovarianceError):
+            set_entropy([(0.2, QuantityKind.DEFLECTION),
+                         (0.6, QuantityKind.DEFLECTION)], p)
 
 
 class TestSetEntropy:
@@ -285,6 +315,38 @@ class TestExhaustiveEntropyMap:
                              params=PARAMS,
                              criterion=PlacementCriterion.ENTROPY)
         with pytest.raises(ValueError):
+            exhaustive_entropy_map(p)
+
+    @pytest.mark.parametrize("kind", [QuantityKind.DEFLECTION,
+                                      QuantityKind.ROTATION],
+                             ids=lambda k: k.code)
+    @pytest.mark.parametrize("with_bcs", [False, True], ids=["free", "bcs"])
+    def test_map_equals_per_subset_entropy(self, kind, with_bcs):
+        """The one-Sigma map is exactly the normalized set_entropy of each
+        subset, which conditions that subset on the BCs by itself."""
+        p = problem(kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                    n_sensors=3, n_candidates=9,
+                    bcs=support_bcs() if with_bcs else [])
+        rows = exhaustive_entropy_map(p)
+        raw = np.array([set_entropy([(float(p.candidates[i]), kind)
+                                     for i in subset], p)
+                        for subset, _ in rows])
+        lo, hi = raw.min(), raw.max()
+        want = [float((h - lo) / (hi - lo)) for h in raw]
+        assert [v for _, v in rows] == want
+
+    def test_zero_sensor_map_rejected(self):
+        p = problem(QuantityKind.DEFLECTION,
+                    PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                    n_sensors=0, n_candidates=5)
+        with pytest.raises(ValueError):
+            exhaustive_entropy_map(p)
+
+    def test_duplicate_candidates_rejected(self):
+        p = PlacementProblem(candidates=np.array([0.2, 0.4, 0.4, 0.8]),
+                             kinds=QuantityKind.DEFLECTION, n_sensors=2,
+                             params=PARAMS)
+        with pytest.raises(ValueError, match="distinct"):
             exhaustive_entropy_map(p)
 
     def test_greedy_near_optimal(self):
