@@ -270,12 +270,22 @@ def _read_chain_csv(path) -> PosteriorChain:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(names):
+                raise DataFormatError(path, line_no,
+                                      f"expected {len(names)} fields, "
+                                      f"got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise DataFormatError(path, line_no, str(exc)) from None
+            for name, value in zip(names, values):
+                if not np.isfinite(value):
+                    raise DataFormatError(path, line_no,
+                                          f"{name} must be finite, got "
+                                          f"{value!r}")
+            rows.append(values)
     draws = np.asarray(rows)
-    thetas = [mcmc._vector_to_theta(v, names) for v in draws]
+    thetas = mcmc.thetas_from_draws(draws, names)
     return PosteriorChain(param_names=names, draws=draws, thetas=thetas,
                           acceptance_rate=float("nan"),
                           log_posterior_trace=np.array([]), seed=-1)
@@ -322,7 +332,7 @@ def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
     diagnostics = {
         "acceptance_rate": chain.acceptance_rate,
         "seed": seed,
-        "ess": {name: experiments.effective_sample_size(chain.draws[:, i])
+        "ess": {name: mcmc.effective_sample_size(chain.draws[:, i])
                 for i, name in enumerate(chain.param_names)},
     }
     with open(out_dir / "diagnostics.json", "w", encoding="utf-8") as fh:

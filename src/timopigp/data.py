@@ -7,6 +7,7 @@ of {w, phi, eps, M, V, q}; z is empty unless quantity = eps.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,15 @@ from timopigp.errors import DataFormatError
 from timopigp.quantities import QuantityKind
 
 CSV_HEADER = ["quantity", "x", "z", "value", "dataset_id"]
+
+
+def _check_finite(owner, *names) -> None:
+    """Raise ValueError naming the first field with an inf or NaN value."""
+    for name in names:
+        values = getattr(owner, name)
+        if values is not None and not np.isfinite(values).all():
+            bad = float(values[~np.isfinite(values)][0])
+            raise ValueError(f"{name} must be finite, got {bad!r}")
 
 
 @dataclass
@@ -37,8 +47,10 @@ class Dataset:
                 np.asarray(self.z, dtype=float), self.x.shape).copy()
         if self.x.shape != self.y.shape or self.x.size < 1:
             raise ValueError("x and y must be equal-length, non-empty vectors")
-        if self.sigma_n < 0:
-            raise ValueError("sigma_n must be non-negative")
+        _check_finite(self, "x", "y", "z")
+        if not 0 <= self.sigma_n < math.inf:
+            raise ValueError(f"sigma_n must be non-negative and finite, "
+                             f"got {self.sigma_n!r}")
         if self.kind is QuantityKind.STRAIN and self.z is None:
             raise ValueError("strain datasets require depths z")
 
@@ -60,6 +72,12 @@ class BoundaryCondition:
         if self.y is None:
             self.y = np.zeros_like(self.x)
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        if self.z is not None:
+            self.z = np.atleast_1d(np.asarray(self.z, dtype=float))
+        if self.y.shape != self.x.shape:
+            raise ValueError(f"boundary condition has {self.y.size} values "
+                             f"for {self.x.size} locations")
+        _check_finite(self, "x", "y", "z")
 
     def as_dataset(self) -> Dataset:
         return Dataset(kind=self.kind, x=self.x, y=self.y, z=self.z,
@@ -104,6 +122,10 @@ def read_datasets_csv(path) -> list[Dataset]:
                 z = float(zs) if zs else None
             except ValueError as exc:
                 raise DataFormatError(path, line_no, str(exc)) from None
+            for name, v in (("x", x), ("value", value), ("z", z)):
+                if v is not None and not math.isfinite(v):
+                    raise DataFormatError(path, line_no,
+                                          f"{name} must be finite, got {v!r}")
             if kind is QuantityKind.STRAIN and z is None:
                 raise DataFormatError(path, line_no,
                                       "strain rows require a z value")

@@ -290,21 +290,3 @@ def sweep_study(study: str, values, replications: int, root_seed: int,
     return {value: _aggregate([next(results) for _ in tasks])
             for value, tasks in points.items()}
 
-
-def effective_sample_size(x: np.ndarray) -> float:
-    """Initial-positive-sequence ESS estimate for one chain component."""
-    x = np.asarray(x, float)
-    n = x.size
-    if n < 4:
-        return float(n)
-    xc = x - x.mean()
-    var = float(xc @ xc) / n
-    if var == 0:
-        return float(n)
-    rho_sum = 0.0
-    for lag in range(1, n // 2):
-        rho = float(xc[:-lag] @ xc[lag:]) / ((n - lag) * var)
-        if rho <= 0.0:
-            break
-        rho_sum += rho
-    return float(n / (1.0 + 2.0 * rho_sum))

@@ -11,6 +11,11 @@ with the coefficient tables below generated once from He_{n+1} = u He_n -
 n He_{n-1} and committed as source; the test suite validates every order
 against finite differences.
 
+``OPERATORS`` is the one operator table.  ``kernel`` evaluates it block by
+block and is the reference the test suite checks against sympy; the
+layout-cached engine in ``gp`` runs the same elementwise sequence over a
+whole matrix and is checked bit for bit against ``kernel``.
+
 The kernels read four fields of a ``gp.Theta``: sigma_s2, ell, EI and kGA.
 """
 
@@ -29,7 +34,7 @@ if TYPE_CHECKING:
 MAX_ORDER = 4
 
 # Probabilists' Hermite polynomials He_0 .. He_8, highest power first.
-_HERMITE = (
+HERMITE = (
     (1.0,),
     (1.0, 0.0),
     (1.0, 0.0, -1.0),
@@ -57,33 +62,62 @@ def se_derivative(m: int, n: int, x, x_prime, params: Theta):
     if not (0 <= m <= MAX_ORDER and 0 <= n <= MAX_ORDER):
         raise ValueError(f"derivative orders must be in 0..{MAX_ORDER}")
     u = (np.asarray(x, float) - np.asarray(x_prime, float)) / params.ell
-    sign = -1.0 if m % 2 else 1.0
+    scale = _scale(m % 2, m + n, params)
+    return scale * np.polyval(HERMITE[m + n], u) * np.exp(-0.5 * u * u)
+
+
+def _scale(odd: int, order: int, params: Theta) -> float:
+    """sigma_s^2 (-1)^m ell^-(m+n) for m odd or even and order m + n."""
+    sign = -1.0 if odd else 1.0
     try:
-        scale = params.sigma_s2 * sign * params.ell ** (-(m + n))
+        return params.sigma_s2 * sign * params.ell ** (-order)
     except OverflowError:  # tiny ell: a non-finite covariance, named later
-        scale = sign * math.inf
-    return scale * np.polyval(_HERMITE[m + n], u) * np.exp(-0.5 * u * u)
+        return sign * math.inf
 
 
-# Operator terms per quantity: (scalar coefficient builder, z power,
-# derivative order).  The Timoshenko deflection/rotation/strain operators
-# carry shear corrections scaled by a = EI/kGA; moments, shears and loads
-# are identical at both levels.
-def _terms(kind: QuantityKind, params: Theta, timoshenko: bool):
+# Operator terms per quantity: (coefficient code, z power, derivative
+# order), the codes indexing ``_coefficients``.  The Timoshenko
+# deflection/rotation/strain operators carry a second, shear-correction term
+# scaled by a = EI/kGA; the Euler-Bernoulli level keeps only the first term.
+# Moments, shears and loads are identical at both levels.
+ONE, MINUS_ONE, SHEAR, MINUS_SHEAR, BENDING = range(5)
+N_COEFFICIENTS = 5
+OPERATORS = {
+    QuantityKind.DEFLECTION: ((ONE, 0, 0), (MINUS_SHEAR, 0, 2)),
+    QuantityKind.ROTATION: ((ONE, 0, 1), (MINUS_SHEAR, 0, 3)),
+    QuantityKind.STRAIN: ((MINUS_ONE, 1, 2), (SHEAR, 1, 4)),
+    QuantityKind.MOMENT: ((BENDING, 0, 2),),
+    QuantityKind.SHEAR: ((BENDING, 0, 3),),
+    QuantityKind.LOAD: ((BENDING, 0, 4),),
+}
+
+
+def _coefficients(params: Theta) -> tuple:
     a = params.EI / params.kGA
-    if kind is QuantityKind.DEFLECTION:
-        return ((1.0, 0, 0), (-a, 0, 2)) if timoshenko else ((1.0, 0, 0),)
-    if kind is QuantityKind.ROTATION:
-        return ((1.0, 0, 1), (-a, 0, 3)) if timoshenko else ((1.0, 0, 1),)
-    if kind is QuantityKind.STRAIN:
-        return ((-1.0, 1, 2), (a, 1, 4)) if timoshenko else ((-1.0, 1, 2),)
-    if kind is QuantityKind.MOMENT:
-        return ((params.EI, 0, 2),)
-    if kind is QuantityKind.SHEAR:
-        return ((params.EI, 0, 3),)
-    if kind is QuantityKind.LOAD:
-        return ((params.EI, 0, 4),)
-    raise ValueError(f"unknown quantity kind {kind!r}")
+    return (1.0, -1.0, a, -a, params.EI)
+
+
+def term_factors(params: Theta):
+    """The scalars of every operator term at one set of parameters.
+
+    Returns the coefficient products c_i c_j, flattened from the (5, 5)
+    table of the two coefficient codes, and the SE derivative scales
+    sigma_s^2 (-1)^m ell^-(m+n), flattened from the (2, 2 MAX_ORDER + 1)
+    table of (m odd, m + n): the same floats ``kernel`` multiplies its
+    terms by.
+    """
+    coef = _coefficients(params)
+    # The odd-m scale is the even one negated: sign flips are exact.
+    even = [_scale(0, k, params) for k in range(2 * MAX_ORDER + 1)]
+    return [ci * cj for ci in coef for cj in coef], even + [-v for v in even]
+
+
+def _terms(kind: QuantityKind, params: Theta, timoshenko: bool):
+    if kind not in OPERATORS:
+        raise ValueError(f"unknown quantity kind {kind!r}")
+    coef = _coefficients(params)
+    terms = OPERATORS[kind] if timoshenko else OPERATORS[kind][:1]
+    return tuple((coef[c], p, m) for c, p, m in terms)
 
 
 def _combine(i, j, x, x_prime, params, z, z_prime, timoshenko):

@@ -120,6 +120,11 @@ def _vector_to_theta(vec: np.ndarray, names) -> Theta:
     return Theta(**kw)
 
 
+def thetas_from_draws(draws: np.ndarray, names) -> list:
+    """One Theta per row of a draws matrix with columns ``names``."""
+    return [_vector_to_theta(v, names) for v in draws]
+
+
 def default_prior(name: str):
     """Scale-like parameters get LogFlat, everything else Flat."""
     if name in LOG_PARAMS or name.startswith("sigma_n:"):
@@ -138,13 +143,20 @@ def log_prior(theta: Theta, priors: dict) -> float:
             return -np.inf
     return total
 
-def log_posterior(theta: Theta, datasets, bcs, priors: dict) -> float:
-    """Unnormalized log posterior: marginal likelihood plus log prior."""
+def log_posterior(theta: Theta, datasets, bcs, priors: dict,
+                  layout: gp.Layout | None = None) -> float:
+    """Unnormalized log posterior: marginal likelihood plus log prior.
+
+    ``layout`` is ``gp.data_layout(datasets, bcs)``, for a caller that
+    evaluates many thetas on the same data.
+    """
     lp = log_prior(theta, priors)
     if not np.isfinite(lp):
         return -np.inf
+    if layout is None:
+        layout = gp.data_layout(datasets, bcs)
     try:
-        model = gp.assemble(datasets, bcs, theta)
+        model = gp.factorize(layout, theta)
     except (IllConditionedModelError, NonFiniteCovarianceError):
         return -np.inf
     return gp.log_marginal_likelihood(model) + lp
@@ -224,6 +236,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
         for i, name in enumerate(names):
             scales[i] = cfg.proposal_scale.get(name, base)
     scales[~is_log] *= np.abs(x0[~is_log])
+    layout = gp.data_layout(datasets, bcs)
 
     def log_target(s):
         vec = s.copy()
@@ -234,7 +247,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
             theta = _vector_to_theta(vec, names)
         except ValueError:
             return -np.inf
-        lp = log_posterior(theta, datasets, bcs, priors)
+        lp = log_posterior(theta, datasets, bcs, priors, layout)
         if not np.isfinite(lp):
             return -np.inf
         # Jacobian of the log transform.
@@ -244,7 +257,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
                                                scales=scales)
     draws = draws_s.copy()
     draws[:, is_log] = np.exp(draws_s[:, is_log])
-    thetas = [_vector_to_theta(v, names) for v in draws]
+    thetas = thetas_from_draws(draws, names)
     return PosteriorChain(param_names=names, draws=draws, thetas=thetas,
                           acceptance_rate=acc, log_posterior_trace=lts,
                           seed=cfg.seed)
@@ -265,3 +278,22 @@ def summarize(chain: PosteriorChain,
                           for q in quantiles},
         }
     return out
+
+
+def effective_sample_size(x: np.ndarray) -> float:
+    """Initial-positive-sequence ESS estimate for one chain component."""
+    x = np.asarray(x, float)
+    n = x.size
+    if n < 4:
+        return float(n)
+    xc = x - x.mean()
+    var = float(xc @ xc) / n
+    if var == 0:
+        return float(n)
+    rho_sum = 0.0
+    for lag in range(1, n // 2):
+        rho = float(xc[:-lag] @ xc[lag:]) / ((n - lag) * var)
+        if rho <= 0.0:
+            break
+        rho_sum += rho
+    return float(n / (1.0 + 2.0 * rho_sum))

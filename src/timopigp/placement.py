@@ -216,12 +216,15 @@ def conditioned_covariance(selected, problem: PlacementProblem) -> np.ndarray:
     entries = [gp.Points(kind, np.array([x for x, _ in run], float))
                for kind, run in itertools.groupby(selected,
                                                   key=lambda s: s[1])]
-    sigma = gp.covariance(entries, theta)
-    if problem.bcs:
-        model = gp.assemble([], problem.bcs, theta)
-        ks = gp.covariance(entries, theta, model.entries)
-        sigma = sigma - ks @ model.solve(ks.T)
-    return gp.check_finite(sigma)
+    if not problem.bcs:
+        return gp.check_finite(gp.covariance(entries, theta))
+    # K_SS and K_Sb are the sensor rows of one covariance over the sensors
+    # followed by the BCs.
+    model = gp.assemble([], problem.bcs, theta)
+    k = gp.covariance(entries + list(model.entries), theta)
+    n = len(selected)
+    ks = k[:n, n:]
+    return gp.check_finite(k[:n, :n] - ks @ model.solve(ks.T))
 
 
 def _gaussian_entropy(sigma: np.ndarray) -> float:

@@ -256,9 +256,9 @@ def _identification_arm(bcs, beam, datasets, chain_seed):
         "EI_std": stats["EI"]["std"] / beam.EI_true,
         "kGA_mean": stats["kGA"]["mean"] / beam.kGA_true,
         "kGA_std": stats["kGA"]["std"] / beam.kGA_true,
-        "EI_ess": experiments.effective_sample_size(
+        "EI_ess": mcmc.effective_sample_size(
             chain.draws[:, names.index("EI")]),
-        "kGA_ess": experiments.effective_sample_size(
+        "kGA_ess": mcmc.effective_sample_size(
             chain.draws[:, names.index("kGA")]),
     }
 
@@ -279,6 +279,7 @@ def test_acceptance_4_identifiability_precondition():
     assert sd_kga == pytest.approx(0.23, abs=0.01)
 
 
+@pytest.mark.slow
 def test_acceptance_4_stiffness_identification():
     """Boundary conditions sharpen Bayesian stiffness identification.
 
@@ -343,6 +344,7 @@ def test_acceptance_4_stiffness_identification():
 # ---------------------------------------------------------------------------
 # 5. Posterior spread shrinks with signal-to-noise ratio.
 
+@pytest.mark.slow
 def test_acceptance_5_noise_trend():
     t0 = time.time()
     cfg = McmcConfig(n_total=4000, n_b=1500, n_t=5)
@@ -361,6 +363,7 @@ def test_acceptance_5_noise_trend():
 # ---------------------------------------------------------------------------
 # 6. Rigidity sweep: each stiffness is identified in its dominant regime.
 
+@pytest.mark.slow
 def test_acceptance_6_rigidity_trend():
     t0 = time.time()
     cfg = McmcConfig(n_total=4000, n_b=1500, n_t=5)
@@ -476,7 +479,7 @@ def test_acceptance_9_sampler_sanity():
     draws, acc, _ = mcmc.random_walk_metropolis(
         lambda x: -0.5 * float(x[0] ** 2), np.array([0.0]), cfg)
     x = draws[:, 0]
-    ess = experiments.effective_sample_size(x)
+    ess = mcmc.effective_sample_size(x)
     mean_ok = abs(np.mean(x)) < 0.05
     var_ok = abs(np.var(x) - 1.0) < 0.1
     ess_ok = ess > 1e4

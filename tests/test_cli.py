@@ -133,6 +133,36 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,field", [("w,0.5,,nan,w", "value"),
+                                           ("w,inf,,0.01,w", "x"),
+                                           ("eps,0.5,-inf,0.01,e", "z")])
+    def test_non_finite_csv_value_reports_line(self, tmp_path, capsys, row,
+                                               field):
+        cfg = {"version": 1, "beam": BEAM}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("quantity,x,z,value,dataset_id\n"
+                       "w,0.25,,0.01,w\n" + row + "\n")
+        code = run(["identify", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o", "--data", bad])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"bad.csv:3: {field} must be finite" in err
+
+    @pytest.mark.parametrize("bc,message", [
+        ({"kind": "w", "locations": [0.0, float("inf")]}, "x must be finite"),
+        ({"kind": "w", "locations": [0.0, 1.0], "values": [0.0, float("nan")]},
+         "y must be finite"),
+        ({"kind": "w", "locations": [0.0, 1.0], "values": [0.0]},
+         "1 values for 2 locations")])
+    def test_bad_boundary_condition_named(self, tmp_path, capsys, bc,
+                                          message):
+        cfg = {"version": 1, "beam": BEAM, "seed": 0, "bcs": [bc],
+               "placement": {"n_candidates": 9, "n_sensors": 2}}
+        code = run(["place", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_enumeration_guard_mentions_flag(self, tmp_path, capsys):
         cfg = {"version": 1, "beam": BEAM, "seed": 0,
                "placement": {"n_candidates": 31, "n_sensors": 7,
@@ -311,6 +341,24 @@ class TestIdentifyPredict:
                     "--data", tmp_path / "sim" / "data_w.csv"])
         assert code == cli.EXIT_NUMERICAL
         assert "non-finite covariance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_chain_value_reports_line(self, workflow, capsys,
+                                                 value):
+        tmp_path, out_id, _ = workflow
+        with open(out_id / "chain.csv", newline="") as fh:
+            names, row = list(csv.reader(fh))[:2]
+        row[names.index("EI")] = value
+        chain = tmp_path / "bad_chain.csv"
+        chain.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
+        cfg = {"version": 1, "beam": BEAM}
+        code = run(["predict", "--config",
+                    write_config(tmp_path, cfg, "bad_chain.json"),
+                    "--out", tmp_path / "bad_chain_pred", "--chain", chain,
+                    "--data", tmp_path / "sim" / "data_w.csv"])
+        assert code == cli.EXIT_DATA
+        assert "bad_chain.csv:2: EI must be finite" in \
+            capsys.readouterr().err
 
     def test_manifest_lists_outputs(self, workflow):
         _, out_id, out_pred = workflow

@@ -1,9 +1,11 @@
 """Tests for experiment scaffolding: scenarios, seeds and sweep plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from timopigp import experiments
+from timopigp import experiments, mcmc
 from timopigp.experiments import (SweepTask, default_theta0, deflection_bcs,
                                   replication_seed, scenario_beam,
                                   sensor_set, stiffness_priors, support_bcs,
@@ -123,6 +125,29 @@ class TestSensorSet:
             assert [int(round(x * 30)) for x in xs] == want
 
 
+def test_chain_pinned():
+    """A short chain at the acceptance 4 scenario, pinned to its bytes.
+
+    The covariance arithmetic feeds every accept/reject decision, so any
+    reordering of it moves the draws; the hash is that of the block-loop
+    assembly that preceded the layout engine.  The bytes also depend on
+    the numpy and LAPACK builds (exp and Cholesky rounding), so a new
+    toolchain may move them without any change to the code.
+    """
+    beam = scenario_beam(0.3)
+    w_locs, phi_locs = (
+        sensor_set(beam, kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY)
+        for kind in (QuantityKind.DEFLECTION, QuantityKind.ROTATION))
+    datasets = synth_identification_data(beam, w_locs, phi_locs, snr=100.0,
+                                         seed=21)
+    chain = experiments.identify(datasets, support_bcs(beam), beam,
+                                 McmcConfig(n_total=300, n_b=100, n_t=1,
+                                            seed=101))
+    assert chain.draws.shape == (200, 6)
+    assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == (
+        "0b688f0a402e9c1ee2b8672e8094cb293becb5260e901405ecbfdfbacc3227f2")
+
+
 class TestSweeps:
     def test_failed_replications_are_recorded(self):
         # An McmcConfig that can never finish burn-in signals per-point
@@ -154,13 +179,13 @@ class TestEffectiveSampleSize:
     def test_iid_near_n(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4000)
-        ess = experiments.effective_sample_size(x)
+        ess = mcmc.effective_sample_size(x)
         assert 0.7 * x.size < ess < 1.3 * x.size
 
     def test_correlated_much_smaller(self):
         rng = np.random.default_rng(1)
         x = np.cumsum(rng.standard_normal(4000)) * 0.05
-        assert experiments.effective_sample_size(x) < 400
+        assert mcmc.effective_sample_size(x) < 400
 
     def test_constant_series(self):
-        assert experiments.effective_sample_size(np.ones(100)) == 100.0
+        assert mcmc.effective_sample_size(np.ones(100)) == 100.0

@@ -1,14 +1,17 @@
 """Tests for covariance assembly, marginal likelihood and prediction."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timopigp import beam, gp, kernels
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
-from timopigp.errors import NonFiniteCovarianceError
+from timopigp.errors import IllConditionedModelError, NonFiniteCovarianceError
 from timopigp.gp import Theta
 from timopigp.quantities import QuantityKind
 
@@ -285,8 +288,8 @@ class TestPredictMixture:
         alone = [gp.predict_mixture(datasets, [], thetas, [q])[0]
                  for q in queries]
         calls = []
-        real = gp.assemble
-        monkeypatch.setattr(gp, "assemble",
+        real = gp.factorize
+        monkeypatch.setattr(gp, "factorize",
                             lambda *a: calls.append(1) or real(*a))
         together = gp.predict_mixture(datasets, [], thetas, queries)
         assert len(calls) == len(thetas)
@@ -347,3 +350,164 @@ class TestTheta:
         k00 = kernels.kernel(QuantityKind.DEFLECTION, QuantityKind.DEFLECTION,
                              0.2, 0.2, params)
         assert model.K[0, 0] == pytest.approx(k00 + 0.25, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The layout engine against a block loop of ``kernels.kernel`` calls: the
+# block builder ``gp.covariance`` had before the engine, kept here as the
+# oracle.
+
+def reference_covariance(rows, theta, cols=None):
+    symmetric = cols is None
+    cols = rows if symmetric else cols
+
+    def slices(entries):
+        ends = list(itertools.accumulate((len(e.x) for e in entries),
+                                         initial=0))
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+    r_sl = slices(rows)
+    c_sl = r_sl if symmetric else slices(cols)
+    K = np.empty((r_sl[-1].stop, c_sl[-1].stop))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, ea in enumerate(rows):
+            for b in range(a if symmetric else 0, len(cols)):
+                eb = cols[b]
+                block = kernels.kernel(
+                    ea.kind, eb.kind, ea.x[:, None], eb.x[None, :], theta,
+                    z=None if ea.z is None else ea.z[:, None],
+                    z_prime=None if eb.z is None else eb.z[None, :])
+                K[r_sl[a], c_sl[b]] = block
+                if symmetric and b != a:
+                    K[c_sl[b], r_sl[a]] = block.T
+    return K
+
+
+def reference_assembled(datasets, bcs, theta):
+    """The assembled K before factorization: blocks plus noise."""
+    entries = gp.order_entries(datasets, bcs)
+    K = reference_covariance(entries, theta)
+    start = 0
+    for e in entries:
+        idx = np.arange(start, start + len(e.x))
+        start += len(e.x)
+        sig = theta.sigma_n.get(e.label, e.sigma_n) if e.learn_noise \
+            else e.sigma_n
+        if sig > 0:
+            K[idx, idx] += sig**2
+    return K
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def entry_lists(draw, max_entries=4):
+    out = []
+    for _ in range(draw(st.integers(1, max_entries))):
+        kind = draw(st.sampled_from(list(QuantityKind)))
+        n = draw(st.integers(1, 4))
+        x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                   max_size=n)))
+        z = None
+        if kind is QuantityKind.STRAIN:
+            z = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=n,
+                                       max_size=n)))
+        out.append(gp.Points(kind, x, z))
+    return out
+
+
+@st.composite
+def thetas(draw, ell=log_uniform(-2.0, 0.5)):
+    return Theta(sigma_s2=draw(log_uniform(-3.0, 3.0)), ell=draw(ell),
+                 EI=draw(log_uniform(-2.0, 2.0)),
+                 kGA=draw(log_uniform(-2.0, 2.0)))
+
+
+@st.composite
+def data_and_bcs(draw):
+    datasets = [Dataset(kind=p.kind, x=p.x, y=np.zeros(p.x.size), z=p.z,
+                        sigma_n=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+                        learn_noise=draw(st.booleans()), label=f"d{i}")
+                for i, p in enumerate(draw(entry_lists()))]
+    bcs = [BoundaryCondition(kind=p.kind, x=p.x, z=p.z)
+           for p in draw(entry_lists(max_entries=2))] \
+        if draw(st.booleans()) else []
+    return datasets, bcs
+
+
+class TestLayoutEngine:
+    """K from the layout engine is bit for bit the block loop's K."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=entry_lists(), cols=st.none() | entry_lists(),
+           theta=thetas())
+    def test_covariance_matches_block_loop(self, rows, cols, theta):
+        assert same_bits(gp.covariance(rows, theta, cols),
+                         reference_covariance(rows, theta, cols))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=data_and_bcs(), theta=thetas(),
+           noise=st.floats(1e-4, 1.0))
+    def test_assembled_matrix_matches_block_loop(self, data, theta, noise):
+        datasets, bcs = data
+        theta = Theta(theta.sigma_s2, theta.ell, theta.EI, theta.kGA,
+                      sigma_n={d.label: noise for d in datasets[::2]})
+        K = gp.evaluate(gp.data_layout(datasets, bcs), theta)
+        try:
+            model = gp.assemble(datasets, bcs, theta)
+        except IllConditionedModelError:
+            model = None
+        want = reference_assembled(datasets, bcs, theta)
+        if model is not None:
+            assert same_bits(model.K, want)
+        assert same_bits(K, reference_covariance(
+            gp.order_entries(datasets, bcs), theta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=entry_lists(), cols=st.none() | entry_lists(),
+           theta=thetas(ell=log_uniform(-323.0, -30.0)))
+    def test_tiny_length_scale_non_finite_pattern(self, rows, cols, theta):
+        got = gp.covariance(rows, theta, cols)
+        want = reference_covariance(rows, theta, cols)
+        assert same_bits(got, want)
+        n_bad = int(np.sum(~np.isfinite(want)))
+        if n_bad:
+            with pytest.raises(NonFiniteCovarianceError,
+                               match=f"{n_bad} of "):
+                gp.check_finite(got)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=data_and_bcs(),
+           theta=thetas(ell=log_uniform(-323.0, -30.0)))
+    def test_tiny_length_scale_assembly_names_count(self, data, theta):
+        datasets, bcs = data
+        want = reference_assembled(datasets, bcs, theta)
+        n_bad = int(np.sum(~np.isfinite(want)))
+        if n_bad:
+            with pytest.raises(NonFiniteCovarianceError,
+                               match=f": {n_bad} of "):
+                gp.assemble(datasets, bcs, theta)
+
+    def test_layout_reused_across_thetas(self):
+        datasets = [w_dataset(np.linspace(0.1, 0.9, 5), sigma=0.01),
+                    Dataset(kind=QuantityKind.STRAIN, x=[0.3, 0.6],
+                            y=[0.0, 0.0], z=[0.05, -0.05], sigma_n=1e-3,
+                            label="eps")]
+        bcs = [support_bc(), BoundaryCondition(kind=QuantityKind.MOMENT,
+                                               x=[0.0, 1.0])]
+        layout = gp.data_layout(datasets, bcs)
+        for theta in (THETA, Theta(sigma_s2=0.2, ell=0.7, EI=3.0, kGA=0.5)):
+            a = gp.factorize(layout, theta)
+            b = gp.assemble(datasets, bcs, theta)
+            assert same_bits(a.K, b.K) and same_bits(a.chol, b.chol)
+
+    def test_strain_without_depths_rejected(self):
+        with pytest.raises(ValueError, match="requires z"):
+            gp.Layout([gp.Points(QuantityKind.STRAIN, np.array([0.5]))])

@@ -97,6 +97,30 @@ class TestLogPosterior:
         priors = {"EI": UniformBounded(0.5, 1.5)}
         assert log_posterior(theta, datasets, bcs, priors) == -np.inf
 
+    def test_prebuilt_layout_gives_the_same_value(self):
+        datasets, bcs = tiny_problem()
+        layout = gp.data_layout(datasets, bcs)
+        for theta in (Theta(sigma_s2=0.01, ell=0.3, EI=1.0, kGA=3.0),
+                      Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0)):
+            assert log_posterior(theta, datasets, bcs, {}, layout) == \
+                log_posterior(theta, datasets, bcs, {})
+
+
+class TestThetasFromDraws:
+    def test_columns_map_to_fields_and_noise(self):
+        names = ["sigma_s2", "ell", "EI", "kGA", "sigma_n:w"]
+        draws = np.array([[0.5, 0.2, 1.1, 2.9, 0.01],
+                          [0.6, 0.3, 1.2, 3.1, 0.02]])
+        thetas = mcmc.thetas_from_draws(draws, names)
+        assert thetas[1] == Theta(sigma_s2=0.6, ell=0.3, EI=1.2, kGA=3.1,
+                                  sigma_n={"w": 0.02})
+        assert len(thetas) == 2
+
+    def test_invalid_draw_rejected(self):
+        with pytest.raises(ValueError, match="EI"):
+            mcmc.thetas_from_draws(np.array([[0.5, 0.2, -1.0, 3.0]]),
+                                   ["sigma_s2", "ell", "EI", "kGA"])
+
 
 class TestRandomWalkMetropolis:
     def test_standard_gaussian_moments(self):
