@@ -98,18 +98,32 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
         raise ConfigError(f"invalid mcmc section: {exc}") from None
 
 
-def bcs_from_config(cfg: dict) -> list:
+def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
     out = []
-    for spec in cfg.get("bcs", []):
+    for i, spec in enumerate(cfg.get("bcs", [])):
         try:
-            out.append(BoundaryCondition(
+            bc = BoundaryCondition(
                 kind=_kind(spec["kind"]),
                 x=np.asarray(spec["locations"], float),
                 y=np.asarray(spec["values"], float)
-                if "values" in spec else None))
+                if "values" in spec else None)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bc entry: {exc}") from None
+        off = bc.x[(bc.x < 0.0) | (bc.x > beam.L)]
+        if off.size:
+            raise ConfigError(f"bcs[{i}] ({bc.kind.code}): location "
+                              f"{float(off[0])!r} is off the span "
+                              f"[0, {beam.L!r}]")
+        out.append(bc)
     return out
+
+
+def read_data(paths, beam: BeamConfig) -> list:
+    """Datasets from CSV files, each row's x checked against the span."""
+    datasets = []
+    for path in paths:
+        datasets.extend(read_datasets_csv(path, span=beam.L))
+    return datasets
 
 
 def resolve_locations(spec: dict, beam: BeamConfig) -> np.ndarray:
@@ -182,7 +196,7 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     n_sensors = int(p.get("n_sensors", 7))
     params = experiments.placement_params(beam, ell=p.get("ell"),
                                           sigma_s2=p.get("sigma_s2", 1.0))
-    bcs = bcs_from_config(cfg)
+    bcs = bcs_from_config(cfg, beam)
     candidates = np.linspace(0.0, beam.L, n_candidates)
     kinds = [_kind(k) for k in p.get("kinds", ["w"])]
     criteria = [_criterion(c) for c in p.get("criteria", ["physics"])]
@@ -299,14 +313,12 @@ def _dump_kernel_matrix(out_dir, datasets, bcs, theta):
 def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
                  dump_kernels: bool = False) -> int:
     beam = beam_from_config(cfg)
-    datasets = []
-    for path in data_paths:
-        datasets.extend(read_datasets_csv(path))
+    datasets = read_data(data_paths, beam)
     if not datasets:
         raise DataFormatError(data_paths[0] if data_paths else "<none>", 1,
                               "no datasets loaded")
     _apply_dataset_config(datasets, cfg, beam)
-    bcs = bcs_from_config(cfg)
+    bcs = bcs_from_config(cfg, beam)
     pr = cfg.get("priors", {})
     priors = experiments.stiffness_priors(
         beam, lo=float(pr.get("EI", {}).get("lo_factor", 0.5)),
@@ -359,11 +371,9 @@ def _write_prediction_csv(path, pred: gp.Prediction):
 def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
                 data_paths) -> int:
     beam = beam_from_config(cfg)
-    datasets = []
-    for path in data_paths:
-        datasets.extend(read_datasets_csv(path))
+    datasets = read_data(data_paths, beam)
     _apply_dataset_config(datasets, cfg, beam)
-    bcs = bcs_from_config(cfg)
+    bcs = bcs_from_config(cfg, beam)
     chain = _read_chain_csv(chain_path)
     pcfg = cfg.get("predict", {})
     max_draws = int(pcfg.get("max_draws", 100))

@@ -96,8 +96,11 @@ def write_datasets_csv(path, datasets: list[Dataset]) -> None:
                                  repr(float(ds.y[j])), ds_id])
 
 
-def read_datasets_csv(path) -> list[Dataset]:
-    """Parse a dataset CSV, grouping rows by dataset_id in file order."""
+def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
+    """Parse a dataset CSV, grouping rows by dataset_id in file order.
+
+    With ``span``, the beam length L, a row whose x is off [0, L] is refused.
+    """
     groups: dict[str, dict] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -126,6 +129,10 @@ def read_datasets_csv(path) -> list[Dataset]:
                 if v is not None and not math.isfinite(v):
                     raise DataFormatError(path, line_no,
                                           f"{name} must be finite, got {v!r}")
+            if span is not None and not 0.0 <= x <= span:
+                raise DataFormatError(path, line_no,
+                                      f"dataset {ds_id!r}: x = {x!r} is off "
+                                      f"the span [0, {span!r}]")
             if kind is QuantityKind.STRAIN and z is None:
                 raise DataFormatError(path, line_no,
                                       "strain rows require a z value")

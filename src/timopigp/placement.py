@@ -8,10 +8,19 @@ for deflection and rotation candidates; the physics-informed criterion
 couples domains through the cross-covariance kernels.  Placement is
 pre-data: only locations and kernel parameters enter the scores.
 
-Joint entropies come from one conditioned covariance, Sigma = K_SS -
-K_Sb K_bb^-1 K_bS of ``gp.covariance`` blocks (``conditioned_covariance``).
-``set_entropy`` uses Sigma of its set; the exhaustive map builds Sigma once
-over all candidates and scores each subset from a principal submatrix.
+Every score is read from one prior covariance Sigma per candidate pool:
+the pool's covariance conditioned on the BCs (``conditioned_covariance``,
+Sigma = K_cc - K_cb K_bb^-1 K_bc) for the physics criterion, the SE base
+kernel for the baselines.  The greedy scores each free candidate by
+0.5 ln(2 pi e C_ii), C_ii floored at 1e-12 of its prior variance, takes
+the first maximum j and conditions C, which starts at Sigma, on it by the
+rank-1 downdate C <- C - c c^T / (C_jj + delta).  delta, the noise of a
+placed sensor, is 0 for physics and 1e-8 sigma_s^2 for the baselines,
+whose dense-grid SE covariance is singular to working precision.  Mutual
+information (Krause, Singh & Guestrin, JMLR 2008) subtracts the entropy
+of 1/diag((Sigma_UU + delta I)^-1) - delta over the unselected set U.
+``set_entropy`` scores Sigma of a set; the exhaustive map scores principal
+submatrices of one Sigma over all candidates.
 """
 
 from __future__ import annotations
@@ -22,10 +31,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from timopigp import gp, kernels
-from timopigp.data import Dataset
 from timopigp.errors import EnumerationGuardError
 from timopigp.gp import JITTER_LADDER, Theta
 from timopigp.quantities import BLOCK_INDEX, QuantityKind
@@ -77,100 +84,86 @@ class PlacementResult:
     set_entropy: float | None = None
 
 
-def _placed_datasets(placed):
-    """Group placed (x, kind) sensors into zero-valued noiseless datasets."""
-    by_kind = {}
-    for x, kind in placed:
-        by_kind.setdefault(kind, []).append(x)
-    return [Dataset(kind=kind, x=np.asarray(xs, float), y=np.zeros(len(xs)))
-            for kind, xs in by_kind.items()]
+def _require_distinct(sensors):
+    """A repeated (x, kind) sensor makes a joint Sigma singular."""
+    locs = [(round(x, 12), kind) for x, kind in sensors]
+    if len(set(locs)) != len(locs):
+        raise ValueError("selected sensors must be distinct")
 
 
-def _pi_conditional_var(x_star, kind, placed, bcs, params):
-    """Physics-informed conditional variance, floored at the jitter level."""
-    x_star = np.atleast_1d(np.asarray(x_star, float))
-    k_diag = np.atleast_1d(np.asarray(
-        kernels.kernel(kind, kind, x_star, x_star, params), float))
-    datasets = _placed_datasets(placed)
-    if not datasets and not bcs:
-        return k_diag, JITTER_LADDER[0] * k_diag
-    model = gp.assemble(datasets, bcs, params)
-    var = gp.predict(model, kind, x_star).var
-    floor = max(model.jitter, JITTER_LADDER[0]) * k_diag
-    return var, floor
-
-
-def conditional_entropy(x_star, kind: QuantityKind, placed, bcs,
-                        params: Theta) -> float:
-    """Entropy 0.5 ln(2 pi e sigma^2) of one candidate given placed sensors."""
-    var, floor = _pi_conditional_var(x_star, kind, placed, bcs, params)
-    var = np.maximum(var, floor)
-    return float(0.5 * (_LOG_2PIE + np.log(var[0])))
-
-
-def _se_conditional_var(x_star, placed_x, params):
-    """SE-kernel conditional variance, ignoring kinds and BCs."""
-    x_star = np.atleast_1d(np.asarray(x_star, float))
-    prior = np.full(x_star.shape, params.sigma_s2)
-    if len(placed_x) == 0:
-        return prior
-    xs = np.asarray(placed_x, float)
-    K = kernels.se_base(xs[:, None], xs[None, :], params)
-    K = K + JITTER_LADDER[2] * params.sigma_s2 * np.eye(xs.size)
-    L = cholesky(K, lower=True)
-    ks = kernels.se_base(xs[:, None], x_star[None, :], params)
-    v = np.linalg.solve(L, ks)
-    return np.maximum(prior - np.sum(v * v, axis=0),
-                      JITTER_LADDER[0] * params.sigma_s2)
+def _conditioned(sensors, bcs, theta: Theta):
+    """Prior diagonal and BC-conditioned covariance of (x, kind) sensors."""
+    entries = [gp.Points(kind, np.array([x for x, _ in run], float))
+               for kind, run in itertools.groupby(sensors, key=lambda s: s[1])]
+    if not bcs:
+        k = gp.check_finite(gp.covariance(entries, theta))
+        return np.diag(k).copy(), k
+    # K_SS and K_Sb are the sensor rows of one covariance over the sensors
+    # followed by the BCs.
+    model = gp.assemble([], bcs, theta)
+    k = gp.covariance(entries + list(model.entries), theta)
+    n = len(sensors)
+    ks = k[:n, n:]
+    return (np.diag(k)[:n].copy(),
+            gp.check_finite(k[:n, :n] - ks @ model.solve(ks.T)))
 
 
 def _entropy_from_var(var):
     return 0.5 * (_LOG_2PIE + np.log(var))
 
 
-def _greedy_single(problem: PlacementProblem, idx_pool):
+def _observe(C, j, delta, floor):
+    """Condition C in place on candidate j observed with noise delta."""
+    c = C[:, j].copy()
+    C -= np.outer(c, c) / max(C[j, j] + delta, floor)
+
+
+def conditional_entropy(x_star, kind: QuantityKind, placed, bcs,
+                        params: Theta) -> float:
+    """Entropy 0.5 ln(2 pi e sigma^2) of one candidate given placed sensors.
+
+    The physics greedy's arithmetic: Sigma over the placed sensors and
+    then x_star, downdated on each placed sensor in turn.
+    """
+    sensors = list(placed) + [(float(x_star), kind)]
+    prior, C = _conditioned(sensors, bcs, params)
+    floor = JITTER_LADDER[0] * prior
+    for j in range(len(placed)):
+        _observe(C, j, 0.0, floor[j])
+    return float(_entropy_from_var(max(C[-1, -1], floor[-1])))
+
+
+def _greedy_single(problem: PlacementProblem, pool):
     """Greedy selection over one pool of candidate indices."""
-    xs = problem.candidates
-    kinds = problem.kinds
-    params = problem.params
-    crit = problem.criterion
-    n_pick = min(problem.n_sensors, len(idx_pool))
-
+    if problem.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
+        sensors = [(float(problem.candidates[i]), problem.kinds[i])
+                   for i in pool]
+        prior, sigma = _conditioned(sensors, problem.bcs, problem.params)
+        delta = 0.0
+    else:
+        x = problem.candidates[pool]
+        sigma = kernels.se_base(x[:, None], x[None, :], problem.params)
+        prior = np.diag(sigma)
+        delta = JITTER_LADDER[2] * problem.params.sigma_s2
+    floor = JITTER_LADDER[0] * prior
+    mutual = problem.criterion is PlacementCriterion.MUTUAL_INFORMATION
+    C = sigma.copy()
+    free = np.ones(len(pool), bool)
     selected, step_entropies = [], []
-    remaining = list(idx_pool)
-    for _ in range(n_pick):
-        placed = [(xs[i], kinds[i]) for i in selected]
-        scores = np.empty(len(remaining))
-        if crit is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
-            # Vectorize per kind group within the remaining pool.
-            by_kind = {}
-            for pos, i in enumerate(remaining):
-                by_kind.setdefault(kinds[i], []).append(pos)
-            for kind, positions in by_kind.items():
-                x_eval = xs[[remaining[p] for p in positions]]
-                var, floor = _pi_conditional_var(x_eval, kind, placed,
-                                                 problem.bcs, params)
-                scores[positions] = _entropy_from_var(np.maximum(var, floor))
-        elif crit is PlacementCriterion.ENTROPY:
-            placed_x = [xs[i] for i in selected]
-            var = _se_conditional_var(xs[remaining], placed_x, params)
-            scores[:] = _entropy_from_var(var)
-        elif crit is PlacementCriterion.MUTUAL_INFORMATION:
-            placed_x = [xs[i] for i in selected]
-            var_s = _se_conditional_var(xs[remaining], placed_x, params)
-            h_s = _entropy_from_var(var_s)
-            for pos, i in enumerate(remaining):
-                rest = [xs[j] for j in idx_pool
-                        if j != i and j not in selected]
-                var_r = _se_conditional_var(xs[i], rest, params)
-                scores[pos] = h_s[pos] - _entropy_from_var(var_r)[0]
-        else:
-            raise ValueError(f"unknown criterion {crit!r}")
-
-        best = remaining[int(np.argmax(scores))]  # first max = lowest index
-        selected.append(best)
-        step_entropies.append(float(np.max(scores)))
-        remaining.remove(best)
+    for _ in range(min(problem.n_sensors, len(pool))):
+        scores = _entropy_from_var(np.maximum(np.diag(C), floor))
+        if mutual:
+            # var(y_i | the other unselected) from the precision matrix.
+            u = np.flatnonzero(free)
+            prec = np.linalg.inv(sigma[np.ix_(u, u)] + delta * np.eye(u.size))
+            scores[u] -= _entropy_from_var(
+                np.maximum(1.0 / np.diag(prec) - delta, floor[u]))
+        scores[~free] = -np.inf
+        j = int(np.argmax(scores))  # first max = lowest index
+        selected.append(pool[j])
+        step_entropies.append(float(scores[j]))
+        free[j] = False
+        _observe(C, j, delta, floor[j])
     return selected, step_entropies
 
 
@@ -206,25 +199,10 @@ def conditioned_covariance(selected, problem: PlacementProblem) -> np.ndarray:
     """Prior covariance of (x, kind) sensors, conditioned on the BCs.
 
     Sigma = K_SS - K_Sb K_bb^-1 K_bS in the order of ``selected``, with
-    K_bb factorized by ``gp.assemble([], bcs, theta)``.  The sensors must
-    be distinct, or Sigma is singular.
+    K_bb factorized by ``gp.assemble([], bcs, theta)``.  Repeated sensors
+    give a singular Sigma, which the greedy's downdates tolerate.
     """
-    locs = [(round(x, 12), kind) for x, kind in selected]
-    if len(set(locs)) != len(locs):
-        raise ValueError("selected sensors must be distinct")
-    theta = problem.params
-    entries = [gp.Points(kind, np.array([x for x, _ in run], float))
-               for kind, run in itertools.groupby(selected,
-                                                  key=lambda s: s[1])]
-    if not problem.bcs:
-        return gp.check_finite(gp.covariance(entries, theta))
-    # K_SS and K_Sb are the sensor rows of one covariance over the sensors
-    # followed by the BCs.
-    model = gp.assemble([], problem.bcs, theta)
-    k = gp.covariance(entries + list(model.entries), theta)
-    n = len(selected)
-    ks = k[:n, n:]
-    return gp.check_finite(k[:n, :n] - ks @ model.solve(ks.T))
+    return _conditioned(selected, problem.bcs, problem.params)[1]
 
 
 def _gaussian_entropy(sigma: np.ndarray) -> float:
@@ -245,6 +223,7 @@ def set_entropy(selected, problem: PlacementProblem) -> float:
     """Joint Gaussian entropy of a selected sensor set under the PI prior."""
     if not selected:
         raise ValueError("selection must be non-empty")
+    _require_distinct(selected)
     return _gaussian_entropy(conditioned_covariance(selected, problem))
 
 
@@ -266,9 +245,9 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     if n_s == 0:
         raise ValueError("selection must be non-empty")
 
-    kind = problem.kinds[0]
-    sigma = conditioned_covariance(
-        [(float(x), kind) for x in problem.candidates], problem)
+    sensors = [(float(x), problem.kinds[0]) for x in problem.candidates]
+    _require_distinct(sensors)
+    sigma = conditioned_covariance(sensors, problem)
     subsets = list(itertools.combinations(range(n_p), n_s))
     raw = np.asarray([_gaussian_entropy(sigma[np.ix_(subset, subset)])
                       for subset in subsets])

@@ -148,6 +148,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"bad.csv:3: {field} must be finite" in err
 
+    @pytest.mark.parametrize("command", ["identify", "predict"])
+    def test_off_span_csv_row_named(self, tmp_path, capsys, command):
+        cfg = {"version": 1, "beam": BEAM}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("quantity,x,z,value,dataset_id\n"
+                       "w,1.0,,0.01,w\n"
+                       "w,3.5,,0.01,w\n")
+        extra = ["--chain", tmp_path / "chain.csv"] \
+            if command == "predict" else []
+        code = run([command, "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o", "--data", bad] + extra)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad.csv:3: dataset 'w': x = 3.5 is off the span [0, 1.0]" \
+            in err
+
+    @pytest.mark.parametrize("bcs,message", [
+        ([{"kind": "w", "locations": [0.0, 2.5]}],
+         "bcs[0] (w): location 2.5 is off the span [0, 1.0]"),
+        ([{"kind": "w", "locations": [0.0, 1.0]},
+          {"kind": "M", "locations": [-0.1, 1.0]}],
+         "bcs[1] (M): location -0.1 is off the span [0, 1.0]")])
+    def test_off_span_boundary_condition_named(self, tmp_path, capsys, bcs,
+                                               message):
+        cfg = {"version": 1, "beam": BEAM, "seed": 0, "bcs": bcs,
+               "placement": {"n_candidates": 9, "n_sensors": 2}}
+        code = run(["place", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("bc,message", [
         ({"kind": "w", "locations": [0.0, float("inf")]}, "x must be finite"),
         ({"kind": "w", "locations": [0.0, 1.0], "values": [0.0, float("nan")]},

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from timopigp import kernels, placement
-from timopigp.data import BoundaryCondition
+from timopigp import gp, kernels, placement
+from timopigp.data import BoundaryCondition, Dataset
 from timopigp.errors import EnumerationGuardError, NonFiniteCovarianceError
 from timopigp.gp import Theta
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
@@ -57,6 +57,16 @@ class TestConditionalEntropy:
             [(0.5, QuantityKind.DEFLECTION)], [], PARAMS)
         assert h_obs < h_free - 5.0
 
+    def test_observed_point_scores_at_floor(self):
+        """Observing a point leaves it no variance; its score is the
+        floor, 1e-12 of the prior variance."""
+        k = float(kernels.kernel(QuantityKind.DEFLECTION,
+                                 QuantityKind.DEFLECTION, 0.5, 0.5, PARAMS))
+        h_obs = conditional_entropy(
+            0.5, QuantityKind.DEFLECTION,
+            [(0.5, QuantityKind.DEFLECTION)], [], PARAMS)
+        assert h_obs == pytest.approx(0.5 * (LOG_2PIE + math.log(1e-12 * k)))
+
     def test_boundary_condition_reduces_entropy(self):
         h_free = conditional_entropy(0.05, QuantityKind.DEFLECTION, [], [],
                                      PARAMS)
@@ -73,6 +83,20 @@ class TestGreedyPlace:
         res = greedy_place(p)
         assert sorted(selected_x(res)) == \
             pytest.approx(list(np.linspace(0.0, 1.0, 5)))
+
+    def test_pinned_candidates_score_at_floor(self):
+        """With the budget covering the supports, the w candidates the BCs
+        pin come last, each scored at the floor: 1e-12 of its prior
+        variance."""
+        p = problem(QuantityKind.DEFLECTION,
+                    PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                    n_sensors=5, n_candidates=5, bcs=support_bcs())
+        res = greedy_place(p)
+        k = float(kernels.kernel(QuantityKind.DEFLECTION,
+                                 QuantityKind.DEFLECTION, 0.0, 0.0, PARAMS))
+        assert sorted(x for x, _ in res.selected[-2:]) == [0.0, 1.0]
+        assert res.step_entropies[-2:] == pytest.approx(
+            [0.5 * (LOG_2PIE + math.log(1e-12 * k))] * 2, rel=1e-12)
 
     def test_over_budget_single_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -359,3 +383,124 @@ class TestExhaustiveEntropyMap:
         picked = frozenset(int(round(x * 9)) for x, _ in res.selected)
         by_subset = {frozenset(s): v for s, v in rows}
         assert by_subset[picked] >= 0.95 * best
+
+
+W, PHI = QuantityKind.DEFLECTION, QuantityKind.ROTATION
+BC_SETS = {
+    "free": [],
+    "w": [BoundaryCondition(kind=W, x=np.array([0.0, 1.0]))],
+    "wM": [BoundaryCondition(kind=W, x=np.array([0.0, 1.0])),
+           BoundaryCondition(kind=QuantityKind.MOMENT,
+                             x=np.array([0.0, 1.0]))],
+}
+
+
+def pool_problem(pool, criterion, bcs, candidates=None, n_sensors=7):
+    """A single-kind pool, or w and phi candidates under one joint budget."""
+    x = np.linspace(0.0, 1.0, 31) if candidates is None else candidates
+    if pool == "w+phi":
+        return PlacementProblem(candidates=np.concatenate([x, x]),
+                                kinds=[W] * x.size + [PHI] * x.size,
+                                n_sensors=n_sensors, params=PARAMS, bcs=bcs,
+                                criterion=criterion, joint_budget=True)
+    return PlacementProblem(candidates=x, kinds={"w": W, "phi": PHI}[pool],
+                            n_sensors=n_sensors, params=PARAMS, bcs=bcs,
+                            criterion=criterion)
+
+
+@pytest.mark.parametrize("bcs", sorted(BC_SETS))
+@pytest.mark.parametrize("pool", ["w", "phi", "w+phi"])
+def test_physics_step_entropies_sum_to_set_entropy(pool, bcs):
+    """Greedy steps are conditional entropies, so by the chain rule they
+    add up to the joint entropy of the selected set."""
+    res = greedy_place(pool_problem(
+        pool, PlacementCriterion.PHYSICS_INFORMED_ENTROPY, BC_SETS[bcs]))
+    h = res.set_entropy
+    assert abs(sum(res.step_entropies) - h) <= 1e-9 * max(1.0, abs(h))
+
+
+@pytest.mark.parametrize("crit", list(PlacementCriterion),
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("kind", [W, PHI], ids=lambda k: k.code)
+def test_repeated_candidate_selected_once(crit, kind):
+    """A second copy of a placed candidate carries no information, and
+    the downdates stay finite on the singular Sigma it makes."""
+    p = PlacementProblem(candidates=np.append(np.linspace(0.0, 1.0, 11), 0.5),
+                         kinds=kind, n_sensors=7, params=PARAMS,
+                         bcs=support_bcs(), criterion=crit)
+    res = greedy_place(p)
+    xs = [x for x, _ in res.selected]
+    assert len(xs) == 7 and xs.count(0.5) <= 1
+    assert np.all(np.isfinite(res.step_entropies))
+
+
+def _oracle_se_var(x_star, given, params):
+    """SE conditional variance by a Cholesky of the given sensors' kernel,
+    each observed with noise 1e-8 sigma_s^2."""
+    x_star = np.atleast_1d(np.asarray(x_star, float))
+    if len(given) == 0:
+        return np.full(x_star.shape, params.sigma_s2)
+    g = np.asarray(given, float)
+    K = kernels.se_base(g[:, None], g[None, :], params) + \
+        1e-8 * params.sigma_s2 * np.eye(g.size)
+    v = np.linalg.solve(np.linalg.cholesky(K),
+                        kernels.se_base(g[:, None], x_star[None, :], params))
+    return np.maximum(params.sigma_s2 - np.sum(v * v, axis=0),
+                      1e-12 * params.sigma_s2)
+
+
+def _oracle_physics_var(x_star, kind, placed, bcs, params):
+    """Physics conditional variance from a GP on the placed sensors."""
+    k_diag = np.asarray(kernels.kernel(kind, kind, x_star, x_star, params))
+    by_kind = {}
+    for x, k in placed:
+        by_kind.setdefault(k, []).append(x)
+    datasets = [Dataset(kind=k, x=np.array(xs), y=np.zeros(len(xs)))
+                for k, xs in by_kind.items()]
+    if not datasets and not bcs:
+        return np.maximum(k_diag, 1e-12 * k_diag)
+    model = gp.assemble(datasets, bcs, params)
+    var = gp.predict(model, kind, x_star).var
+    return np.maximum(var, max(model.jitter, 1e-12) * k_diag)
+
+
+def _oracle_greedy(problem):
+    """The greedy with every score computed by explicit conditioning."""
+    xs, kind, params = problem.candidates, problem.kinds[0], problem.params
+    crit = problem.criterion
+    selected, steps = [], []
+    remaining = list(range(xs.size))
+    for _ in range(problem.n_sensors):
+        if crit is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
+            var = _oracle_physics_var(xs[remaining], kind,
+                                      [(xs[i], kind) for i in selected],
+                                      problem.bcs, params)
+        else:
+            var = _oracle_se_var(xs[remaining], xs[selected], params)
+        scores = 0.5 * (LOG_2PIE + np.log(var))
+        if crit is PlacementCriterion.MUTUAL_INFORMATION:
+            for pos, i in enumerate(remaining):
+                rest = [xs[j] for j in remaining if j != i]
+                scores[pos] -= 0.5 * (LOG_2PIE + np.log(
+                    _oracle_se_var(xs[i], rest, params)[0]))
+        pos = int(np.argmax(scores))
+        selected.append(remaining.pop(pos))
+        steps.append(float(scores[pos]))
+    return selected, steps
+
+
+@pytest.mark.parametrize("bcs", ["free", "w"])
+@pytest.mark.parametrize("kind", ["w", "phi"])
+@pytest.mark.parametrize("crit", list(PlacementCriterion),
+                         ids=lambda c: c.value)
+def test_greedy_matches_explicit_conditioning(crit, kind, bcs):
+    """On sorted random candidates (no mirror ties) the downdated greedy
+    picks what explicit conditioning picks, step by step."""
+    x = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 25))
+    p = pool_problem(kind, crit, BC_SETS[bcs], candidates=x, n_sensors=6)
+    want_idx, want_steps = _oracle_greedy(p)
+    res = greedy_place(p)
+    assert [x_ for x_, _ in res.selected] == [float(x[i]) for i in want_idx]
+    tol = 1e-6 if crit is PlacementCriterion.MUTUAL_INFORMATION else 1e-9
+    np.testing.assert_allclose(res.step_entropies, want_steps, rtol=0,
+                               atol=tol)
