@@ -11,6 +11,7 @@ ground truth and noisy synthetic measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,11 @@ class BeamConfig:
 
     def __post_init__(self):
         for name in ("L", "EI_true", "kGA_true", "h"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if not math.isfinite(self.q0):
+            raise ValueError(f"q0 must be finite, got {self.q0!r}")
 
     @property
     def rigidity(self) -> float:

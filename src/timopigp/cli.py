@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,8 +95,25 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
                           proposal_scale=m.get("proposal_scale", 0.1),
                           seed=seed,
                           adapt=bool(m.get("adapt", True)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid mcmc section: {exc}") from None
+
+
+def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
+    """Bounded stiffness priors: factors of the true EI (and kGA)."""
+    pr = cfg.get("priors", {})
+    try:
+        ei = pr.get("EI", {})
+        priors = experiments.stiffness_priors(
+            beam, lo=float(ei.get("lo_factor", 0.5)),
+            hi=float(ei.get("hi_factor", 1.5)))
+        if "kGA" in pr:
+            priors["kGA"] = mcmc.UniformBounded(
+                float(pr["kGA"].get("lo_factor", 0.5)) * beam.kGA_true,
+                float(pr["kGA"].get("hi_factor", 1.5)) * beam.kGA_true)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid priors section: {exc}") from None
+    return priors
 
 
 def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
@@ -247,21 +265,33 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     return EXIT_OK
 
 
+def _noise_level(label: str, key: str, value) -> float:
+    try:
+        sigma = float(value)
+    except (TypeError, ValueError):
+        sigma = math.nan
+    if not 0 <= sigma < math.inf:
+        raise ConfigError(f"dataset {label!r}: {key} must be a non-negative "
+                          f"finite number, got {value!r}")
+    return sigma
+
+
 def _apply_dataset_config(datasets: list, cfg: dict, beam: BeamConfig):
     """Attach noise treatment from the config to CSV-loaded datasets."""
     by_label = {spec.get("label"): spec for spec in cfg.get("datasets", [])}
     for ds in datasets:
         spec = by_label.get(ds.label, {})
         if "sigma_n" in spec and spec["sigma_n"] is not None:
-            ds.sigma_n = float(spec["sigma_n"])
+            ds.sigma_n = _noise_level(ds.label, "sigma_n", spec["sigma_n"])
             ds.learn_noise = bool(spec.get("learn_noise", False))
         elif ds.kind is QuantityKind.LOAD:
             ds.sigma_n = experiments.LOAD_NOISE_FACTOR * \
                 max(float(np.max(np.abs(ds.y))), 1e-300)
             ds.learn_noise = False
         else:
-            ds.sigma_n = float(spec.get("sigma_n_init", 0.0)) or \
-                0.05 * float(np.std(ds.y))
+            ds.sigma_n = _noise_level(
+                ds.label, "sigma_n_init", spec.get("sigma_n_init", 0.0)) \
+                or 0.05 * float(np.std(ds.y))
             ds.learn_noise = bool(spec.get("learn_noise", True))
 
 
@@ -319,14 +349,7 @@ def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
                               "no datasets loaded")
     _apply_dataset_config(datasets, cfg, beam)
     bcs = bcs_from_config(cfg, beam)
-    pr = cfg.get("priors", {})
-    priors = experiments.stiffness_priors(
-        beam, lo=float(pr.get("EI", {}).get("lo_factor", 0.5)),
-        hi=float(pr.get("EI", {}).get("hi_factor", 1.5)))
-    if "kGA" in pr:
-        priors["kGA"] = mcmc.UniformBounded(
-            float(pr["kGA"].get("lo_factor", 0.5)) * beam.kGA_true,
-            float(pr["kGA"].get("hi_factor", 1.5)) * beam.kGA_true)
+    priors = priors_from_config(cfg, beam)
     mcfg = mcmc_from_config(cfg, seed)
     theta0 = experiments.default_theta0(datasets, beam, priors)
     if dump_kernels:
@@ -346,6 +369,7 @@ def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
         "seed": seed,
         "ess": {name: mcmc.effective_sample_size(chain.draws[:, i])
                 for i, name in enumerate(chain.param_names)},
+        "log_target": chain.target_counts,
     }
     with open(out_dir / "diagnostics.json", "w", encoding="utf-8") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)

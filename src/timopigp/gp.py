@@ -7,11 +7,12 @@ pairwise differences, the kind pair of each element and, per element and
 operator term, where its value sits in a table of terms built from
 ``kernels.OPERATORS``.  ``evaluate`` computes that table at a theta (one
 exp, one Horner pass over the Hermite degrees in use, the term scalars)
-and sums each element's terms, running per element the arithmetic that
-``kernels.kernel`` runs per block: K is bit for bit the block values,
-with the lower block triangle taken from the upper one.  The sampler
-builds its layout once per chain and ``predict_mixture`` once per call;
-``covariance`` and ``assemble`` build and evaluate one in a call.
+and sums each element's terms in one reduction, running per element the
+arithmetic that ``kernels.kernel`` runs per block: K is bit for bit the
+block values, with the lower block triangle taken from the upper one.
+The sampler builds its layout once per chain and ``predict_mixture`` once
+per call; ``covariance`` and ``assemble`` build and evaluate one in a
+call.
 
 Datasets and boundary conditions are stacked in the fixed block order
 (w, phi, eps, M, V, q), with measurement noise added on diagonal blocks
@@ -19,6 +20,12 @@ only.  A K with inf or NaN entries is refused by name.  Noiseless
 boundary-condition blocks make the matrix singular in exact arithmetic, so
 a bounded jitter ladder (relative to the kernel diagonal) is escalated
 until the Cholesky factorization succeeds.
+
+The factorization and the solves call LAPACK directly (``dpotrf``,
+``dpotrs``, ``dtrtrs``) and read its ``info``: these are the routines
+scipy's ``cholesky``, ``cho_solve`` and ``solve_triangular`` call, so L
+and the solutions are theirs bit for bit, without the wrappers' second
+finiteness check of a K that ``check_finite`` has passed.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from timopigp import kernels
 from timopigp.data import Dataset
@@ -99,10 +106,13 @@ class CovarianceModel:
     y: np.ndarray
 
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        return 2.0 * float(np.log(self.chol.diagonal()).sum())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve((self.chol, True), b)
+        x, info = dpotrs(self.chol, b, lower=1)
+        if info:
+            raise ValueError(f"dpotrs: illegal argument {-info}")
+        return x
 
 
 def _effective_sigma(entry: Dataset, theta: Theta) -> float:
@@ -143,8 +153,9 @@ class _Terms(NamedTuple):
     slot without a term.  ``coef_code`` and ``scale_code`` index each
     row's scalars in ``kernels.term_factors`` and ``hermite_row`` its row
     in the Hermite stack, whose rows 1.. hold the degrees in use and are
-    evaluated by the ``horner`` steps.  ``z_powers`` say, per slot and
-    pair, whether the term carries z and z'.
+    evaluated by the ``horner`` steps: (first begun row counted from row
+    1, the coefficients of the begun rows).  ``z_powers`` say, per slot
+    and pair, whether the term carries z and z'.
     """
 
     rows: np.ndarray
@@ -180,7 +191,7 @@ def _terms_of(pairs: tuple) -> _Terms:
     horner = []
     for t in range(steps):
         begun = bisect.bisect_left(degrees, steps - 1 - t)
-        horner.append((1 + begun, coefs[begun:, t, None]))
+        horner.append((begun, coefs[begun:, t]))
     return _Terms(
         rows=rows,
         coef_code=np.array([_NO_COEF] + [t[2] for t in slots]),
@@ -207,7 +218,11 @@ class Layout:
     Equal differences give equal u = (x - x') / ell, He_k(u) and
     exp(-u u / 2), so ``evaluate`` computes each term once per distinct
     difference (``diff``, sorted): ``term_index[s]`` is, per element, the
-    position of its slot-s term in that table.
+    position of its slot-s term in that table.  The Hermite rows 1.. lie
+    end to end, one copy of ``diff`` each (``diff_rows``), so that each
+    Horner step is one flat multiply and one flat add over the rows whose
+    polynomial has begun: ``horner`` holds each step's offset into those
+    rows and its coefficients, one per element.
     """
 
     def __init__(self, rows, cols=None):
@@ -252,6 +267,10 @@ class Layout:
         self.term_index = (self.terms.rows * self.diff.size).take(pair,
                                                                   axis=1)
         self.term_index += distinct
+        m = self.diff.size
+        self.diff_rows = np.tile(self.diff, self.terms.n_hermite - 1)
+        self.horner = [(begun * m, c.repeat(m))
+                       for begun, c in self.terms.horner]
         self.z_factors = None
         if any(e.kind is QuantityKind.STRAIN for e in self.rows + cols):
             zi, zj = source("z", 1.0)
@@ -283,26 +302,27 @@ def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
     scales = np.array(scales + [0.0])[terms.scale_code, None]
     # Overflow shows up as inf/NaN entries, which the callers name.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = layout.diff / theta.ell
+        u_rows = layout.diff_rows / theta.ell
+        u = u_rows[:layout.diff.size]
         e = np.exp(-0.5 * u * u)
         hermite = np.zeros((terms.n_hermite, u.size))
-        for start, c in terms.horner:
-            live = hermite[start:]
-            live *= u
+        horner_rows = hermite[1:].reshape(-1)
+        for start, c in layout.horner:
+            live = horner_rows[start:]
+            live *= u_rows[start:]
             live += c
         # One row per term slot of each kind pair in use, over the
         # distinct differences.
         table = scales * hermite[terms.hermite_row]
         table *= e
         table = coef * table
-        K = np.zeros(layout.shape)
-        for s in range(len(terms.rows)):
-            term = table.take(layout.term_index[s])
-            if layout.z_factors is not None:
-                term *= layout.z_factors[0][s]
-                term *= layout.z_factors[1][s]
-            K += term
-    return K
+        # Slot by slot from an exact 0, as ``kernels.kernel`` sums: a
+        # reduction over the leading axis adds the slots in order.
+        stack = table.take(layout.term_index)
+        if layout.z_factors is not None:
+            stack *= layout.z_factors[0]
+            stack *= layout.z_factors[1]
+        return np.add.reduce(stack, axis=0, initial=0.0)
 
 
 def covariance(rows, theta: Theta, cols=None) -> np.ndarray:
@@ -335,22 +355,20 @@ def factorize(layout: Layout, theta: Theta) -> CovarianceModel:
         if sig > 0:
             k_diag[sl] += sig**2
     check_finite(K)
-
-    # Jitter scale follows each block's own kernel diagonal so that blocks
-    # of very different physical units are regularized evenly.
-    diag = np.diag(K).copy()
-    diag = np.maximum(diag, 1e-300)
-    attempted = []
-    for level in (0.0,) + JITTER_LADDER:
-        attempted.append(level)
-        try:
-            Kj = K if level == 0.0 else K + np.diag(level * diag)
-            L = cholesky(Kj, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        return CovarianceModel(entries=layout.rows, theta=theta, K=K,
-                               chol=L, jitter=level, y=layout.y)
-    raise IllConditionedModelError(attempted)
+    chol, info = dpotrf(K, lower=1, clean=1)
+    level = 0.0
+    if info:
+        # Jitter scale follows each block's own kernel diagonal so that
+        # blocks of very different physical units are regularized evenly.
+        diag = np.maximum(np.diag(K), 1e-300)
+        for level in JITTER_LADDER:
+            chol, info = dpotrf(K + np.diag(level * diag), lower=1, clean=1)
+            if not info:
+                break
+        else:
+            raise IllConditionedModelError((0.0,) + JITTER_LADDER)
+    return CovarianceModel(entries=layout.rows, theta=theta, K=K, chol=chol,
+                           jitter=level, y=layout.y)
 
 
 def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
@@ -392,7 +410,9 @@ def predict(model: CovarianceModel, kind: QuantityKind, x_star,
     ks = check_finite(evaluate(cross, model.theta))
 
     mean = ks @ model.solve(model.y)
-    v = solve_triangular(model.chol, ks.T, lower=True)
+    v, info = dtrtrs(model.chol, ks.T, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     k_diag = kernels.kernel(kind, kind, x_star, x_star, model.theta,
                             z=z_star, z_prime=z_star)
     k_diag = check_finite(np.atleast_1d(np.asarray(k_diag, float)))

@@ -6,11 +6,20 @@ corresponding Jacobian terms added to the transformed-space target.  The
 stiffness parameters keep linear coordinates because their priors are
 bounded-uniform in linear units.  The Gaussian proposal is symmetric, so
 the proposal ratio cancels in the acceptance probability.
+
+A chain builds its prior once: a table of each parameter's log density in
+parameter order, summed per step in that order, the path ``log_prior``
+takes too.  Each log-target evaluation lands in one count: a rejection by
+cause (prior support, invalid theta, non-finite K, ill-conditioned K) or
+the jitter level its factorization used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +29,10 @@ from timopigp.errors import (IllConditionedModelError,
 from timopigp.gp import Theta
 
 LOG_PARAMS = ("sigma_s2", "ell")
+
+# Why a log-target evaluation had zero density.
+REJECTIONS = ("prior_support", "invalid_theta", "non_finite_covariance",
+              "ill_conditioned")
 
 
 @dataclass(frozen=True)
@@ -52,8 +65,9 @@ class UniformBounded:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("UniformBounded requires lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError("UniformBounded requires finite lo < hi, got "
+                             f"{self.lo!r}, {self.hi!r}")
 
     def log_density(self, value: float) -> float:
         if self.lo <= value <= self.hi:
@@ -75,11 +89,22 @@ class McmcConfig:
             raise ValueError("require 0 <= n_b < n_total")
         if self.n_t < 1:
             raise ValueError("thinning stride must be >= 1")
+        scales = self.proposal_scale
+        for v in scales.values() if isinstance(scales, dict) else [scales]:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                    or not 0 < v < math.inf:
+                raise ValueError("proposal scales must be positive and "
+                                 f"finite numbers, got {v!r}")
 
 
 @dataclass
 class PosteriorChain:
-    """Post burn-in, thinned draws with acceptance diagnostics."""
+    """Post burn-in, thinned draws with acceptance diagnostics.
+
+    ``target_counts`` holds the log-target evaluations, the zero-density
+    ones by cause (``REJECTIONS``) and, per jitter level, the ones that
+    factorized K at it; the last two add up to the first.
+    """
 
     param_names: list
     draws: np.ndarray
@@ -87,6 +112,7 @@ class PosteriorChain:
     acceptance_rate: float
     log_posterior_trace: np.ndarray
     seed: int
+    target_counts: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -132,16 +158,42 @@ def default_prior(name: str):
     return Flat()
 
 
+def _prior_table(names, priors: dict) -> list:
+    """Each parameter's log density, in ``names`` order."""
+    return [priors.get(name, default_prior(name)).log_density
+            for name in names]
+
+
+def _prior_sum(table, values) -> float:
+    """Sum of the prior log densities in table order; -inf off support."""
+    total = 0.0
+    for log_density, value in zip(table, values):
+        total += log_density(value)
+    return total if math.isfinite(total) else -math.inf
+
+
 def log_prior(theta: Theta, priors: dict) -> float:
     names, _ = _param_layout(theta)
-    vec = _theta_to_vector(theta, names)
-    total = 0.0
-    for name, value in zip(names, vec):
-        spec = priors.get(name, default_prior(name))
-        total += spec.log_density(value)
-        if not np.isfinite(total):
-            return -np.inf
-    return total
+    return _prior_sum(_prior_table(names, priors),
+                      _theta_to_vector(theta, names).tolist())
+
+
+def _log_likelihood(layout: gp.Layout, theta: Theta, counts: Counter) -> float:
+    """Log marginal likelihood, -inf for a K that cannot be factorized.
+
+    ``counts`` gets one count: the failure's cause or the jitter level.
+    """
+    try:
+        model = gp.factorize(layout, theta)
+    except NonFiniteCovarianceError:
+        counts["non_finite_covariance"] += 1
+        return -math.inf
+    except IllConditionedModelError:
+        counts["ill_conditioned"] += 1
+        return -math.inf
+    counts[model.jitter] += 1
+    return gp.log_marginal_likelihood(model)
+
 
 def log_posterior(theta: Theta, datasets, bcs, priors: dict,
                   layout: gp.Layout | None = None) -> float:
@@ -155,11 +207,7 @@ def log_posterior(theta: Theta, datasets, bcs, priors: dict,
         return -np.inf
     if layout is None:
         layout = gp.data_layout(datasets, bcs)
-    try:
-        model = gp.factorize(layout, theta)
-    except (IllConditionedModelError, NonFiniteCovarianceError):
-        return -np.inf
-    return gp.log_marginal_likelihood(model) + lp
+    return _log_likelihood(layout, theta, Counter()) + lp
 
 
 def random_walk_metropolis(log_target, x0, cfg: McmcConfig,
@@ -196,7 +244,8 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig,
         prop = x + scales * rng.standard_normal(d)
         lt_prop = log_target(prop)
         a = rng.uniform()
-        if np.log(a) <= lt_prop - lt:
+        # A zero-density proposal is never taken, not even at a = 0.
+        if math.isfinite(lt_prop) and np.log(a) <= lt_prop - lt:
             x, lt = prop, lt_prop
             accepts += 1
             window_accepts += 1
@@ -237,30 +286,47 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
             scales[i] = cfg.proposal_scale.get(name, base)
     scales[~is_log] *= np.abs(x0[~is_log])
     layout = gp.data_layout(datasets, bcs)
+    table = _prior_table(names, priors)
+    labels = list(theta0.sigma_n)
+    counts = Counter()
 
     def log_target(s):
+        counts["evaluations"] += 1
         vec = s.copy()
         vec[is_log] = np.exp(s[is_log])
-        if np.any(vec <= 0):
+        if (vec <= 0).any():
+            counts["prior_support"] += 1
             return -np.inf
+        values = vec.tolist()
         try:
-            theta = _vector_to_theta(vec, names)
+            theta = Theta(*values[:4], sigma_n=dict(zip(labels, values[4:])))
         except ValueError:
+            counts["invalid_theta"] += 1
             return -np.inf
-        lp = log_posterior(theta, datasets, bcs, priors, layout)
-        if not np.isfinite(lp):
+        lp = _prior_sum(table, values)
+        if lp == -math.inf:
+            counts["prior_support"] += 1
+            return -np.inf
+        lp = _log_likelihood(layout, theta, counts) + lp
+        if not math.isfinite(lp):
             return -np.inf
         # Jacobian of the log transform.
-        return lp + float(np.sum(s[is_log]))
+        return lp + float(s[is_log].sum())
 
     draws_s, acc, lts = random_walk_metropolis(log_target, s0, cfg,
                                                scales=scales)
     draws = draws_s.copy()
     draws[:, is_log] = np.exp(draws_s[:, is_log])
     thetas = thetas_from_draws(draws, names)
+    target_counts = {
+        "evaluations": counts["evaluations"],
+        "rejected": {cause: counts[cause] for cause in REJECTIONS},
+        "jitter": {repr(level): counts[level]
+                   for level in (0.0,) + gp.JITTER_LADDER},
+    }
     return PosteriorChain(param_names=names, draws=draws, thetas=thetas,
                           acceptance_rate=acc, log_posterior_trace=lts,
-                          seed=cfg.seed)
+                          seed=cfg.seed, target_counts=target_counts)
 
 
 def summarize(chain: PosteriorChain,

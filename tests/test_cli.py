@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timopigp import beam, cli, placement
 from timopigp.beam import BeamConfig
@@ -434,3 +439,133 @@ class TestStudy:
                         "--out", out]) == 0
             outputs.append((out / "study_ndp.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Input fuzz: one bad CSV field or config field at a time.  Every mutation
+# makes the input invalid, so identify must refuse it with exit code 3
+# (data) or 2 (config) and a message, without an exception escaping main.
+
+FUZZ_CONFIG = {"version": 1, "beam": dict(BEAM, h=0.1),
+               "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+               "datasets": [{"label": "w", "sigma_n": 1e-4}],
+               "priors": {"EI": {"lo_factor": 0.5, "hi_factor": 1.5},
+                          "kGA": {"lo_factor": 0.5, "hi_factor": 1.5}},
+               "mcmc": {"n_total": 30, "n_b": 10, "n_t": 1,
+                        "proposal_scale": 0.1}}
+FUZZ_X = [0.2, 0.35, 0.5, 0.65, 0.8]
+
+
+def fuzz_rows():
+    y = beam.analytic_field(CFG_OBJ, QuantityKind.DEFLECTION,
+                            np.array(FUZZ_X))
+    return [["w", repr(x), "", repr(float(v)), "w"] for x, v in zip(FUZZ_X, y)]
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+NON_NUMERIC = st.sampled_from(["abc", "1.2.3", "0x10", "--1", "one"]) | \
+    st.text(max_size=8).filter(lambda t: t.strip() and
+                               not _is_float(t.strip()))
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-Infinity"])
+OFF_SPAN = st.sampled_from(["-0.5", "1.5", "-1e-9", "1.0000001", "1e300"])
+
+CSV_MUTATIONS = st.one_of(
+    st.tuples(st.just("x"), NON_NUMERIC | NON_FINITE | OFF_SPAN |
+              st.just("")),
+    st.tuples(st.just("value"), NON_NUMERIC | NON_FINITE | st.just("")),
+    st.tuples(st.just("z"), NON_NUMERIC | NON_FINITE),
+    st.tuples(st.just("quantity"), st.sampled_from(["", "xyz", "W", "e"])),
+    st.tuples(st.just("fields"), st.sampled_from([-1, 1, 2])))
+
+# (path into the config, replacement): a replacement of None deletes the
+# key; each value is invalid at its path.
+BAD_NUMBERS = ["abc", [], {}, float("nan"), float("inf"), float("-inf")]
+CONFIG_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from([("beam", "L"), ("beam", "EI"),
+                               ("beam", "kGA")]),
+              st.sampled_from(BAD_NUMBERS + [None, 0.0, -1.0])),
+    st.tuples(st.just(("beam", "h")), st.sampled_from(BAD_NUMBERS + [0.0])),
+    st.tuples(st.just(("beam", "q0")), st.sampled_from(BAD_NUMBERS + [None])),
+    st.tuples(st.sampled_from([("mcmc", "n_total"), ("mcmc", "n_b"),
+                               ("mcmc", "n_t")]),
+              st.sampled_from(BAD_NUMBERS + [-1])),
+    st.tuples(st.just(("mcmc", "proposal_scale")),
+              st.sampled_from(["abc", [], float("nan"), float("inf"), 0.0,
+                               -0.1, {"ell": "abc"}])),
+    st.tuples(st.just(("priors", "EI", "lo_factor")),
+              st.sampled_from(BAD_NUMBERS + [2.0])),
+    st.tuples(st.just(("priors", "kGA", "hi_factor")),
+              st.sampled_from(BAD_NUMBERS + [0.4])),
+    st.tuples(st.sampled_from([("priors", "EI"), ("priors", "kGA")]),
+              st.sampled_from([5, "abc", []])),
+    st.tuples(st.just(("bcs", 0, "kind")), st.sampled_from([None, "xyz", 3])),
+    st.tuples(st.just(("bcs", 0, "locations")),
+              st.sampled_from([None, "abc", [float("nan"), 1.0],
+                               [0.0, 1.5], [-0.1], [[0.0], 1.0]])),
+    st.tuples(st.just(("datasets", 0, "sigma_n")),
+              st.sampled_from(["abc", [], float("nan"), float("inf"),
+                               -1e-3])),
+    st.tuples(st.sampled_from([("beam",), ("version",)]), st.none()))
+
+
+def _fuzz_run(directory, rows, cfg):
+    data = directory / "data.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["quantity", "x", "z", "value", "dataset_id"])
+        writer.writerows(rows)
+    config = directory / "config.json"
+    config.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["identify", "--config", config, "--out",
+                    directory / "out", "--data", data])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestInputFuzz:
+    def test_unmutated_inputs_run(self, fuzz_dir):
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(), FUZZ_CONFIG)
+        assert code == cli.EXIT_OK, err
+
+    @settings(max_examples=150, deadline=None)
+    @given(row=st.integers(0, len(FUZZ_X) - 1), mutation=CSV_MUTATIONS)
+    def test_bad_csv_field_is_a_data_error(self, fuzz_dir, row, mutation):
+        rows = fuzz_rows()
+        field, value = mutation
+        if field == "fields":
+            rows[row] = rows[row][:value] if value < 0 else \
+                rows[row] + ["0.0"] * value
+        else:
+            rows[row][["quantity", "x", "z", "value"].index(field)] = value
+        code, err = _fuzz_run(fuzz_dir, rows, FUZZ_CONFIG)
+        assert code == cli.EXIT_DATA, (mutation, err)
+        assert err.startswith("data error: ") and f":{row + 2}: " in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutation=CONFIG_MUTATIONS)
+    def test_bad_config_field_is_a_config_error(self, fuzz_dir, mutation):
+        path, value = mutation
+        cfg = copy.deepcopy(FUZZ_CONFIG)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(), cfg)
+        assert code == cli.EXIT_CONFIG, (mutation, err)
+        assert err.startswith("config error: ") and len(err) > 15

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,61 @@ class TestAssemble:
         model = gp.assemble(datasets, [support_bc()], THETA)
         eig = np.linalg.eigvalsh(model.K)
         assert eig.min() >= -1e-8 * np.trace(model.K)
+
+
+class TestFactorizeLapack:
+    """``factorize`` calls LAPACK directly: scipy's bits at every level."""
+
+    @staticmethod
+    def model_of(monkeypatch, K):
+        # Five noiseless rows: the layout adds nothing to the given K.
+        layout = gp.data_layout([], [BoundaryCondition(
+            kind=QuantityKind.DEFLECTION, x=np.linspace(0.0, 1.0, 5))])
+        monkeypatch.setattr(gp, "evaluate", lambda layout, theta: K.copy())
+        return gp.factorize(layout, THETA)
+
+    @staticmethod
+    def matrix(delta):
+        """A K whose smallest eigenvalue is about -delta: a 2 x 2 block
+        [[1, 1 + delta], [1 + delta, 1]] beside an SPD 3 x 3 block."""
+        a = np.random.default_rng(5).standard_normal((3, 3))
+        K = np.zeros((5, 5))
+        K[:2, :2] = [[1.0, 1.0 + delta], [1.0 + delta, 1.0]]
+        K[2:, 2:] = a @ a.T + np.eye(3)
+        return K
+
+    @pytest.mark.parametrize("level", (0.0,) + gp.JITTER_LADDER)
+    def test_chol_and_solve_match_scipy(self, monkeypatch, level):
+        # Eigenvalue -0.3 level: fails one rung below, passes at ``level``.
+        K = self.matrix(-0.5 if level == 0.0 else 0.3 * level)
+        model = self.model_of(monkeypatch, K)
+        assert model.jitter == level
+        diag = np.maximum(np.diag(K), 1e-300)
+        Kj = K if level == 0.0 else K + np.diag(level * diag)
+        L = scipy.linalg.cholesky(Kj, lower=True)
+        assert same_bits(model.chol, L)
+        rng = np.random.default_rng(1)
+        for b in (rng.standard_normal(5), rng.standard_normal((3, 5)).T):
+            assert same_bits(model.solve(b),
+                             scipy.linalg.cho_solve((L, True), b))
+
+    def test_every_level_failing_raises(self, monkeypatch):
+        with pytest.raises(IllConditionedModelError) as info:
+            self.model_of(monkeypatch, self.matrix(0.3))
+        assert info.value.attempted_levels == (0.0,) + gp.JITTER_LADDER
+
+    def test_predict_matches_solve_triangular(self):
+        model = gp.assemble([w_dataset([0.2, 0.5, 0.8], sigma=0.01)],
+                            [support_bc()], THETA)
+        x = np.linspace(0.0, 1.0, 7)
+        pred = gp.predict(model, QuantityKind.DEFLECTION, x)
+        ks = gp.covariance([gp.Points(QuantityKind.DEFLECTION, x)],
+                           THETA, model.entries)
+        v = scipy.linalg.solve_triangular(model.chol, ks.T, lower=True)
+        k_diag = kernels.kernel(QuantityKind.DEFLECTION,
+                                QuantityKind.DEFLECTION, x, x, THETA)
+        want = np.maximum(k_diag - np.sum(v * v, axis=0), 0.0)
+        assert same_bits(pred.var, want)
 
 
 class TestLogMarginalLikelihood:

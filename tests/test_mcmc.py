@@ -1,7 +1,10 @@
 """Tests for priors, the Metropolis-Hastings core and chain summaries."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 from timopigp import beam, gp, mcmc
 from timopigp.beam import BeamConfig, NoiseSpec
@@ -179,6 +182,23 @@ class TestRandomWalkMetropolis:
         with pytest.raises(ValueError):
             random_walk_metropolis(lambda x: -np.inf, np.array([0.0]), cfg)
 
+    def test_zero_density_proposal_never_accepted(self, monkeypatch):
+        # uniform() may return exactly 0, and log(0) <= -inf - lt holds.
+        class ZeroUniform:
+            def standard_normal(self, d):
+                return np.ones(d)
+
+            def uniform(self):
+                return 0.0
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: ZeroUniform())
+        cfg = McmcConfig(n_total=20, n_b=0, n_t=1, seed=0, adapt=False)
+        draws, acc, lts = random_walk_metropolis(
+            lambda x: 0.0 if x[0] == 0.0 else -np.inf, np.array([0.0]), cfg)
+        assert acc == 0.0
+        assert np.all(draws == 0.0) and np.all(lts == 0.0)
+
 
 class TestRunChain:
     def test_tiny_beam_chain(self):
@@ -234,6 +254,135 @@ class TestRunChain:
                        sigma_n={"w": 0.0})
         with pytest.raises(ValueError):
             run_chain(datasets, bcs, {}, cfg, theta0)
+
+
+def slow_target(datasets, bcs, priors, names, counts):
+    """The chain's log target spelled out, one name and one step at a time.
+
+    Per-name priors, the dense K plus noise, scipy's ``cholesky`` up the
+    jitter ladder and ``cho_solve`` for the evidence, then the Jacobian
+    of the log transform.  ``counts`` gets what the chain counts.
+    """
+    entries = gp.order_entries(datasets, bcs)
+    y = np.concatenate([e.y for e in entries])
+    is_log = np.array([n in mcmc.LOG_PARAMS or n.startswith("sigma_n:")
+                       for n in names])
+
+    def target(s):
+        counts["evaluations"] += 1
+        vec = s.copy()
+        vec[is_log] = np.exp(s[is_log])
+        if np.any(vec <= 0):
+            counts["prior_support"] += 1
+            return -np.inf
+        try:
+            theta = mcmc.thetas_from_draws(vec[None, :], names)[0]
+        except ValueError:
+            counts["invalid_theta"] += 1
+            return -np.inf
+        lp = 0.0
+        for name, value in zip(names, vec):
+            lp += priors.get(name, mcmc.default_prior(name)).log_density(value)
+        if not np.isfinite(lp):
+            counts["prior_support"] += 1
+            return -np.inf
+        K = gp.covariance(entries, theta)
+        start = 0
+        for e in entries:
+            idx = np.arange(start, start + len(e.x))
+            start += len(e.x)
+            sig = theta.sigma_n.get(e.label, e.sigma_n) if e.learn_noise \
+                else e.sigma_n
+            if sig > 0:
+                K[idx, idx] += sig**2
+        if not np.all(np.isfinite(K)):
+            counts["non_finite_covariance"] += 1
+            return -np.inf
+        diag = np.maximum(np.diag(K), 1e-300)
+        for level in (0.0,) + gp.JITTER_LADDER:
+            try:
+                L = cholesky(K if level == 0.0 else K + np.diag(level * diag),
+                             lower=True)
+            except LinAlgError:
+                continue
+            counts[repr(level)] += 1
+            break
+        else:
+            counts["ill_conditioned"] += 1
+            return -np.inf
+        log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
+        lml = float(-0.5 * y @ cho_solve((L, True), y) - 0.5 * log_det
+                    - 0.5 * y.size * np.log(2.0 * np.pi))
+        lp = lml + lp
+        if not np.isfinite(lp):
+            return -np.inf
+        return lp + float(np.sum(s[is_log]))
+
+    return target, is_log
+
+
+class TestLeanStep:
+    """``run_chain``'s step against the slow target, bit for bit."""
+
+    @pytest.mark.parametrize("scales,hits", [
+        (0.1, ["prior_support"]),
+        ({"ell": 40.0}, ["prior_support", "non_finite_covariance",
+                         "1e-12"]),
+        ({"sigma_s2": 400.0}, ["prior_support", "invalid_theta"])])
+    def test_chain_equals_slow_path(self, monkeypatch, scales, hits):
+        datasets, bcs = tiny_problem()
+        datasets[0].learn_noise = True
+        bcs.append(BoundaryCondition(kind=QuantityKind.MOMENT,
+                                     x=np.array([0.0, 1.0])))
+        priors = {"EI": UniformBounded(0.8, 1.2),
+                  "kGA": UniformBounded(2.5, 3.5)}
+        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0,
+                       sigma_n={"w": 1e-3})
+        cfg = McmcConfig(n_total=400, n_b=100, n_t=1, seed=3,
+                         proposal_scale=scales, adapt=False)
+        seen = {}
+        real = mcmc.random_walk_metropolis
+
+        def spy(log_target, x0, cfg, scales=None):
+            seen.update(x0=x0.copy(), scales=scales.copy())
+            return real(log_target, x0, cfg, scales=scales)
+
+        monkeypatch.setattr(mcmc, "random_walk_metropolis", spy)
+        chain = run_chain(datasets, bcs, priors, cfg, theta0)
+
+        counts = Counter()
+        target, is_log = slow_target(datasets, bcs, priors,
+                                     chain.param_names, counts)
+        draws_s, acc, lts = real(target, seen["x0"], cfg,
+                                 scales=seen["scales"])
+        draws = draws_s.copy()
+        draws[:, is_log] = np.exp(draws_s[:, is_log])
+        assert chain.acceptance_rate == acc > 0.0
+        assert chain.draws.tobytes() == draws.tobytes()
+        assert chain.log_posterior_trace.tobytes() == lts.tobytes()
+
+        got = chain.target_counts
+        assert got["evaluations"] == counts["evaluations"]
+        assert got["rejected"] == {c: counts[c] for c in mcmc.REJECTIONS}
+        assert got["jitter"] == {level: counts[level]
+                                 for level in got["jitter"]}
+        for hit in hits:
+            assert counts[hit] > 0, hit
+
+    def test_counts_add_up_to_evaluations(self):
+        datasets, bcs = tiny_problem()
+        priors = {"EI": UniformBounded(0.5, 1.5),
+                  "kGA": UniformBounded(1.5, 4.5)}
+        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0)
+        cfg = McmcConfig(n_total=300, n_b=100, n_t=2, seed=11)
+        counts = run_chain(datasets, bcs, priors, cfg, theta0).target_counts
+        assert counts["evaluations"] == cfg.n_total + 1
+        assert set(counts["rejected"]) == set(mcmc.REJECTIONS)
+        assert set(counts["jitter"]) == {
+            repr(level) for level in (0.0,) + gp.JITTER_LADDER}
+        assert sum(counts["rejected"].values()) + \
+            sum(counts["jitter"].values()) == cfg.n_total + 1
+        assert all(isinstance(v, int) for v in counts["rejected"].values())
 
 
 class TestSummarize:
