@@ -86,6 +86,15 @@ def _criterion(code: str) -> PlacementCriterion:
     raise ConfigError(f"unknown placement criterion {code!r}")
 
 
+def _flag(spec: dict, where: str, key: str, default: bool) -> bool:
+    """A config switch: JSON true or false, ``default`` when absent."""
+    value = spec.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: {key} must be true or false, "
+                          f"got {value!r}")
+    return value
+
+
 def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
     m = cfg.get("mcmc", {})
     try:
@@ -94,7 +103,7 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
                           n_t=int(m.get("n_t", 10)),
                           proposal_scale=m.get("proposal_scale", 0.1),
                           seed=seed,
-                          adapt=bool(m.get("adapt", True)))
+                          adapt=_flag(m, "mcmc", "adapt", True))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid mcmc section: {exc}") from None
 
@@ -144,13 +153,13 @@ def read_data(paths, beam: BeamConfig) -> list:
     return datasets
 
 
-def resolve_locations(spec: dict, beam: BeamConfig) -> np.ndarray:
+def resolve_locations(spec: dict, beam: BeamConfig, where: str) -> np.ndarray:
     """Dataset locations: explicit list, interior grid, or placement ref."""
     if "locations" in spec:
         return np.asarray(spec["locations"], float)
     if "grid" in spec:
         n = int(spec["grid"])
-        if spec.get("include_ends", False):
+        if _flag(spec, where, "include_ends", False):
             return np.linspace(0.0, beam.L, n)
         return np.linspace(0.0, beam.L, n + 2)[1:-1]
     if "placement" in spec:
@@ -161,7 +170,7 @@ def resolve_locations(spec: dict, beam: BeamConfig) -> np.ndarray:
             n_sensors=int(p.get("n_sensors", 7)),
             n_candidates=int(p.get("n_candidates", 31)),
             ell=p.get("ell"),
-            with_bcs=bool(p.get("with_bcs", True)))
+            with_bcs=_flag(p, f"{where}.placement", "with_bcs", True))
     raise ConfigError("dataset needs 'locations', 'grid' or 'placement'")
 
 
@@ -181,7 +190,8 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
     datasets = []
     for i, spec in enumerate(cfg.get("datasets", [])):
         kind = _kind(spec["kind"])
-        locs = resolve_locations(spec, beam)
+        where = f"datasets[{i}]"
+        locs = resolve_locations(spec, beam, where)
         ndp = int(spec.get("ndp", 1))
         if ndp < 1:
             raise ConfigError("ndp must be >= 1")
@@ -196,7 +206,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
         ds = beam_mod.synthesize_dataset(
             beam, kind, locs, noise, z=spec.get("z"),
             label=spec.get("label", f"ds{i}"),
-            learn_noise=bool(spec.get("learn_noise", False)))
+            learn_noise=_flag(spec, where, "learn_noise", False))
         datasets.append(ds)
         outputs[f"data_{ds.label}.csv"] = {"seed": ds_seed}
         write_datasets_csv(out_dir / f"data_{ds.label}.csv", [ds])
@@ -222,7 +232,7 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     # The map does not depend on the criterion: one per kind, written for
     # each criterion.
     maps = {}
-    if p.get("entropy_map", False):
+    if _flag(p, "placement", "entropy_map", False):
         for kind in kinds:
             maps[kind] = placement.exhaustive_entropy_map(
                 PlacementProblem(candidates=candidates, kinds=kind,
@@ -281,9 +291,10 @@ def _apply_dataset_config(datasets: list, cfg: dict, beam: BeamConfig):
     by_label = {spec.get("label"): spec for spec in cfg.get("datasets", [])}
     for ds in datasets:
         spec = by_label.get(ds.label, {})
+        where = f"dataset {ds.label!r}"
         if "sigma_n" in spec and spec["sigma_n"] is not None:
             ds.sigma_n = _noise_level(ds.label, "sigma_n", spec["sigma_n"])
-            ds.learn_noise = bool(spec.get("learn_noise", False))
+            ds.learn_noise = _flag(spec, where, "learn_noise", False)
         elif ds.kind is QuantityKind.LOAD:
             ds.sigma_n = experiments.LOAD_NOISE_FACTOR * \
                 max(float(np.max(np.abs(ds.y))), 1e-300)
@@ -292,7 +303,7 @@ def _apply_dataset_config(datasets: list, cfg: dict, beam: BeamConfig):
             ds.sigma_n = _noise_level(
                 ds.label, "sigma_n_init", spec.get("sigma_n_init", 0.0)) \
                 or 0.05 * float(np.std(ds.y))
-            ds.learn_noise = bool(spec.get("learn_noise", True))
+            ds.learn_noise = _flag(spec, where, "learn_noise", True)
 
 
 def _write_chain_csv(path, chain: PosteriorChain):

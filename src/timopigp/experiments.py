@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -176,38 +176,28 @@ def replication_seed(root_seed: int, point: int, rep: int) -> int:
 
 @dataclass(frozen=True)
 class SweepTask:
+    """One replication: support BCs and sensor_set's 7 physics-placed
+    sensors per domain on 31 candidates."""
+
     beam_r: float
     snr: float
     ndp: int
     seed: int
     chain_seed: int
     mcmc: McmcConfig
-    bc_mode: str = "support"  # "none" | "deflection" | "support"
-    n_sensors: int = 7
-    n_candidates: int = 31
 
 
 def _run_sweep_task(task: SweepTask) -> dict:
     beam = scenario_beam(task.beam_r)
     w_locs, phi_locs = (
-        sensor_set(beam, kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
-                   n_sensors=task.n_sensors, n_candidates=task.n_candidates)
+        sensor_set(beam, kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY)
         for kind in (QuantityKind.DEFLECTION, QuantityKind.ROTATION))
     datasets = synth_identification_data(beam, w_locs, phi_locs,
                                          snr=task.snr, seed=task.seed,
                                          ndp=task.ndp)
-    if task.bc_mode == "support":
-        bcs = support_bcs(beam)
-    elif task.bc_mode == "deflection":
-        bcs = deflection_bcs(beam)
-    else:
-        bcs = []
-    cfg = McmcConfig(n_total=task.mcmc.n_total, n_b=task.mcmc.n_b,
-                     n_t=task.mcmc.n_t,
-                     proposal_scale=task.mcmc.proposal_scale,
-                     seed=task.chain_seed, adapt=task.mcmc.adapt)
+    cfg = replace(task.mcmc, seed=task.chain_seed)
     try:
-        chain = identify(datasets, bcs, beam, cfg)
+        chain = identify(datasets, support_bcs(beam), beam, cfg)
     except Exception as exc:  # per-point failures recorded, sweep continues
         return {"error": repr(exc)}
     stats = mcmc.summarize(chain)

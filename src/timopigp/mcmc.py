@@ -293,7 +293,8 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     def log_target(s):
         counts["evaluations"] += 1
         vec = s.copy()
-        vec[is_log] = np.exp(s[is_log])
+        with np.errstate(over="ignore"):  # inf is refused by Theta
+            vec[is_log] = np.exp(s[is_log])
         if (vec <= 0).any():
             counts["prior_support"] += 1
             return -np.inf

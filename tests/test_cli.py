@@ -514,8 +514,33 @@ CONFIG_MUTATIONS = st.one_of(
                                -1e-3])),
     st.tuples(st.sampled_from([("beam",), ("version",)]), st.none()))
 
+# Every config switch with a config that reads it: (command, config, path
+# to the switch, how the error names its section).  Only JSON true and
+# false are switch values.
+SIMULATE_CONFIG = {"version": 1, "beam": BEAM,
+                   "datasets": [{"kind": "w", "grid": 3, "sigma_n": 0.0,
+                                 "label": "w"}]}
+SWITCHES = [
+    ("identify", FUZZ_CONFIG, ("mcmc", "adapt"), "mcmc"),
+    ("identify", FUZZ_CONFIG, ("datasets", 0, "learn_noise"), "dataset 'w'"),
+    ("identify", dict(FUZZ_CONFIG, datasets=[{"label": "w"}]),
+     ("datasets", 0, "learn_noise"), "dataset 'w'"),
+    ("simulate", SIMULATE_CONFIG, ("datasets", 0, "include_ends"),
+     "datasets[0]"),
+    ("simulate", SIMULATE_CONFIG, ("datasets", 0, "learn_noise"),
+     "datasets[0]"),
+    ("simulate", dict(SIMULATE_CONFIG, datasets=[
+        {"kind": "w", "sigma_n": 0.0, "label": "w",
+         "placement": {"n_sensors": 2, "n_candidates": 6}}]),
+     ("datasets", 0, "placement", "with_bcs"), "datasets[0].placement"),
+    ("place", {"version": 1, "beam": BEAM,
+               "placement": {"n_candidates": 6, "n_sensors": 2}},
+     ("placement", "entropy_map"), "placement")]
+NOT_BOOLEANS = st.sampled_from(["false", "true", "no", "", 0, 1, 0.0, None,
+                                [], {}]) | st.text(max_size=5)
 
-def _fuzz_run(directory, rows, cfg):
+
+def _fuzz_run(directory, rows, cfg, command="identify"):
     data = directory / "data.csv"
     with open(data, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -523,11 +548,22 @@ def _fuzz_run(directory, rows, cfg):
         writer.writerows(rows)
     config = directory / "config.json"
     config.write_text(json.dumps(cfg))
+    args = [command, "--config", config, "--out", directory / "out"]
+    if command == "identify":
+        args += ["--data", data]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = run(["identify", "--config", config, "--out",
-                    directory / "out", "--data", data])
+        code = run(args)
     return code, err.getvalue()
+
+
+def _switched(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -569,3 +605,25 @@ class TestInputFuzz:
         code, err = _fuzz_run(fuzz_dir, fuzz_rows(), cfg)
         assert code == cli.EXIT_CONFIG, (mutation, err)
         assert err.startswith("config error: ") and len(err) > 15
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("case", SWITCHES,
+                             ids=lambda c: f"{c[0]}-{c[2][-1]}")
+    def test_boolean_switch_runs(self, fuzz_dir, case, value):
+        command, cfg, path, _ = case
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
+                              _switched(cfg, path, value), command)
+        assert code == cli.EXIT_OK, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(SWITCHES), value=NOT_BOOLEANS)
+    def test_non_boolean_switch_is_a_config_error(self, fuzz_dir, case,
+                                                 value):
+        """A string such as "false" is refused by name, not read as
+        Python truth."""
+        command, cfg, path, where = case
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
+                              _switched(cfg, path, value), command)
+        assert code == cli.EXIT_CONFIG, (case, value, err)
+        assert err.startswith(f"config error: {where}: {path[-1]} must be "
+                              "true or false"), err

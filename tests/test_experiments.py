@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from timopigp import experiments, mcmc
+from timopigp.errors import StuckChainError
 from timopigp.experiments import (SweepTask, default_theta0, deflection_bcs,
                                   replication_seed, scenario_beam,
                                   sensor_set, stiffness_priors, support_bcs,
@@ -149,14 +150,17 @@ def test_chain_pinned():
 
 
 class TestSweeps:
-    def test_failed_replications_are_recorded(self):
-        # An McmcConfig that can never finish burn-in signals per-point
-        # failure without aborting the sweep.
+    def test_failed_replications_are_recorded(self, monkeypatch):
+        """A replication whose identification raises is recorded with its
+        error, without aborting the sweep."""
+        def fail(*args, **kwargs):
+            raise StuckChainError(10)
+
+        monkeypatch.setattr(experiments, "identify", fail)
         res = experiments._run_sweep_task(SweepTask(
             beam_r=1.0, snr=20.0, ndp=1, seed=1, chain_seed=2,
-            mcmc=McmcConfig(n_total=10, n_b=5, n_t=1), n_sensors=2,
-            n_candidates=5, bc_mode="bogus"))
-        assert "EI_mean" in res or "error" in res
+            mcmc=McmcConfig(n_total=10, n_b=5, n_t=1)))
+        assert res == {"error": repr(StuckChainError(10))}
 
     def test_aggregate_handles_failures(self):
         agg = experiments._aggregate([

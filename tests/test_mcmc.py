@@ -321,6 +321,22 @@ def slow_target(datasets, bcs, priors, names, counts):
     return target, is_log
 
 
+def lean_scenario(scales):
+    """(datasets, bcs, priors, cfg, theta0) of a 400-step chain with w and
+    M BCs, a learned noise level and the given proposal scales."""
+    datasets, bcs = tiny_problem()
+    datasets[0].learn_noise = True
+    bcs.append(BoundaryCondition(kind=QuantityKind.MOMENT,
+                                 x=np.array([0.0, 1.0])))
+    priors = {"EI": UniformBounded(0.8, 1.2),
+              "kGA": UniformBounded(2.5, 3.5)}
+    theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0,
+                   sigma_n={"w": 1e-3})
+    cfg = McmcConfig(n_total=400, n_b=100, n_t=1, seed=3,
+                     proposal_scale=scales, adapt=False)
+    return datasets, bcs, priors, cfg, theta0
+
+
 class TestLeanStep:
     """``run_chain``'s step against the slow target, bit for bit."""
 
@@ -330,16 +346,7 @@ class TestLeanStep:
                          "1e-12"]),
         ({"sigma_s2": 400.0}, ["prior_support", "invalid_theta"])])
     def test_chain_equals_slow_path(self, monkeypatch, scales, hits):
-        datasets, bcs = tiny_problem()
-        datasets[0].learn_noise = True
-        bcs.append(BoundaryCondition(kind=QuantityKind.MOMENT,
-                                     x=np.array([0.0, 1.0])))
-        priors = {"EI": UniformBounded(0.8, 1.2),
-                  "kGA": UniformBounded(2.5, 3.5)}
-        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0,
-                       sigma_n={"w": 1e-3})
-        cfg = McmcConfig(n_total=400, n_b=100, n_t=1, seed=3,
-                         proposal_scale=scales, adapt=False)
+        datasets, bcs, priors, cfg, theta0 = lean_scenario(scales)
         seen = {}
         real = mcmc.random_walk_metropolis
 
@@ -368,6 +375,13 @@ class TestLeanStep:
                                  for level in got["jitter"]}
         for hit in hits:
             assert counts[hit] > 0, hit
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_proposal_is_silent(self):
+        """A log-scale proposal that overflows exp is rejected as
+        invalid_theta without a RuntimeWarning."""
+        chain = run_chain(*lean_scenario({"sigma_s2": 400.0}))
+        assert chain.target_counts["rejected"]["invalid_theta"] > 0
 
     def test_counts_add_up_to_evaluations(self):
         datasets, bcs = tiny_problem()

@@ -1,5 +1,6 @@
 """Tests for entropy-based greedy sensor placement."""
 
+import itertools
 import math
 
 import numpy as np
@@ -234,7 +235,7 @@ class TestConditionedCovariance:
         p = problem([QuantityKind.DEFLECTION] * 4,
                     PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                     n_sensors=2, n_candidates=4, bcs=support_bcs())
-        got = placement.conditioned_covariance(sel, p)
+        _, got = placement.conditioned_covariance(sel, p.bcs, PARAMS)
         K = np.array([[float(kernels.kernel(ki, kj, xi, xj, PARAMS))
                        for xj, kj in sel] for xi, ki in sel])
         xb = np.array([0.0, 1.0])
@@ -265,6 +266,22 @@ class TestSetEntropy:
         h_cond = conditional_entropy(0.4, QuantityKind.DEFLECTION, [],
                                      support_bcs(), PARAMS)
         assert h_set == pytest.approx(h_cond, rel=1e-6)
+
+    @pytest.mark.parametrize("ell,sigma_s2", [(0.125, 0.5), (0.125, 1.0),
+                                              (0.1125, 0.5)])
+    def test_pinned_sensor_scores_at_floor(self, ell, sigma_s2):
+        """A w sensor on a w BC has no variance left; it scores the
+        greedy's floor, 1e-12 of its prior variance, whatever rounding
+        residue the conditioning leaves."""
+        params = Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0, kGA=3.0)
+        p = problem(QuantityKind.DEFLECTION,
+                    PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                    n_sensors=4, n_candidates=12, bcs=support_bcs(),
+                    params=params)
+        k = float(kernels.kernel(QuantityKind.DEFLECTION,
+                                 QuantityKind.DEFLECTION, 0.0, 0.0, params))
+        assert set_entropy([(0.0, QuantityKind.DEFLECTION)], p) == \
+            pytest.approx(0.5 * (LOG_2PIE + math.log(1e-12 * k)), rel=1e-12)
 
     def test_duplicates_rejected(self):
         p = problem(QuantityKind.DEFLECTION, PlacementCriterion.ENTROPY)
@@ -344,20 +361,37 @@ class TestExhaustiveEntropyMap:
     @pytest.mark.parametrize("kind", [QuantityKind.DEFLECTION,
                                       QuantityKind.ROTATION],
                              ids=lambda k: k.code)
-    @pytest.mark.parametrize("with_bcs", [False, True], ids=["free", "bcs"])
-    def test_map_equals_per_subset_entropy(self, kind, with_bcs):
+    @pytest.mark.parametrize("bcs", ["free", "bcs", "wM"])
+    def test_map_equals_per_subset_entropy(self, kind, bcs):
         """The one-Sigma map is exactly the normalized set_entropy of each
-        subset, which conditions that subset on the BCs by itself."""
-        p = problem(kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
-                    n_sensors=3, n_candidates=9,
-                    bcs=support_bcs() if with_bcs else [])
-        rows = exhaustive_entropy_map(p)
-        raw = np.array([set_entropy([(float(p.candidates[i]), kind)
-                                     for i in subset], p)
-                        for subset, _ in rows])
-        lo, hi = raw.min(), raw.max()
-        want = [float((h - lo) / (hi - lo)) for h in raw]
-        assert [v for _, v in rows] == want
+        subset, which conditions that subset on the BCs by itself, and
+        a subset without a pinned candidate has the entropy
+        0.5 ln det(2 pi e Sigma)."""
+        bc_list = BC_SETS["w" if bcs == "bcs" else bcs]
+        # A w candidate on a w BC is pinned: its Sigma is singular.
+        pinned = {0.0, 1.0} if bc_list and kind is W else set()
+        for n_sensors in (1, 3, 9):
+            p = problem(kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                        n_sensors=n_sensors, n_candidates=9, bcs=bc_list)
+            rows = exhaustive_entropy_map(p)
+            assert [s for s, _ in rows] == \
+                list(itertools.combinations(range(9), n_sensors))
+            sets = [[(float(p.candidates[i]), kind) for i in subset]
+                    for subset, _ in rows]
+            raw = np.array([set_entropy(s, p) for s in sets])
+            lo, hi = raw.min(), raw.max()
+            span = hi - lo if hi > lo else 1.0
+            assert [v for _, v in rows] == \
+                [float((h - lo) / span) for h in raw]
+
+            for s, h in zip(sets, raw):
+                if pinned & {x for x, _ in s}:
+                    continue
+                sign, logdet = np.linalg.slogdet(
+                    placement.conditioned_covariance(s, p.bcs, PARAMS)[1])
+                assert sign > 0
+                assert abs(h - 0.5 * (len(s) * LOG_2PIE + logdet)) <= \
+                    1e-12 * max(1.0, abs(h))
 
     def test_zero_sensor_map_rejected(self):
         p = problem(QuantityKind.DEFLECTION,
