@@ -9,7 +9,6 @@ per (sweep point, replication).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -21,8 +20,8 @@ import numpy as np
 from timopigp import beam as beam_mod
 from timopigp import experiments, gp, mcmc, placement
 from timopigp.beam import BeamConfig, NoiseSpec
-from timopigp.data import (BoundaryCondition, read_datasets_csv,
-                           write_datasets_csv)
+from timopigp.data import (BoundaryCondition, finite_floats, read_csv,
+                           read_datasets_csv, write_csv, write_datasets_csv)
 from timopigp.errors import (DataFormatError, EnumerationGuardError,
                              IllConditionedModelError,
                              NonFiniteCovarianceError, StuckChainError)
@@ -51,9 +50,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if cfg.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version "
-                          f"{cfg.get('version')!r}; expected {CONFIG_VERSION}")
+    version = cfg.get("version") if isinstance(cfg, dict) else None
+    if not _real(version) or version != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {version!r}; "
+                          f"expected {CONFIG_VERSION}")
     return cfg
 
 
@@ -62,83 +62,127 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def beam_from_config(cfg: dict) -> BeamConfig:
-    try:
-        b = cfg["beam"]
-        return BeamConfig(L=float(b["L"]), EI_true=float(b["EI"]),
-                          kGA_true=float(b["kGA"]), q0=float(b["q0"]),
-                          h=float(b.get("h", 0.1)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid beam section: {exc}") from None
+def _read(spec: dict, where: str, key: str, parse, default=...):
+    """``parse(spec[key])``, or ``parse(default)`` when the key is absent.
 
-
-def _kind(code: str) -> QuantityKind:
-    try:
-        return QuantityKind.from_code(code)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _criterion(code: str) -> PlacementCriterion:
-    for crit in PlacementCriterion:
-        if crit.value == code:
-            return crit
-    raise ConfigError(f"unknown placement criterion {code!r}")
-
-
-def _flag(spec: dict, where: str, key: str, default: bool) -> bool:
-    """A config switch: JSON true or false, ``default`` when absent."""
+    Every config value is read here.  A null where the default is None
+    reads as absent.  A missing key without a default (``...``), or a
+    value that ``parse`` refuses with a TypeError, ValueError or
+    OverflowError, is a ConfigError "<where>: <key> ..." quoting the
+    parser's docstring, which says what it accepts.
+    """
     value = spec.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: {key} must be true or false, "
-                          f"got {value!r}")
-    return value
+    if value is None and default is None:
+        return None
+    if value is ...:
+        raise ConfigError(f"{where}: {key} is missing")
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: {key} must be {parse.__doc__}, "
+                          f"got {value!r}") from None
+
+
+def _parser(what: str, test=None, convert=None):
+    """A parser of the values ``test`` accepts, through ``convert``."""
+    def parse(value):
+        if test is not None and not test(value):
+            raise ValueError
+        return value if convert is None else convert(value)
+    parse.__doc__ = what
+    return parse
+
+
+def _real(value, low=-math.inf, above=False) -> bool:
+    """A finite JSON number, not a boolean, at least ``low`` (or above)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value > low if above else value >= low))
+
+
+def _list(parse, what: str):
+    return _parser(what, lambda v: isinstance(v, (list, tuple)),
+                   lambda v: [parse(item) for item in v])
+
+
+_switch = _parser("true or false", lambda v: isinstance(v, bool))
+_text = _parser("a string", lambda v: isinstance(v, str))
+_section = _parser("an object", lambda v: isinstance(v, dict))
+# Not finite: the entries that check a value's finiteness name it.
+_number = _parser("a number", lambda v: _real(v) or isinstance(v, float),
+                  float)
+_finite = _parser("a finite number", _real, float)
+_level = _parser("a non-negative finite number", lambda v: _real(v, 0.0),
+                 float)
+# Kept as written: placement.json echoes the prior's sigma_s2 and ell.
+_scale = _parser("a positive finite number", lambda v: _real(v, 0.0, True))
+_positive = _parser(_scale.__doc__, convert=lambda v: float(_scale(v)))
+_count = _parser("a whole number >= 0",
+                 lambda v: _real(v, 0.0) and v == int(v), int)
+_repeats = _parser("a whole number >= 1",
+                   lambda v: _real(v, 1.0) and v == int(v), int)
+_kind = _parser("a quantity code (w, phi, eps, M, V or q)",
+                convert=QuantityKind)
+_criterion = _parser("a placement criterion (physics, entropy or mi)",
+                     convert=PlacementCriterion)
+_numbers = _list(_number, "a list of numbers")
+_positives = _list(_positive, "a list of positive finite numbers")
+_depths = _parser("a number or a list of numbers", convert=lambda v:
+                  _numbers(v) if isinstance(v, list) else _finite(v))
+_scales = _parser("a positive finite number or an object of them",
+                  lambda v: all(_real(s, 0.0, True) for s in (
+                      v.values() if isinstance(v, dict) else [v])))
+_kinds = _list(_kind, "a list of quantity codes")
+_criteria = _list(_criterion, "a list of placement criteria")
+_sections = _list(_section, "a list of objects")
+
+
+def beam_from_config(cfg: dict) -> BeamConfig:
+    b = _read(cfg, "config", "beam", _section)
+    return BeamConfig(L=_read(b, "beam", "L", _positive),
+                      EI_true=_read(b, "beam", "EI", _positive),
+                      kGA_true=_read(b, "beam", "kGA", _positive),
+                      q0=_read(b, "beam", "q0", _finite),
+                      h=_read(b, "beam", "h", _positive, 0.1))
 
 
 def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
-    m = cfg.get("mcmc", {})
-    try:
-        return McmcConfig(n_total=int(m.get("n_total", 25000)),
-                          n_b=int(m.get("n_b", 5000)),
-                          n_t=int(m.get("n_t", 10)),
-                          proposal_scale=m.get("proposal_scale", 0.1),
-                          seed=seed,
-                          adapt=_flag(m, "mcmc", "adapt", True))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid mcmc section: {exc}") from None
+    m = _read(cfg, "config", "mcmc", _section, {})
+    return McmcConfig(n_total=_read(m, "mcmc", "n_total", _count, 25000),
+                      n_b=_read(m, "mcmc", "n_b", _count, 5000),
+                      n_t=_read(m, "mcmc", "n_t", _count, 10),
+                      proposal_scale=_read(m, "mcmc", "proposal_scale",
+                                           _scales, 0.1),
+                      seed=seed,
+                      adapt=_read(m, "mcmc", "adapt", _switch, True))
 
 
 def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
     """Bounded stiffness priors: factors of the true EI (and kGA)."""
-    pr = cfg.get("priors", {})
-    try:
-        ei = pr.get("EI", {})
-        priors = experiments.stiffness_priors(
-            beam, lo=float(ei.get("lo_factor", 0.5)),
-            hi=float(ei.get("hi_factor", 1.5)))
-        if "kGA" in pr:
-            priors["kGA"] = mcmc.UniformBounded(
-                float(pr["kGA"].get("lo_factor", 0.5)) * beam.kGA_true,
-                float(pr["kGA"].get("hi_factor", 1.5)) * beam.kGA_true)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid priors section: {exc}") from None
+    pr = _read(cfg, "config", "priors", _section, {})
+    ei = _read(pr, "priors", "EI", _section, {})
+    lo = _read(ei, "priors.EI", "lo_factor", _finite, 0.5)
+    hi = _read(ei, "priors.EI", "hi_factor", _finite, 1.5)
+    priors = experiments.stiffness_priors(beam, lo=lo, hi=hi)
+    if "kGA" in pr:
+        kga = _read(pr, "priors", "kGA", _section)
+        lo = _read(kga, "priors.kGA", "lo_factor", _finite, 0.5)
+        hi = _read(kga, "priors.kGA", "hi_factor", _finite, 1.5)
+        priors["kGA"] = mcmc.UniformBounded(lo * beam.kGA_true,
+                                            hi * beam.kGA_true)
     return priors
 
 
 def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
     out = []
-    for i, spec in enumerate(cfg.get("bcs", [])):
-        try:
-            bc = BoundaryCondition(
-                kind=_kind(spec["kind"]),
-                x=np.asarray(spec["locations"], float),
-                y=np.asarray(spec["values"], float)
-                if "values" in spec else None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid bc entry: {exc}") from None
+    for i, spec in enumerate(_read(cfg, "config", "bcs", _sections, [])):
+        where = f"bcs[{i}]"
+        bc = BoundaryCondition(kind=_read(spec, where, "kind", _kind),
+                               x=_read(spec, where, "locations", _numbers),
+                               y=_read(spec, where, "values", _numbers, None))
         off = bc.x[(bc.x < 0.0) | (bc.x > beam.L)]
         if off.size:
-            raise ConfigError(f"bcs[{i}] ({bc.kind.code}): location "
+            raise ConfigError(f"{where} ({bc.kind.code}): location "
                               f"{float(off[0])!r} is off the span "
                               f"[0, {beam.L!r}]")
         out.append(bc)
@@ -147,67 +191,56 @@ def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
 
 def read_data(paths, beam: BeamConfig) -> list:
     """Datasets from CSV files, each row's x checked against the span."""
-    datasets = []
-    for path in paths:
-        datasets.extend(read_datasets_csv(path, span=beam.L))
-    return datasets
+    return [ds for path in paths for ds in read_datasets_csv(path, beam.L)]
 
 
-def resolve_locations(spec: dict, beam: BeamConfig, where: str) -> np.ndarray:
+def resolve_locations(spec: dict, beam: BeamConfig, where: str,
+                      kind: QuantityKind) -> np.ndarray:
     """Dataset locations: explicit list, interior grid, or placement ref."""
     if "locations" in spec:
-        return np.asarray(spec["locations"], float)
+        return np.asarray(_read(spec, where, "locations", _numbers))
     if "grid" in spec:
-        n = int(spec["grid"])
-        if _flag(spec, where, "include_ends", False):
+        n = _read(spec, where, "grid", _count)
+        if _read(spec, where, "include_ends", _switch, False):
             return np.linspace(0.0, beam.L, n)
         return np.linspace(0.0, beam.L, n + 2)[1:-1]
     if "placement" in spec:
-        p = spec["placement"]
+        p = _read(spec, where, "placement", _section)
+        where = f"{where}.placement"
         return experiments.sensor_set(
-            beam, _kind(p.get("kind", spec["kind"])),
-            _criterion(p.get("criterion", "physics")),
-            n_sensors=int(p.get("n_sensors", 7)),
-            n_candidates=int(p.get("n_candidates", 31)),
-            ell=p.get("ell"),
-            with_bcs=_flag(p, f"{where}.placement", "with_bcs", True))
-    raise ConfigError("dataset needs 'locations', 'grid' or 'placement'")
+            beam, _read(p, where, "kind", _kind, kind),
+            _read(p, where, "criterion", _criterion, "physics"),
+            n_sensors=_read(p, where, "n_sensors", _count, 7),
+            n_candidates=_read(p, where, "n_candidates", _count, 31),
+            ell=_read(p, where, "ell", _scale, None),
+            with_bcs=_read(p, where, "with_bcs", _switch, True))
+    raise ConfigError(f"{where}: needs 'locations', 'grid' or 'placement'")
 
 
 def _write_manifest(out_dir: Path, cfg: dict, seed: int, outputs: dict):
-    manifest = {
-        "config_sha256": config_hash(cfg),
-        "root_seed": seed,
-        "outputs": outputs,
-    }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump({"config_sha256": config_hash(cfg), "root_seed": seed,
+                   "outputs": outputs}, fh, indent=2, sort_keys=True)
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
     beam = beam_from_config(cfg)
     outputs = {}
-    datasets = []
-    for i, spec in enumerate(cfg.get("datasets", [])):
-        kind = _kind(spec["kind"])
+    for i, spec in enumerate(_read(cfg, "config", "datasets", _sections, [])):
         where = f"datasets[{i}]"
-        locs = resolve_locations(spec, beam, where)
-        ndp = int(spec.get("ndp", 1))
-        if ndp < 1:
-            raise ConfigError("ndp must be >= 1")
-        locs = np.tile(locs, ndp)
+        kind = _read(spec, where, "kind", _kind)
+        locs = resolve_locations(spec, beam, where, kind)
+        locs = np.tile(locs, _read(spec, where, "ndp", _repeats, 1))
         ds_seed = experiments.replication_seed(seed, i, 0)
-        if spec.get("sigma_n") is not None:
-            noise = NoiseSpec(sigma_n=float(spec["sigma_n"]), seed=ds_seed)
-        elif spec.get("snr") is not None:
-            noise = NoiseSpec(snr=float(spec["snr"]), seed=ds_seed)
-        else:
-            noise = NoiseSpec(sigma_n=0.0, seed=ds_seed)
+        sigma_n = _read(spec, where, "sigma_n", _level, None)
+        snr = _read(spec, where, "snr", _positive, None)
+        noise = NoiseSpec(snr=snr, seed=ds_seed) \
+            if sigma_n is None and snr is not None \
+            else NoiseSpec(sigma_n=sigma_n or 0.0, seed=ds_seed)
         ds = beam_mod.synthesize_dataset(
-            beam, kind, locs, noise, z=spec.get("z"),
-            label=spec.get("label", f"ds{i}"),
-            learn_noise=_flag(spec, where, "learn_noise", False))
-        datasets.append(ds)
+            beam, kind, locs, noise, z=_read(spec, where, "z", _depths, None),
+            label=_read(spec, where, "label", _text, f"ds{i}"),
+            learn_noise=_read(spec, where, "learn_noise", _switch, False))
         outputs[f"data_{ds.label}.csv"] = {"seed": ds_seed}
         write_datasets_csv(out_dir / f"data_{ds.label}.csv", [ds])
     _write_manifest(out_dir, cfg, seed, outputs)
@@ -217,28 +250,30 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
 def cmd_place(cfg: dict, out_dir: Path, seed: int,
               full_scale: bool = False) -> int:
     beam = beam_from_config(cfg)
-    p = cfg.get("placement")
-    if p is None:
-        raise ConfigError("config lacks a placement section")
-    n_candidates = int(p.get("n_candidates", 31))
-    n_sensors = int(p.get("n_sensors", 7))
-    params = experiments.placement_params(beam, ell=p.get("ell"),
-                                          sigma_s2=p.get("sigma_s2", 1.0))
+    p = _read(cfg, "config", "placement", _section)
+    n_candidates = _read(p, "placement", "n_candidates", _count, 31)
+    n_sensors = _read(p, "placement", "n_sensors", _count, 7)
+    params = experiments.placement_params(
+        beam, ell=_read(p, "placement", "ell", _scale, None),
+        sigma_s2=_read(p, "placement", "sigma_s2", _scale, 1.0))
     bcs = bcs_from_config(cfg, beam)
     candidates = np.linspace(0.0, beam.L, n_candidates)
-    kinds = [_kind(k) for k in p.get("kinds", ["w"])]
-    criteria = [_criterion(c) for c in p.get("criteria", ["physics"])]
+    kinds = _read(p, "placement", "kinds", _kinds, ["w"])
+    criteria = _read(p, "placement", "criteria", _criteria, ["physics"])
 
-    # The map does not depend on the criterion: one per kind, written for
-    # each criterion.
+    # The map does not depend on the criterion: one per kind, its rows
+    # written for each criterion.
     maps = {}
-    if _flag(p, "placement", "entropy_map", False):
+    if _read(p, "placement", "entropy_map", _switch, False):
         for kind in kinds:
-            maps[kind] = placement.exhaustive_entropy_map(
+            entropy_map = placement.exhaustive_entropy_map(
                 PlacementProblem(candidates=candidates, kinds=kind,
                                  n_sensors=n_sensors, params=params, bcs=bcs),
-                max_combos=int(p.get("max_combos", 300_000)),
+                max_combos=_read(p, "placement", "max_combos", _count,
+                                 300_000),
                 full_scale=full_scale)
+            maps[kind] = [("|".join(map(str, subset)), h)
+                          for subset, h in entropy_map]
 
     results = []
     outputs = {}
@@ -260,12 +295,8 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
             })
             if kind in maps:
                 name = f"entropy_map_{crit.value}_{kind.code}.csv"
-                with open(out_dir / name, "w", newline="",
-                          encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["subset", "normalized_entropy"])
-                    for subset, h in maps[kind]:
-                        writer.writerow(["|".join(map(str, subset)), repr(h)])
+                write_csv(out_dir / name, ["subset", "normalized_entropy"],
+                          maps[kind])
                 outputs[name] = {"seed": seed}
 
     with open(out_dir / "placement.json", "w", encoding="utf-8") as fh:
@@ -275,80 +306,34 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     return EXIT_OK
 
 
-def _noise_level(label: str, key: str, value) -> float:
-    try:
-        sigma = float(value)
-    except (TypeError, ValueError):
-        sigma = math.nan
-    if not 0 <= sigma < math.inf:
-        raise ConfigError(f"dataset {label!r}: {key} must be a non-negative "
-                          f"finite number, got {value!r}")
-    return sigma
-
-
-def _apply_dataset_config(datasets: list, cfg: dict, beam: BeamConfig):
+def _apply_dataset_config(datasets: list, cfg: dict):
     """Attach noise treatment from the config to CSV-loaded datasets."""
-    by_label = {spec.get("label"): spec for spec in cfg.get("datasets", [])}
+    specs = _read(cfg, "config", "datasets", _sections, [])
+    by_label = {_read(spec, f"datasets[{i}]", "label", _text, None): spec
+                for i, spec in enumerate(specs)}
     for ds in datasets:
         spec = by_label.get(ds.label, {})
         where = f"dataset {ds.label!r}"
-        if "sigma_n" in spec and spec["sigma_n"] is not None:
-            ds.sigma_n = _noise_level(ds.label, "sigma_n", spec["sigma_n"])
-            ds.learn_noise = _flag(spec, where, "learn_noise", False)
+        sigma_n = _read(spec, where, "sigma_n", _level, None)
+        if sigma_n is not None:
+            ds.sigma_n = sigma_n
+            ds.learn_noise = _read(spec, where, "learn_noise", _switch, False)
         elif ds.kind is QuantityKind.LOAD:
             ds.sigma_n = experiments.LOAD_NOISE_FACTOR * \
                 max(float(np.max(np.abs(ds.y))), 1e-300)
             ds.learn_noise = False
         else:
-            ds.sigma_n = _noise_level(
-                ds.label, "sigma_n_init", spec.get("sigma_n_init", 0.0)) \
+            ds.sigma_n = _read(spec, where, "sigma_n_init", _level, 0.0) \
                 or 0.05 * float(np.std(ds.y))
-            ds.learn_noise = _flag(spec, where, "learn_noise", True)
-
-
-def _write_chain_csv(path, chain: PosteriorChain):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(chain.param_names)
-        for row in chain.draws:
-            writer.writerow([repr(float(v)) for v in row])
+            ds.learn_noise = _read(spec, where, "learn_noise", _switch, True)
 
 
 def _read_chain_csv(path) -> PosteriorChain:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise DataFormatError(path, 1, "empty chain file") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise DataFormatError(path, line_no,
-                                      f"expected {len(names)} fields, "
-                                      f"got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataFormatError(path, line_no, str(exc)) from None
-            for name, value in zip(names, values):
-                if not np.isfinite(value):
-                    raise DataFormatError(path, line_no,
-                                          f"{name} must be finite, got "
-                                          f"{value!r}")
-            rows.append(values)
+    names, rows = read_csv(path, finite_floats, empty="empty chain file")
     draws = np.asarray(rows)
-    thetas = mcmc.thetas_from_draws(draws, names)
-    return PosteriorChain(param_names=names, draws=draws, thetas=thetas,
+    return PosteriorChain(names, draws, mcmc.thetas_from_draws(draws, names),
                           acceptance_rate=float("nan"),
                           log_posterior_trace=np.array([]), seed=-1)
-
-
-def _dump_kernel_matrix(out_dir, datasets, bcs, theta):
-    model = gp.assemble(datasets, bcs, theta)
-    np.savetxt(out_dir / "kernel_matrix.csv", model.K, delimiter=",")
 
 
 def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
@@ -358,21 +343,21 @@ def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
     if not datasets:
         raise DataFormatError(data_paths[0] if data_paths else "<none>", 1,
                               "no datasets loaded")
-    _apply_dataset_config(datasets, cfg, beam)
+    _apply_dataset_config(datasets, cfg)
     bcs = bcs_from_config(cfg, beam)
     priors = priors_from_config(cfg, beam)
     mcfg = mcmc_from_config(cfg, seed)
     theta0 = experiments.default_theta0(datasets, beam, priors)
     if dump_kernels:
-        _dump_kernel_matrix(out_dir, datasets, bcs, theta0)
+        np.savetxt(out_dir / "kernel_matrix.csv",
+                   gp.assemble(datasets, bcs, theta0).K, delimiter=",")
     chain = experiments.identify(datasets, bcs, beam, mcfg, priors=priors,
                                  theta0=theta0)
 
-    _write_chain_csv(out_dir / "chain.csv", chain)
+    write_csv(out_dir / "chain.csv", chain.param_names, chain.draws.tolist())
     stats = mcmc.summarize(chain)
-    summary = {name: s for name, s in stats.items()}
-    summary["EI_normalized"] = stats["EI"]["mean"] / beam.EI_true
-    summary["kGA_normalized"] = stats["kGA"]["mean"] / beam.kGA_true
+    summary = dict(stats, EI_normalized=stats["EI"]["mean"] / beam.EI_true,
+                   kGA_normalized=stats["kGA"]["mean"] / beam.kGA_true)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     diagnostics = {
@@ -385,47 +370,35 @@ def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
     with open(out_dir / "diagnostics.json", "w", encoding="utf-8") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
     _write_manifest(out_dir, cfg, seed, {
-        "chain.csv": {"seed": seed},
-        "summary.json": {"seed": seed},
-        "diagnostics.json": {"seed": seed},
-    })
+        name: {"seed": seed}
+        for name in ("chain.csv", "summary.json", "diagnostics.json")})
     return EXIT_OK
-
-
-def _write_prediction_csv(path, pred: gp.Prediction):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "x", "z", "mean", "var"])
-        for i in range(pred.x_star.size):
-            z = "" if pred.z_star is None else repr(float(pred.z_star[i]))
-            writer.writerow([pred.kind.code, repr(float(pred.x_star[i])), z,
-                             repr(float(pred.mean[i])),
-                             repr(float(pred.var[i]))])
 
 
 def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
                 data_paths) -> int:
     beam = beam_from_config(cfg)
     datasets = read_data(data_paths, beam)
-    _apply_dataset_config(datasets, cfg, beam)
+    _apply_dataset_config(datasets, cfg)
     bcs = bcs_from_config(cfg, beam)
     chain = _read_chain_csv(chain_path)
-    pcfg = cfg.get("predict", {})
-    max_draws = int(pcfg.get("max_draws", 100))
+    pcfg = _read(cfg, "config", "predict", _section, {})
+    max_draws = _read(pcfg, "predict", "max_draws", _count, 100)
     if len(chain.thetas) > max_draws:
         idx = np.linspace(0, len(chain.thetas) - 1, max_draws).astype(int)
         chain.thetas = [chain.thetas[i] for i in idx]
         chain.draws = chain.draws[idx]
 
-    n_grid = int(pcfg.get("n_grid", 101))
-    x_star = np.linspace(0.0, beam.L, n_grid)
+    x_star = np.linspace(0.0, beam.L,
+                         _read(pcfg, "predict", "n_grid", _count, 101))
     queries = []
-    for code in pcfg.get("kinds", ["w"]):
-        kind = _kind(code)
+    for kind in _read(pcfg, "predict", "kinds", _kinds, ["w"]):
         if kind is QuantityKind.STRAIN:
-            sg = pcfg.get("strain_grid", {"nx": 31, "nz": 11})
-            xs = np.linspace(0.0, beam.L, int(sg["nx"]))
-            zs = np.linspace(-beam.h / 2.0, beam.h / 2.0, int(sg["nz"]))
+            sg = _read(pcfg, "predict", "strain_grid", _section, {})
+            where = "predict.strain_grid"
+            xs = np.linspace(0.0, beam.L, _read(sg, where, "nx", _count, 31))
+            zs = np.linspace(-beam.h / 2.0, beam.h / 2.0,
+                             _read(sg, where, "nz", _count, 11))
             xx, zz = np.meshgrid(xs, zs, indexing="ij")
             queries.append((kind, xx.ravel(), zz.ravel()))
         else:
@@ -433,7 +406,11 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
     outputs = {}
     for pred in gp.predict_mixture(datasets, bcs, chain, queries):
         name = f"pred_{pred.kind.code}.csv"
-        _write_prediction_csv(out_dir / name, pred)
+        n = pred.x_star.size
+        z = [None] * n if pred.z_star is None else pred.z_star
+        write_csv(out_dir / name, ["kind", "x", "z", "mean", "var"],
+                  zip([pred.kind.code] * n, pred.x_star, z, pred.mean,
+                      pred.var))
         outputs[name] = {"seed": seed}
     _write_manifest(out_dir, cfg, seed, outputs)
     return EXIT_OK
@@ -441,32 +418,28 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
 
 def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str,
               full_scale: bool = False) -> int:
-    scfg = cfg.get("study", {}).get(study_name)
-    if scfg is None:
-        raise ConfigError(f"config lacks study.{study_name}")
+    where = f"study.{study_name}"
+    scfg = _read(_read(cfg, "config", "study", _section, {}), "study",
+                 study_name, _section)
     mcfg = mcmc_from_config(cfg, seed)
-    reps = int(scfg.get("replications", 50))
+    reps = _read(scfg, where, "replications", _count, 50)
     if full_scale:
-        reps = int(scfg.get("full_replications", 1000))
+        reps = _read(scfg, where, "full_replications", _count, 1000)
 
     study = experiments.STUDIES[study_name]
-    settings = {k: float(scfg[k]) for k in study.settings if k in scfg}
+    settings = {k: _read(scfg, where, k, _positive)
+                for k in study.settings if k in scfg}
     points = experiments.sweep_study(
-        study_name, scfg.get(study.config_key, study.default), reps, seed,
-        mcfg, **settings)
+        study_name, _read(scfg, where, study.config_key, _positives,
+                          study.default), reps, seed, mcfg, **settings)
 
     name = f"study_{study_name}.csv"
-    fields = ["sweep_value", "n_reps", "n_failed",
-              "EI_mean", "EI_mean_std", "EI_post_std", "EI_ci_lo", "EI_ci_hi",
-              "kGA_mean", "kGA_mean_std", "kGA_post_std", "kGA_ci_lo",
-              "kGA_ci_hi"]
-    with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for value, agg in points.items():
-            writer.writerow([repr(float(value))] +
-                            [repr(agg[k]) if k in agg else ""
-                             for k in fields[1:]])
+    fields = ["sweep_value", "n_reps", "n_failed"] + [
+        f"{p}_{stat}" for p in ("EI", "kGA")
+        for stat in ("mean", "mean_std", "post_std", "ci_lo", "ci_hi")]
+    write_csv(out_dir / name, fields,
+              ([value] + [agg.get(k) for k in fields[1:]]
+               for value, agg in points.items()))
     _write_manifest(out_dir, cfg, seed, {name: {"seed": seed}})
     return EXIT_OK
 
@@ -477,35 +450,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Physics-informed GP toolkit for static Timoshenko beams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, full_scale=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="root seed (overrides config)")
+        if full_scale:
+            p.add_argument("--full-scale", action="store_true",
+                           help="lift enumeration and replication guards")
+        return p
 
-    p = sub.add_parser("simulate", help="synthesize noisy datasets")
-    common(p)
-    p = sub.add_parser("place", help="run sensor placement criteria")
-    common(p)
-    p.add_argument("--full-scale", action="store_true",
-                   help="lift enumeration and replication guards")
-    p = sub.add_parser("identify", help="MH stiffness identification")
-    common(p)
+    command("simulate", "synthesize noisy datasets")
+    command("place", "run sensor placement criteria", full_scale=True)
+    p = command("identify", "MH stiffness identification")
     p.add_argument("--data", nargs="+", required=True,
                    help="dataset CSV files")
     p.add_argument("--dump-kernels", action="store_true",
                    help="dump the assembled covariance matrix as CSV")
-    p = sub.add_parser("predict", help="mixture predictions from a chain")
-    common(p)
+    p = command("predict", "mixture predictions from a chain")
     p.add_argument("--chain", required=True, help="chain CSV from identify")
     p.add_argument("--data", nargs="+", required=True,
                    help="dataset CSV files used in training")
-    p = sub.add_parser("study", help="replicated sweep studies")
-    common(p)
+    p = command("study", "replicated sweep studies", full_scale=True)
     p.add_argument("--study", required=True,
                    choices=list(experiments.STUDIES))
-    p.add_argument("--full-scale", action="store_true",
-                   help="lift enumeration and replication guards")
     return parser
 
 
@@ -514,7 +483,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None \
-            else int(cfg.get("seed", 0))
+            else _read(cfg, "config", "seed", _count, 0)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -535,7 +504,6 @@ def main(argv=None) -> int:
         if args.command == "study":
             return cmd_study(cfg, out_dir, seed, args.study,
                              full_scale=args.full_scale)
-        raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, EnumerationGuardError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -84,16 +84,65 @@ class BoundaryCondition:
                        sigma_n=0.0, learn_noise=False, label="__bc__")
 
 
-def write_datasets_csv(path, datasets: list[Dataset]) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV: a string as is, None as an empty field and a number as
+    the repr of its Python value, so floats round-trip exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, ds in enumerate(datasets):
-            ds_id = ds.label or f"ds{i}"
-            for j in range(len(ds)):
-                z = "" if ds.z is None else repr(float(ds.z[j]))
-                writer.writerow([ds.kind.code, repr(float(ds.x[j])), z,
-                                 repr(float(ds.y[j])), ds_id])
+        writer.writerow(header)
+        writer.writerows(map(_field, row) for row in rows)
+
+
+def _field(value) -> str:
+    if value is None or isinstance(value, str):
+        return value or ""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
+def read_csv(path, parse_row, header=None, empty="empty file"):
+    """A CSV file's header and ``parse_row(names, fields)`` of each
+    non-blank row.  An empty file, a header other than ``header`` (if
+    given; fields stripped), a row whose field count is not the header's
+    and a ValueError from ``parse_row`` are DataFormatErrors at file:line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise DataFormatError(path, 1, empty) from None
+        if header is not None and [h.strip() for h in names] != header:
+            raise DataFormatError(path, 1,
+                                  f"expected header {','.join(header)}")
+        parsed = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataFormatError(path, line_no,
+                                      f"expected {len(names)} fields, "
+                                      f"got {len(row)}")
+            try:
+                parsed.append(parse_row(names, row))
+            except ValueError as exc:
+                raise DataFormatError(path, line_no, str(exc)) from None
+    return names, parsed
+
+
+def finite_floats(names, fields) -> list:
+    """The fields as floats; a ValueError names the first inf or NaN."""
+    values = [float(f) for f in fields]
+    for name, v in zip(names, values):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    return values
+
+
+def write_datasets_csv(path, datasets: list[Dataset]) -> None:
+    write_csv(path, CSV_HEADER,
+              ([ds.kind.code, ds.x[j], None if ds.z is None else ds.z[j],
+                ds.y[j], ds.label or f"ds{i}"]
+               for i, ds in enumerate(datasets) for j in range(len(ds))))
 
 
 def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
@@ -101,57 +150,29 @@ def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
 
     With ``span``, the beam length L, a row whose x is off [0, L] is refused.
     """
-    groups: dict[str, dict] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(path, 1, "empty file") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise DataFormatError(path, 1,
-                                  f"expected header {','.join(CSV_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataFormatError(path, line_no,
-                                      f"expected 5 fields, got {len(row)}")
-            code, xs, zs, vs, ds_id = [c.strip() for c in row]
-            try:
-                kind = QuantityKind.from_code(code)
-                x = float(xs)
-                value = float(vs)
-                z = float(zs) if zs else None
-            except ValueError as exc:
-                raise DataFormatError(path, line_no, str(exc)) from None
-            for name, v in (("x", x), ("value", value), ("z", z)):
-                if v is not None and not math.isfinite(v):
-                    raise DataFormatError(path, line_no,
-                                          f"{name} must be finite, got {v!r}")
-            if span is not None and not 0.0 <= x <= span:
-                raise DataFormatError(path, line_no,
-                                      f"dataset {ds_id!r}: x = {x!r} is off "
-                                      f"the span [0, {span!r}]")
-            if kind is QuantityKind.STRAIN and z is None:
-                raise DataFormatError(path, line_no,
-                                      "strain rows require a z value")
-            grp = groups.setdefault(ds_id, {"kind": kind, "x": [], "y": [],
-                                            "z": []})
-            if grp["kind"] is not kind:
-                raise DataFormatError(
-                    path, line_no,
-                    f"dataset {ds_id!r} mixes quantities "
-                    f"{grp['kind'].code} and {kind.code}")
-            grp["x"].append(x)
-            grp["y"].append(value)
-            grp["z"].append(z)
+    groups: dict[str, tuple] = {}   # dataset_id: (kind, rows)
 
+    def parse_row(_, row):
+        code, xs, zs, vs, ds_id = [c.strip() for c in row]
+        kind = QuantityKind.from_code(code)
+        x, value, *z = finite_floats(("x", "value", "z"),
+                                     [xs, vs] + ([zs] if zs else []))
+        z = z[0] if z else None
+        if span is not None and not 0.0 <= x <= span:
+            raise ValueError(f"dataset {ds_id!r}: x = {x!r} is off the "
+                             f"span [0, {span!r}]")
+        if kind is QuantityKind.STRAIN and z is None:
+            raise ValueError("strain rows require a z value")
+        first, rows = groups.setdefault(ds_id, (kind, []))
+        if first is not kind:
+            raise ValueError(f"dataset {ds_id!r} mixes quantities "
+                             f"{first.code} and {kind.code}")
+        rows.append((x, value, z))
+
+    read_csv(path, parse_row, header=CSV_HEADER)
     datasets = []
-    for ds_id, grp in groups.items():
-        z = None
-        if grp["kind"] is QuantityKind.STRAIN:
-            z = np.array(grp["z"], dtype=float)
-        datasets.append(Dataset(kind=grp["kind"], x=np.array(grp["x"]),
-                                y=np.array(grp["y"]), z=z, label=ds_id))
+    for ds_id, (kind, rows) in groups.items():
+        x, y, z = zip(*rows)
+        datasets.append(Dataset(kind=kind, x=x, y=y, label=ds_id,
+                                z=z if kind is QuantityKind.STRAIN else None))
     return datasets

@@ -145,7 +145,7 @@ def default_theta0(datasets, beam: BeamConfig, priors: dict) -> Theta:
         gain = 1.0 + 2.0 * a / ell0**2 + 3.0 * (a / ell0**2) ** 2
     elif ref.kind is QuantityKind.ROTATION:
         gain = (1.0 / ell0**2 + 6.0 * a / ell0**4
-                + 105.0 * a**2 / ell0**6)
+                + 15.0 * a**2 / ell0**6)
     else:
         gain = 1.0
     sigma_s2_0 = max(y_var / gain, 1e-300)
@@ -210,10 +210,10 @@ def _run_sweep_task(task: SweepTask) -> dict:
     }
 
 
-def run_sweep(tasks: list, parallel: bool = True) -> list:
-    """Execute replication tasks, optionally on a process pool."""
+def run_sweep(tasks: list) -> list:
+    """Execute replication tasks, on a process pool if there are workers."""
     n_workers = worker_count()
-    if parallel and n_workers > 1 and len(tasks) > 1:
+    if n_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(_run_sweep_task, tasks))
     return [_run_sweep_task(t) for t in tasks]
@@ -257,8 +257,7 @@ STUDIES = {"noise": Study(0, "snr", "snrs", (5, 10, 20, 50, 100), ("r",)),
 
 
 def sweep_study(study: str, values, replications: int, root_seed: int,
-                cfg: McmcConfig, snr: float = 10.0, r: float = 1.0,
-                parallel: bool = True) -> dict:
+                cfg: McmcConfig, snr: float = 10.0, r: float = 1.0) -> dict:
     """Replicated identification at each value of one swept setting.
 
     ``noise`` sweeps the SNR at rigidity ``r``, ``rigidity`` sweeps r at
@@ -275,8 +274,7 @@ def sweep_study(study: str, values, replications: int, root_seed: int,
         points[value] = [SweepTask(**setting, seed=seed,
                                    chain_seed=seed ^ 0x9E37, mcmc=cfg)
                          for seed in seeds]
-    results = iter(run_sweep([t for tasks in points.values() for t in tasks],
-                             parallel=parallel))
+    results = iter(run_sweep([t for tasks in points.values() for t in tasks]))
     return {value: _aggregate([next(results) for _ in tasks])
             for value, tasks in points.items()}
 

@@ -1,7 +1,8 @@
 """Joint covariance assembly, marginal likelihood and predictive equations.
 
 One engine builds every covariance matrix: the likelihood's K, the
-predictive cross-covariances and placement's candidate covariance.  A
+predictive cross-covariances and prior variances, and placement's
+candidate covariance (``kernels.kernel`` is the tests' reference).  A
 ``Layout`` holds what does not depend on the hyperparameters: the distinct
 pairwise differences, the kind pair of each element and, per element and
 operator term, where its value sits in a table of terms built from
@@ -376,12 +377,9 @@ def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
     return factorize(data_layout(datasets, bcs), theta)
 
 
-def log_marginal_likelihood(model: CovarianceModel,
-                            y_all: np.ndarray | None = None) -> float:
+def log_marginal_likelihood(model: CovarianceModel) -> float:
     """Gaussian log evidence -y'K^-1 y/2 - log|K|/2 - n log(2 pi)/2."""
-    y = model.y if y_all is None else np.asarray(y_all, float)
-    if y.shape != model.y.shape:
-        raise ValueError(f"expected {model.y.shape[0]} values, got {y.size}")
+    y = model.y
     alpha = model.solve(y)
     return float(-0.5 * y @ alpha - 0.5 * model.log_det()
                  - 0.5 * y.size * np.log(2.0 * np.pi))
@@ -395,6 +393,21 @@ def _query(kind: QuantityKind, x_star, z_star) -> Points:
         z_star = np.broadcast_to(np.asarray(z_star, float),
                                  x_star.shape).copy()
     return Points(kind, x_star, z_star)
+
+
+def _prior_variance(kind, x_star, z_star, theta: Theta) -> np.ndarray:
+    """k(x, x) per query point from a zero-difference layout: one point, or
+    one per distinct depth, as only a strain query's z changes it."""
+    if z_star is None:
+        return np.full(x_star.shape, evaluate(_zero_layout(kind), theta)[0, 0])
+    depths, at = np.unique(z_star, return_inverse=True)
+    layout = Layout([Points(kind, np.zeros(depths.size), depths)])
+    return evaluate(layout, theta).diagonal()[at]
+
+
+@functools.cache
+def _zero_layout(kind: QuantityKind) -> Layout:
+    return Layout([Points(kind, np.zeros(1))])
 
 
 def predict(model: CovarianceModel, kind: QuantityKind, x_star,
@@ -413,9 +426,7 @@ def predict(model: CovarianceModel, kind: QuantityKind, x_star,
     v, info = dtrtrs(model.chol, ks.T, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-    k_diag = kernels.kernel(kind, kind, x_star, x_star, model.theta,
-                            z=z_star, z_prime=z_star)
-    k_diag = check_finite(np.atleast_1d(np.asarray(k_diag, float)))
+    k_diag = check_finite(_prior_variance(kind, x_star, z_star, model.theta))
     var = k_diag - np.sum(v * v, axis=0)
 
     floor = -NEGATIVE_VARIANCE_SLACK * np.maximum(k_diag, 0.0)

@@ -11,10 +11,10 @@ with the coefficient tables below generated once from He_{n+1} = u He_n -
 n He_{n-1} and committed as source; the test suite validates every order
 against finite differences.
 
-``OPERATORS`` is the one operator table.  ``kernel`` evaluates it block by
-block and is the reference the test suite checks against sympy; the
-layout-cached engine in ``gp`` runs the same elementwise sequence over a
-whole matrix and is checked bit for bit against ``kernel``.
+``OPERATORS`` is the one operator table; the layout-cached engine in ``gp``
+evaluates it for every covariance the package computes.  ``kernel``
+evaluates it block by block and no module calls it: it is the reference
+the tests check against sympy and check the engine against bit for bit.
 
 The kernels read four fields of a ``gp.Theta``: sigma_s2, ell, EI and kGA.
 """

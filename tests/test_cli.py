@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timopigp import beam, cli, placement
+from timopigp import beam, cli, experiments, gp, placement
 from timopigp.beam import BeamConfig
 from timopigp.quantities import QuantityKind
 
@@ -102,6 +102,21 @@ class TestExitCodes:
         cfg = {"version": 99, "beam": BEAM}
         assert run(["simulate", "--config", write_config(tmp_path, cfg),
                     "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("version", [True, "1", [1]])
+    def test_version_must_be_the_number(self, tmp_path, capsys, version):
+        cfg = {"version": version, "beam": BEAM,
+               "datasets": [{"kind": "w", "grid": 3, "label": "w"}]}
+        assert run(["simulate", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+        assert "unsupported config version" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        assert run(["simulate", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_config(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.json",
@@ -396,6 +411,30 @@ class TestIdentifyPredict:
         assert "bad_chain.csv:2: EI must be finite" in \
             capsys.readouterr().err
 
+    def test_dump_kernels_writes_the_starting_covariance(self, workflow):
+        """kernel_matrix.csv is K at the chain's start point, exactly: the
+        savetxt format keeps every bit of a float."""
+        tmp_path, _, _ = workflow
+        cfg = {"version": 1, "beam": BEAM, "seed": 3,
+               "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+               "datasets": [{"label": "w", "sigma_n": 1e-4}],
+               "mcmc": {"n_total": 20, "n_b": 10, "n_t": 1}}
+        data = [tmp_path / "sim" / f"data_{label}.csv"
+                for label in ("w", "phi")]
+        out = tmp_path / "dump"
+        assert run(["identify", "--config",
+                    write_config(tmp_path, cfg, "dump.json"), "--out", out,
+                    "--dump-kernels", "--data"] + data) == 0
+        beam_cfg = cli.beam_from_config(cfg)
+        datasets = cli.read_data(data, beam_cfg)
+        cli._apply_dataset_config(datasets, cfg)
+        bcs = cli.bcs_from_config(cfg, beam_cfg)
+        theta0 = experiments.default_theta0(
+            datasets, beam_cfg, cli.priors_from_config(cfg, beam_cfg))
+        K = gp.assemble(datasets, bcs, theta0).K
+        np.testing.assert_array_equal(
+            np.loadtxt(out / "kernel_matrix.csv", delimiter=","), K)
+
     def test_manifest_lists_outputs(self, workflow):
         _, out_id, out_pred = workflow
         m_id = json.loads((out_id / "manifest.json").read_text())
@@ -549,8 +588,14 @@ def _fuzz_run(directory, rows, cfg, command="identify"):
     config = directory / "config.json"
     config.write_text(json.dumps(cfg))
     args = [command, "--config", config, "--out", directory / "out"]
-    if command == "identify":
+    if command in ("identify", "predict"):
         args += ["--data", data]
+    if command == "predict":
+        chain = directory / "chain.csv"
+        chain.write_text("sigma_s2,ell,EI,kGA\n1.0,0.125,1.0,3.0\n")
+        args += ["--chain", chain]
+    if command == "study":
+        args += ["--study", "noise"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run(args)
@@ -627,3 +672,134 @@ class TestInputFuzz:
         assert code == cli.EXIT_CONFIG, (case, value, err)
         assert err.startswith(f"config error: {where}: {path[-1]} must be "
                               "true or false"), err
+
+
+# The other commands' configs and the top-level seed: one value at a time,
+# in the BAD_NUMBERS style plus a scalar where a list belongs and a list
+# where a scalar belongs.  Every value is read by the CLI's one config
+# reader, so each mutation exits 2 with "config error: <where>: <key>".
+# (json writes 1e400 as Infinity, which reads back as the same inf.)
+FUZZ_SIMULATE = {"version": 1, "beam": BEAM, "datasets": [
+    {"kind": "w", "grid": 3, "snr": 20, "ndp": 2, "label": "w"},
+    {"kind": "phi", "sigma_n": 0.0, "label": "phi",
+     "placement": {"n_sensors": 2, "n_candidates": 6, "ell": 0.2}},
+    {"kind": "M", "locations": [0.25, 0.5], "sigma_n": 0.0, "label": "M"}]}
+FUZZ_PLACE = {"version": 1, "beam": BEAM, "seed": 0,
+              "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+              "placement": {"n_candidates": 6, "n_sensors": 2,
+                            "kinds": ["w"], "criteria": ["physics"],
+                            "sigma_s2": 1.0, "ell": 0.2,
+                            "entropy_map": True, "max_combos": 100}}
+FUZZ_PREDICT = dict(FUZZ_CONFIG, predict={
+    "kinds": ["w", "eps"], "n_grid": 5, "max_draws": 2,
+    "strain_grid": {"nx": 3, "nz": 3}})
+FUZZ_STUDY = {"version": 1, "beam": BEAM, "seed": 0,
+              "mcmc": {"n_total": 30, "n_b": 10, "n_t": 1},
+              "study": {"noise": {"snrs": [20], "replications": 1,
+                                  "r": 1.0}}}
+FUZZ_BASES = {"simulate": FUZZ_SIMULATE, "place": FUZZ_PLACE,
+              "identify": FUZZ_CONFIG, "predict": FUZZ_PREDICT,
+              "study": FUZZ_STUDY}
+
+BAD_VALUES = {
+    "count": BAD_NUMBERS + [None, [4], -1, 2.5, True, "7"],
+    "number": BAD_NUMBERS + [[1], 0.0, -1.0, True, "1.0"],
+    "list": [None, 5, 1.0, "w", {}, True, ["xyz"], [[1]], [True]],
+    "object": [None, 5, "abc", [], [1], True]}
+# (command, path to the value, how the error names its section, type).
+FUZZ_FIELDS = [
+    ("simulate", ("datasets", 0, "grid"), "datasets[0]", "count"),
+    ("simulate", ("datasets", 0, "ndp"), "datasets[0]", "count"),
+    ("simulate", ("datasets", 0, "snr"), "datasets[0]", "number"),
+    ("simulate", ("datasets", 1, "placement"), "datasets[1]", "object"),
+    ("simulate", ("datasets", 1, "placement", "n_sensors"),
+     "datasets[1].placement", "count"),
+    ("simulate", ("datasets", 1, "placement", "n_candidates"),
+     "datasets[1].placement", "count"),
+    ("simulate", ("datasets", 1, "placement", "ell"),
+     "datasets[1].placement", "number"),
+    ("simulate", ("datasets", 2, "locations"), "datasets[2]", "list"),
+    ("simulate", ("datasets",), "config", "list"),
+    ("place", ("placement",), "config", "object"),
+    ("place", ("placement", "n_candidates"), "placement", "count"),
+    ("place", ("placement", "n_sensors"), "placement", "count"),
+    ("place", ("placement", "max_combos"), "placement", "count"),
+    ("place", ("placement", "sigma_s2"), "placement", "number"),
+    ("place", ("placement", "ell"), "placement", "number"),
+    ("place", ("placement", "kinds"), "placement", "list"),
+    ("place", ("placement", "criteria"), "placement", "list"),
+    ("place", ("bcs",), "config", "list"),
+    ("predict", ("predict",), "config", "object"),
+    ("predict", ("predict", "max_draws"), "predict", "count"),
+    ("predict", ("predict", "n_grid"), "predict", "count"),
+    ("predict", ("predict", "kinds"), "predict", "list"),
+    ("predict", ("predict", "strain_grid"), "predict", "object"),
+    ("predict", ("predict", "strain_grid", "nx"), "predict.strain_grid",
+     "count"),
+    ("predict", ("predict", "strain_grid", "nz"), "predict.strain_grid",
+     "count"),
+    ("study", ("study", "noise"), "study", "object"),
+    ("study", ("study", "noise", "snrs"), "study.noise", "list"),
+    ("study", ("study", "noise", "r"), "study.noise", "number"),
+    ("study", ("study", "noise", "replications"), "study.noise", "count"),
+] + [(command, ("seed",), "config", "count") for command in FUZZ_BASES]
+
+# The one-field mutations that ended in a traceback before the config
+# reader: (command, path, value, how the error names its section).
+TRACEBACK_CASES = [
+    ("place", ("placement", "n_sensors"), [4], "placement"),
+    ("place", ("placement", "sigma_s2"), "abc", "placement"),
+    ("place", ("placement", "n_candidates"), float("inf"), "placement"),
+    ("place", ("placement", "max_combos"), None, "placement"),
+    ("place", ("seed",), [1], "config"),
+    ("simulate", ("datasets", 0, "grid"), [3], "datasets[0]"),
+    ("simulate", ("datasets", 0, "snr"), [1], "datasets[0]"),
+    ("simulate", ("datasets", 0, "ndp"), float("inf"), "datasets[0]"),
+    ("study", ("study", "noise", "snrs"), 5, "study.noise"),
+    ("study", ("study", "noise", "r"), [1], "study.noise")]
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", list(FUZZ_BASES))
+    def test_unmutated_config_runs(self, fuzz_dir, command):
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(), FUZZ_BASES[command],
+                              command)
+        assert code == cli.EXIT_OK, err
+
+    @pytest.mark.parametrize("case", FUZZ_FIELDS,
+                             ids=lambda c: f"{c[0]}-{c[1][-1]}")
+    def test_bad_value_named_by_section_and_key(self, fuzz_dir, case):
+        command, path, where, kind = case
+        for value in BAD_VALUES[kind]:
+            code, err = _fuzz_run(
+                fuzz_dir, fuzz_rows(),
+                _switched(FUZZ_BASES[command], path, value), command)
+            assert code == cli.EXIT_CONFIG, (value, err)
+            assert err.startswith(f"config error: {where}: {path[-1]} "), \
+                (value, err)
+
+    def test_a_null_optional_value_reads_as_absent(self, fuzz_dir):
+        cfg = _switched(FUZZ_PLACE, ("placement", "ell"), None)
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(), cfg, "place")
+        assert code == cli.EXIT_OK, err
+        results = json.loads((fuzz_dir / "out" / "placement.json")
+                             .read_text())
+        assert results[0]["params"]["ell"] == 1.0 / 8.0
+
+    @pytest.mark.parametrize("case", TRACEBACK_CASES,
+                             ids=lambda c: f"{c[0]}-{c[1][-1]}-{c[2]!r}")
+    def test_former_tracebacks_are_config_errors(self, fuzz_dir, case):
+        command, path, value, where = case
+        code, err = _fuzz_run(
+            fuzz_dir, fuzz_rows(),
+            _switched(FUZZ_BASES[command], path, value), command)
+        assert code == cli.EXIT_CONFIG, err
+        assert err.startswith(f"config error: {where}: {path[-1]} must be ")
+        assert "Traceback" not in err
+
+    def test_kinds_string_is_not_read_per_character(self, fuzz_dir):
+        cfg = _switched(FUZZ_PLACE, ("placement", "kinds"), "w")
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(), cfg, "place")
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: placement: kinds must be a list "
+                              "of quantity codes, got 'w'"), err

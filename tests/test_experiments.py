@@ -5,12 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from timopigp import experiments, mcmc
+from timopigp import experiments, kernels, mcmc
 from timopigp.errors import StuckChainError
 from timopigp.experiments import (SweepTask, default_theta0, deflection_bcs,
                                   replication_seed, scenario_beam,
                                   sensor_set, stiffness_priors, support_bcs,
                                   synth_identification_data)
+from timopigp.gp import Theta
 from timopigp.mcmc import McmcConfig, UniformBounded
 from timopigp.placement import PlacementCriterion
 from timopigp.quantities import QuantityKind
@@ -94,6 +95,25 @@ class TestPriorsAndStart:
         assert theta0.ell == pytest.approx(beam.L / 4.0)
         assert set(theta0.sigma_n) == {"w"}
         assert theta0.sigma_n["w"] > 0
+
+
+    @pytest.mark.parametrize("kind", [QuantityKind.DEFLECTION,
+                                      QuantityKind.ROTATION])
+    def test_theta0_gain_is_the_prior_variance(self, kind):
+        """sigma_s2 starts at var(y) / (k(x, x) / sigma_s2) of the first
+        deflection dataset, or else the first dataset: here w or phi."""
+        beam = scenario_beam(1.0)     # a = EI / kGA = 1/3; ell0 = L/4
+        locs = [0.3, 0.5, 0.7]
+        w, phi = (locs, None) if kind is QuantityKind.DEFLECTION \
+            else (None, locs)
+        datasets = synth_identification_data(beam, w, phi, snr=20.0, seed=1)
+        assert datasets[0].kind is kind
+        theta0 = default_theta0(datasets, beam, stiffness_priors(beam))
+        unit = Theta(sigma_s2=1.0, ell=theta0.ell, EI=theta0.EI,
+                     kGA=theta0.kGA)
+        gain = float(kernels.kernel(kind, kind, 0.0, 0.0, unit))
+        assert np.var(datasets[0].y) / theta0.sigma_s2 == \
+            pytest.approx(gain, rel=1e-12)
 
 
 class TestSensorSet:

@@ -188,11 +188,6 @@ class TestLogMarginalLikelihood:
         assert gp.log_marginal_likelihood(model) == \
             pytest.approx(want, rel=1e-10)
 
-    def test_dimension_mismatch(self):
-        model = gp.assemble([w_dataset([0.3, 0.6], sigma=0.1)], [], THETA)
-        with pytest.raises(ValueError):
-            gp.log_marginal_likelihood(model, y_all=np.zeros(3))
-
     def test_invariant_to_dataset_ordering(self):
         ds_w = w_dataset([0.2, 0.7], sigma=0.03)
         ds_m = Dataset(kind=QuantityKind.MOMENT, x=[0.4], y=[-0.12],
