@@ -440,7 +440,13 @@ def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str,
     write_csv(out_dir / name, fields,
               ([value] + [agg.get(k) for k in fields[1:]]
                for value, agg in points.items()))
-    _write_manifest(out_dir, cfg, seed, {name: {"seed": seed}})
+    failures = f"study_{study_name}_failures.json"
+    with open(out_dir / failures, "w", encoding="utf-8") as fh:
+        json.dump([dict(sweep_value=value, **failure)
+                   for value, agg in points.items()
+                   for failure in agg["failures"]], fh, indent=2)
+    _write_manifest(out_dir, cfg, seed, {name: {"seed": seed},
+                                         failures: {"seed": seed}})
     return EXIT_OK
 
 

@@ -262,7 +262,9 @@ def sweep_study(study: str, values, replications: int, root_seed: int,
 
     ``noise`` sweeps the SNR at rigidity ``r``, ``rigidity`` sweeps r at
     ``snr``, and ``ndp`` sweeps the data points per sensor at ``snr`` and
-    ``r``.  Returns the aggregate of each value's replications.
+    ``r``.  Returns the aggregate of each value's replications, with
+    ``failures``: the replication index, seed and error of each that
+    failed.
     """
     spec = STUDIES[study]
     points = {}
@@ -275,6 +277,12 @@ def sweep_study(study: str, values, replications: int, root_seed: int,
                                    chain_seed=seed ^ 0x9E37, mcmc=cfg)
                          for seed in seeds]
     results = iter(run_sweep([t for tasks in points.values() for t in tasks]))
-    return {value: _aggregate([next(results) for _ in tasks])
-            for value, tasks in points.items()}
+    out = {}
+    for value, tasks in points.items():
+        done = [next(results) for _ in tasks]
+        out[value] = dict(_aggregate(done), failures=[
+            {"replication": rep, "seed": task.seed, "error": res["error"]}
+            for rep, (task, res) in enumerate(zip(tasks, done))
+            if "error" in res])
+    return out
 

@@ -3,15 +3,21 @@
 One engine builds every covariance matrix: the likelihood's K, the
 predictive cross-covariances and prior variances, and placement's
 candidate covariance (``kernels.kernel`` is the tests' reference).  A
-``Layout`` holds what does not depend on the hyperparameters: the distinct
-pairwise differences, the kind pair of each element and, per element and
-operator term, where its value sits in a table of terms built from
-``kernels.OPERATORS``.  ``evaluate`` computes that table at a theta (one
-exp, one Horner pass over the Hermite degrees in use, the term scalars)
-and sums each element's terms in one reduction, running per element the
-arithmetic that ``kernels.kernel`` runs per block: K is bit for bit the
-block values, with the lower block triangle taken from the upper one.
-The sampler builds its layout once per chain and ``predict_mixture`` once
+``Layout`` holds what does not depend on the hyperparameters: per
+element and operator term, where its value sits in a compact table of
+terms built from ``kernels.OPERATORS``.  A term depends on its element
+only through x - x', and He_k(-u) = (-1)^k He_k(u) while exp(-u u / 2)
+is even, so the table is keyed by the distance |x - x'| and holds only
+the (term, distance) entries that some element reads.  An odd-degree
+term at a negative difference is an entry of its own whose scale is the
+other sign's, exactly -1 times it: the entry is the positive one times
+-1.0, and a NaN in it is the reference's NaN (negating the value instead
+would flip its sign bit).  ``evaluate`` computes the table at a theta
+(one Horner pass over all entries, their exp and scalars) and sums each
+element's terms in one reduction, running per element the arithmetic
+that ``kernels.kernel`` runs per block: K is bit for bit the block
+values, with the lower block triangle taken from the upper one.  The
+sampler builds its layout once per chain and ``predict_mixture`` once
 per call; ``covariance`` and ``assemble`` build and evaluate one in a
 call.
 
@@ -26,12 +32,13 @@ The factorization and the solves call LAPACK directly (``dpotrf``,
 ``dpotrs``, ``dtrtrs``) and read its ``info``: these are the routines
 scipy's ``cholesky``, ``cho_solve`` and ``solve_triangular`` call, so L
 and the solutions are theirs bit for bit, without the wrappers' second
-finiteness check of a K that ``check_finite`` has passed.
+finiteness check of a K that ``check_finite`` has passed.  ``factorize``
+and the sampler's ``log_evidence`` share one path from a data layout to
+L: evaluate, add the layout's noise plan, check, factorize.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -43,7 +50,6 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from timopigp import kernels
-from timopigp.data import Dataset
 from timopigp.errors import IllConditionedModelError, NonFiniteCovarianceError
 from timopigp.quantities import BLOCK_INDEX, QuantityKind
 
@@ -67,13 +73,17 @@ class Theta:
     sigma_n: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        for name in ("sigma_s2", "ell", "EI", "kGA"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)!r}")
-        if not all(0 <= v < math.inf for v in self.sigma_n.values()):
-            raise ValueError("noise standard deviations must be finite and "
-                             "non-negative")
+        inf = math.inf
+        if not (0 < self.sigma_s2 < inf and 0 < self.ell < inf
+                and 0 < self.EI < inf and 0 < self.kGA < inf):
+            name = next(name for name in ("sigma_s2", "ell", "EI", "kGA")
+                        if not 0 < getattr(self, name) < inf)
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {getattr(self, name)!r}")
+        for v in self.sigma_n.values():
+            if not 0 <= v < inf:
+                raise ValueError("noise standard deviations must be finite "
+                                 "and non-negative")
 
 
 class Points(NamedTuple):
@@ -106,20 +116,15 @@ class CovarianceModel:
     jitter: float
     y: np.ndarray
 
-    def log_det(self) -> float:
-        return 2.0 * float(np.log(self.chol.diagonal()).sum())
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = dpotrs(self.chol, b, lower=1)
-        if info:
-            raise ValueError(f"dpotrs: illegal argument {-info}")
-        return x
+        return _solve(self.chol, b)
 
 
-def _effective_sigma(entry: Dataset, theta: Theta) -> float:
-    if entry.learn_noise and entry.label in theta.sigma_n:
-        return theta.sigma_n[entry.label]
-    return entry.sigma_n
+def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, info = dpotrs(chol, b, lower=1)
+    if info:
+        raise ValueError(f"dpotrs: illegal argument {-info}")
+    return x
 
 
 def order_entries(datasets, bcs) -> tuple:
@@ -137,68 +142,67 @@ def _slices(entries) -> tuple:
 _KINDS = tuple(QuantityKind)
 _KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 _N_ORDERS = 2 * kernels.MAX_ORDER + 1
-# Indices of the zeros appended to ``kernels.term_factors``' two tables.
-_NO_COEF = kernels.N_COEFFICIENTS ** 2
-_NO_SCALE = 2 * _N_ORDERS
 # He_k highest power first, padded with leading zeros to one length.
 _HORNER = np.array([(0.0,) * (_N_ORDERS - 1 - k) + h
                     for k, h in enumerate(kernels.HERMITE)])
 
 
 class _Terms(NamedTuple):
-    """The term tables of one set of kind pairs in use.
+    """The operator terms of the kind pairs in use.
 
     The terms of a kind pair (i, j) fill its slots s = t_i n_j + t_j, the
-    order in which ``kernels.kernel`` sums them.  Slot s of pair p is row
-    ``rows[s, p]`` of the per-theta term table; row 0 is the zero of a
-    slot without a term.  ``coef_code`` and ``scale_code`` index each
-    row's scalars in ``kernels.term_factors`` and ``hermite_row`` its row
-    in the Hermite stack, whose rows 1.. hold the degrees in use and are
-    evaluated by the ``horner`` steps: (first begun row counted from row
-    1, the coefficients of the begun rows).  ``z_powers`` say, per slot
-    and pair, whether the term carries z and z'.
+    order in which ``kernels.kernel`` sums them.  ``pair_number`` numbers
+    the pairs in use q = 0, 1, ..; an element of pair q reads column 2 q,
+    or ``column[2 q + 1]`` at a negative difference: 2 q + 1 if the pair
+    has odd-degree terms, else 2 q, as its terms are even in x - x'.
+    ``codes[s, column]`` is the code of slot s there: 2 r for the term of
+    row r = 1, 2, .., 2 r + 1 for an odd-degree one at a negative
+    difference, 0 for a slot without a term.  Per code, ``factors`` index
+    c_i, c_j and the scale in ``kernels.term_factors``, the scale taken
+    negated for odd m and negated once more for code 2 r + 1, and
+    ``horner[t]`` is the coefficient at Horner step t of He_k, k = m + n,
+    padded with leading zeros to the highest degree in use.  ``z_powers``
+    say, per slot and column, whether the term carries z and z'.
     """
 
-    rows: np.ndarray
-    coef_code: np.ndarray
-    scale_code: np.ndarray
-    hermite_row: np.ndarray
-    n_hermite: int
-    horner: list
+    pair_number: np.ndarray
+    column: np.ndarray
+    codes: np.ndarray
+    factors: np.ndarray
+    horner: np.ndarray
     z_powers: tuple
 
 
 @functools.cache
 def _terms_of(pairs: tuple) -> _Terms:
-    """The term tables of the pairs p = i * n_kinds + j in use."""
-    slots = []      # (slot, pair, coef code, scale code, degree, pi, pj)
-    for p in pairs:
+    """The term codes of the pairs p = i * n_kinds + j in use."""
+    # (degree, slot, q, ci, cj, m, pi, pj) per term, after the no-term row.
+    terms = [(0,) * 8]
+    for q, p in enumerate(pairs):
         ki, kj = divmod(p, len(_KINDS))
-        terms = itertools.product(kernels.OPERATORS[_KINDS[ki]],
-                                  kernels.OPERATORS[_KINDS[kj]])
-        for s, ((ci, pi, m), (cj, pj, n)) in enumerate(terms):
-            slots.append((s, p, ci * kernels.N_COEFFICIENTS + cj,
-                          (m % 2) * _N_ORDERS + m + n, m + n, pi, pj))
-    shape = (max(t[0] for t in slots) + 1, len(_KINDS) ** 2)
-    rows, z_row, z_col = (np.zeros(shape, np.intp) for _ in range(3))
-    for r, (s, p, _, _, _, pi, pj) in enumerate(slots, start=1):
-        rows[s, p], z_row[s, p], z_col[s, p] = r, pi, pj
-    degrees = sorted({t[4] for t in slots})
-    rank = {d: r for r, d in enumerate(degrees, start=1)}
-    # Each Horner step runs over the rows whose polynomial has begun, as
-    # numpy.polyval runs each: from 0, y = y u + c.
-    steps = degrees[-1] + 1
-    coefs = _HORNER[degrees, _N_ORDERS - steps:]
-    horner = []
-    for t in range(steps):
-        begun = bisect.bisect_left(degrees, steps - 1 - t)
-        horner.append((begun, coefs[begun:, t]))
-    return _Terms(
-        rows=rows,
-        coef_code=np.array([_NO_COEF] + [t[2] for t in slots]),
-        scale_code=np.array([_NO_SCALE] + [t[3] for t in slots]),
-        hermite_row=np.array([0] + [rank[t[4]] for t in slots]),
-        n_hermite=len(degrees) + 1, horner=horner, z_powers=(z_row, z_col))
+        pair_terms = itertools.product(kernels.OPERATORS[_KINDS[ki]],
+                                       kernels.OPERATORS[_KINDS[kj]])
+        for s, ((ci, pi, m), (cj, pj, n)) in enumerate(pair_terms):
+            terms.append((m + n, s, q, ci, cj, m, pi, pj))
+    shape = (max(t[1] for t in terms) + 1, 2 * len(pairs))
+    codes, z_row, z_col = (np.zeros(shape, np.intp) for _ in range(3))
+    column = np.arange(shape[1])
+    for r, (k, s, q, _, _, _, pi, pj) in enumerate(terms[1:], start=1):
+        codes[s, 2 * q:2 * q + 2] = 2 * r, 2 * r + k % 2
+        z_row[s, 2 * q:2 * q + 2], z_col[s, 2 * q:2 * q + 2] = pi, pj
+    for q in range(len(pairs)):
+        if (codes[:, 2 * q] == codes[:, 2 * q + 1]).all():
+            column[2 * q + 1] = 2 * q
+    degree, _, _, ci, cj, m, _, _ = (np.array(c).repeat(2)
+                                     for c in zip(*terms))
+    pair_number = np.zeros(len(_KINDS) ** 2, np.intp)
+    pair_number[list(pairs)] = range(len(pairs))
+    negated = (m + np.arange(degree.size)) % 2
+    return _Terms(pair_number=pair_number, column=column, codes=codes,
+                  factors=np.stack([ci, cj, kernels.N_COEFFICIENTS + degree
+                                    + negated * _N_ORDERS]),
+                  horner=_HORNER.T[_N_ORDERS - 1 - degree.max():, degree],
+                  z_powers=(z_row, z_col))
 
 
 def _stack(entries, field, fill):
@@ -216,14 +220,14 @@ class Layout:
     and an element below the block diagonal is computed as its mirror
     element above it, as ``covariance`` has always filled it.
 
-    Equal differences give equal u = (x - x') / ell, He_k(u) and
-    exp(-u u / 2), so ``evaluate`` computes each term once per distinct
-    difference (``diff``, sorted): ``term_index[s]`` is, per element, the
-    position of its slot-s term in that table.  The Hermite rows 1.. lie
-    end to end, one copy of ``diff`` each (``diff_rows``), so that each
-    Horner step is one flat multiply and one flat add over the rows whose
-    polynomial has begun: ``horner`` holds each step's offset into those
-    rows and its coefficients, one per element.
+    The table's entry 0 is the zero of a slot without a term; entries
+    1.. are the terms of the element classes present, a class being a
+    kind pair's column (see ``_Terms``) and a distance |x - x'|, so that
+    no (term code, distance) entry is computed twice.  ``term_index[s]``
+    is, per element, the entry of its slot-s term.  Per entry,
+    ``lengths`` holds its distance, ``entry_factors`` its scalars'
+    indices in ``kernels.term_factors`` and ``horner[t]`` its Horner
+    coefficient at step t.
     """
 
     def __init__(self, rows, cols=None):
@@ -247,7 +251,8 @@ class Layout:
         if mirror:
             mirrored = np.tri(len(self.rows), k=-1, dtype=bool)
             pairs = np.where(mirrored, pairs.T, pairs)
-        pair = pairs.repeat(r_len, axis=0).repeat(c_len, axis=1)
+        terms = _terms_of(tuple(sorted(set(pairs.ravel().tolist()))))
+        pairs = terms.pair_number.take(pairs)
 
         def source(field, fill):
             row = _stack(self.rows, field, fill)
@@ -260,24 +265,44 @@ class Layout:
 
         xi, xj = source("x", 0.0)
         diff = xi - xj
-        self.diff = np.unique(diff)
-        distinct = self.diff.searchsorted(diff)
         self.shape = diff.shape
+        distance = np.abs(diff)
+        distinct = np.unique(distance)
+        m = distinct.size
 
-        self.terms = _terms_of(tuple(sorted(set(pairs.ravel().tolist()))))
-        self.term_index = (self.terms.rows * self.diff.size).take(pair,
-                                                                  axis=1)
-        self.term_index += distinct
-        m = self.diff.size
-        self.diff_rows = np.tile(self.diff, self.terms.n_hermite - 1)
-        self.horner = [(begun * m, c.repeat(m))
-                       for begun, c in self.terms.horner]
+        # An element's terms follow from its class (column, distance).
+        # Each class present has one table entry per term, the key (code,
+        # distance) of no other class, numbered slot by slot from 1.
+        column = (2 * pairs).repeat(r_len, axis=0).repeat(c_len, axis=1)
+        column += diff < 0
+        column = terms.column.take(column)
+        element_class = column * m
+        element_class += distinct.searchsorted(distance)
+        present = np.zeros(terms.column.size * m, bool)
+        present[element_class] = True
+        class_column, class_distance = present.reshape(
+            terms.column.size, m).nonzero()
+        code = terms.codes.take(class_column, axis=1)
+        slot, cls = code.nonzero()
+        number = np.zeros(code.shape, np.intp)
+        number[slot, cls] = np.arange(1, slot.size + 1)
+        self.term_index = number.take(
+            (np.cumsum(present) - 1).take(element_class), axis=1)
+        code = code[slot, cls]
+        self.entry_factors = terms.factors.take(code, axis=1)
+        self.lengths = distinct.take(class_distance.take(cls))
+
+        # The Horner steps run over all entries at once, each as
+        # numpy.polyval runs it: from 0, y = y u + c.  Before an entry's
+        # polynomial begins its coefficients are 0, so y stays an exact 0
+        # (u >= 0), or NaN where u is infinite, as its first step makes.
+        self.horner = terms.horner.take(code, axis=1)
         self.z_factors = None
         if any(e.kind is QuantityKind.STRAIN for e in self.rows + cols):
             zi, zj = source("z", 1.0)
             self.z_factors = tuple(
-                np.where(power.take(pair, axis=1) == 1, z, 1.0)
-                for power, z in zip(self.terms.z_powers, (zi, zj)))
+                np.where(power.take(column, axis=1) == 1, z, 1.0)
+                for power, z in zip(terms.z_powers, (zi, zj)))
 
     @functools.cached_property
     def row_slices(self) -> tuple:
@@ -288,6 +313,25 @@ class Layout:
         """Stacked observations of data rows."""
         return np.concatenate([e.y for e in self.rows])
 
+    @functools.cached_property
+    def noise(self) -> tuple:
+        """The noise plan of data rows: per row the variance of its fixed
+        noise (0 where it is learned), and (slice, label, default) per
+        entry whose noise is learned."""
+        fixed = np.zeros(self.shape[0])
+        learned = []
+        for sl, entry in zip(self.row_slices, self.rows):
+            if entry.learn_noise:
+                learned.append((sl, entry.label, entry.sigma_n))
+            elif entry.sigma_n > 0:
+                fixed[sl] = entry.sigma_n**2
+        return fixed, tuple(learned)
+
+    @functools.cached_property
+    def log_norm(self) -> float:
+        """n log(2 pi) / 2 of the data rows."""
+        return 0.5 * self.shape[0] * np.log(2.0 * np.pi)
+
 
 def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
     """The covariance matrix of ``layout`` at ``theta``.
@@ -297,26 +341,21 @@ def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
     term carries them, summed over the terms in their order from 0.  A
     slot without a term adds an exact 0.
     """
-    coef, scales = kernels.term_factors(theta)
-    terms = layout.terms
-    coef = np.array(coef + [0.0])[terms.coef_code, None]
-    scales = np.array(scales + [0.0])[terms.scale_code, None]
+    ci, cj, scale = kernels.term_factors(theta).take(layout.entry_factors)
     # Overflow shows up as inf/NaN entries, which the callers name.
     with np.errstate(over="ignore", invalid="ignore"):
-        u_rows = layout.diff_rows / theta.ell
-        u = u_rows[:layout.diff.size]
-        e = np.exp(-0.5 * u * u)
-        hermite = np.zeros((terms.n_hermite, u.size))
-        horner_rows = hermite[1:].reshape(-1)
-        for start, c in layout.horner:
-            live = horner_rows[start:]
-            live *= u_rows[start:]
-            live += c
-        # One row per term slot of each kind pair in use, over the
-        # distinct differences.
-        table = scales * hermite[terms.hermite_row]
-        table *= e
-        table = coef * table
+        u = layout.lengths / theta.ell
+        table = np.zeros(u.size + 1)
+        hermite = table[1:]
+        for c in layout.horner:
+            hermite *= u
+            hermite += c
+        # (c_i c_j) ((scale He_k(u)) exp(-u u / 2)), each product of two
+        # operands as ``kernels.kernel`` takes it.
+        hermite *= scale
+        hermite *= np.exp(-0.5 * u * u)
+        ci *= cj
+        hermite *= ci
         # Slot by slot from an exact 0, as ``kernels.kernel`` sums: a
         # reduction over the leading axis adds the slots in order.
         stack = table.take(layout.term_index)
@@ -347,14 +386,19 @@ def data_layout(datasets, bcs) -> Layout:
     return Layout(entries)
 
 
-def factorize(layout: Layout, theta: Theta) -> CovarianceModel:
-    """Evaluate a data layout, add the noise and factorize."""
+def _factor(layout: Layout, theta: Theta) -> tuple:
+    """(K, L, jitter level): a data layout evaluated, its noise added and
+    factorized, the one path ``factorize`` and ``log_evidence`` share."""
     K = evaluate(layout, theta)
-    k_diag = K.reshape(-1)[::K.shape[0] + 1]  # a view: adds go into K
-    for sl, entry in zip(layout.row_slices, layout.rows):
-        sig = _effective_sigma(entry, theta)
-        if sig > 0:
-            k_diag[sl] += sig**2
+    noise, learned = layout.noise
+    if learned:
+        noise = noise.copy()
+        for sl, label, sigma in learned:
+            sig = theta.sigma_n.get(label, sigma)
+            if sig > 0:
+                noise[sl] = sig**2
+    # A row without noise adds an exact 0: K's bits stay as they are.
+    K.reshape(-1)[::K.shape[0] + 1] += noise
     check_finite(K)
     chol, info = dpotrf(K, lower=1, clean=1)
     level = 0.0
@@ -368,6 +412,12 @@ def factorize(layout: Layout, theta: Theta) -> CovarianceModel:
                 break
         else:
             raise IllConditionedModelError((0.0,) + JITTER_LADDER)
+    return K, chol, level
+
+
+def factorize(layout: Layout, theta: Theta) -> CovarianceModel:
+    """Evaluate a data layout, add the noise and factorize."""
+    K, chol, level = _factor(layout, theta)
     return CovarianceModel(entries=layout.rows, theta=theta, K=K, chol=chol,
                            jitter=level, y=layout.y)
 
@@ -377,12 +427,26 @@ def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
     return factorize(data_layout(datasets, bcs), theta)
 
 
+def _log_evidence(chol: np.ndarray, y: np.ndarray, log_norm) -> float:
+    """-y'K^-1 y/2 - log|K|/2 - log_norm, K = L L'."""
+    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
+    return float(-0.5 * y @ _solve(chol, y) - 0.5 * log_det - log_norm)
+
+
 def log_marginal_likelihood(model: CovarianceModel) -> float:
     """Gaussian log evidence -y'K^-1 y/2 - log|K|/2 - n log(2 pi)/2."""
-    y = model.y
-    alpha = model.solve(y)
-    return float(-0.5 * y @ alpha - 0.5 * model.log_det()
-                 - 0.5 * y.size * np.log(2.0 * np.pi))
+    return _log_evidence(model.chol, model.y,
+                         0.5 * model.y.size * np.log(2.0 * np.pi))
+
+
+def log_evidence(layout: Layout, theta: Theta) -> tuple:
+    """(log marginal likelihood, jitter level) of a data layout at theta.
+
+    ``log_marginal_likelihood(factorize(layout, theta))`` bit for bit,
+    without building the model; it raises as ``factorize`` does.
+    """
+    _, chol, level = _factor(layout, theta)
+    return _log_evidence(chol, layout.y, layout.log_norm), level
 
 
 def _query(kind: QuantityKind, x_star, z_star) -> Points:
@@ -395,38 +459,58 @@ def _query(kind: QuantityKind, x_star, z_star) -> Points:
     return Points(kind, x_star, z_star)
 
 
-def _prior_variance(kind, x_star, z_star, theta: Theta) -> np.ndarray:
-    """k(x, x) per query point from a zero-difference layout: one point, or
-    one per distinct depth, as only a strain query's z changes it."""
-    if z_star is None:
-        return np.full(x_star.shape, evaluate(_zero_layout(kind), theta)[0, 0])
-    depths, at = np.unique(z_star, return_inverse=True)
-    layout = Layout([Points(kind, np.zeros(depths.size), depths)])
-    return evaluate(layout, theta).diagonal()[at]
-
-
 @functools.cache
 def _zero_layout(kind: QuantityKind) -> Layout:
     return Layout([Points(kind, np.zeros(1))])
 
 
+class _Plan(NamedTuple):
+    """The layouts of one query against a data layout's entries.
+
+    ``prior`` is the zero-difference layout of the query's prior
+    variances k(x, x), and ``at`` each point's entry on its diagonal: one
+    point, or one per distinct depth, as only a strain query's z changes
+    k(x, x).
+    """
+
+    query: Points
+    cross: Layout
+    prior: Layout
+    at: np.ndarray
+
+
+def _plan(query: Points, entries) -> _Plan:
+    if query.z is None:
+        prior = _zero_layout(query.kind)
+        at = np.zeros(query.x.shape, np.intp)
+    else:
+        depths, at = np.unique(query.z, return_inverse=True)
+        prior = Layout([Points(query.kind, np.zeros(depths.size), depths)])
+    return _Plan(query, Layout([query], entries), prior, at)
+
+
 def predict(model: CovarianceModel, kind: QuantityKind, x_star,
-            z_star=None, cross: Layout | None = None) -> Prediction:
+            z_star=None, plan: _Plan | None = None,
+            alpha: np.ndarray | None = None) -> Prediction:
     """Predictive mean and variance for one quantity on a query grid.
 
-    ``cross`` is the layout of this query against ``model.entries``, for a
-    caller that predicts it from many models of one data layout.
+    ``plan`` (this query's layouts against ``model.entries``) and
+    ``alpha`` (K^-1 y) are for a caller that predicts many queries from
+    many models of one data layout.
     """
-    kind, x_star, z_star = _query(kind, x_star, z_star)
-    if cross is None:
-        cross = Layout([Points(kind, x_star, z_star)], model.entries)
-    ks = check_finite(evaluate(cross, model.theta))
+    if plan is None:
+        plan = _plan(_query(kind, x_star, z_star), model.entries)
+    if alpha is None:
+        alpha = model.solve(model.y)
+    kind, x_star, z_star = plan.query
+    ks = check_finite(evaluate(plan.cross, model.theta))
 
-    mean = ks @ model.solve(model.y)
+    mean = ks @ alpha
     v, info = dtrtrs(model.chol, ks.T, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-    k_diag = check_finite(_prior_variance(kind, x_star, z_star, model.theta))
+    k_diag = check_finite(
+        evaluate(plan.prior, model.theta).diagonal()[plan.at])
     var = k_diag - np.sum(v * v, axis=0)
 
     floor = -NEGATIVE_VARIANCE_SLACK * np.maximum(k_diag, 0.0)
@@ -441,22 +525,22 @@ def predict_mixture(datasets, bcs, chain, queries) -> list:
     """Fully Bayesian prediction averaging per-draw Gaussian predictives.
 
     One Prediction per ``(kind, x_star, z_star)`` query; the data and
-    query layouts are built once, and each draw is factorized once for all
-    queries.  The mixture mean is the average of per-draw means; the
-    mixture variance adds the spread of the per-draw means to the average
-    per-draw variance.
+    query layouts are built once, and each draw is factorized and solved
+    for K^-1 y once for all queries.  The mixture mean is the average of
+    per-draw means; the mixture variance adds the spread of the per-draw
+    means to the average per-draw variance.
     """
     thetas = chain.thetas if hasattr(chain, "thetas") else list(chain)
     if not thetas:
         raise ValueError("posterior chain must be non-empty")
     layout = data_layout(datasets, bcs)
-    queries = [_query(*q) for q in queries]
-    crosses = [Layout([q], layout.rows) for q in queries]
-    per_query = [[] for _ in queries]
+    plans = [_plan(_query(*q), layout.rows) for q in queries]
+    per_query = [[] for _ in plans]
     for theta in thetas:
         model = factorize(layout, theta)
-        for q, cross, preds in zip(queries, crosses, per_query):
-            preds.append(predict(model, *q, cross=cross))
+        alpha = model.solve(model.y)
+        for plan, preds in zip(plans, per_query):
+            preds.append(predict(model, *plan.query, plan=plan, alpha=alpha))
     out = []
     for preds in per_query:
         means = np.asarray([p.mean for p in preds])

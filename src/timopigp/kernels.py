@@ -97,19 +97,19 @@ def _coefficients(params: Theta) -> tuple:
     return (1.0, -1.0, a, -a, params.EI)
 
 
-def term_factors(params: Theta):
-    """The scalars of every operator term at one set of parameters.
+def term_factors(params: Theta) -> np.ndarray:
+    """The scalars of the operator terms at one set of parameters.
 
-    Returns the coefficient products c_i c_j, flattened from the (5, 5)
-    table of the two coefficient codes, and the SE derivative scales
-    sigma_s^2 (-1)^m ell^-(m+n), flattened from the (2, 2 MAX_ORDER + 1)
-    table of (m odd, m + n): the same floats ``kernel`` multiplies its
-    terms by.
+    One array: the five coefficients, indexed by coefficient code, then
+    the SE derivative scales sigma_s^2 ell^-k for k = 0 .. 2 MAX_ORDER,
+    then the same scales negated.  A term with codes i, j and orders
+    m, n is multiplied by c_i c_j and by the scale of k = m + n, negated
+    for odd m: the floats ``kernel`` multiplies it by.
     """
-    coef = _coefficients(params)
+    scales = [_scale(0, k, params) for k in range(2 * MAX_ORDER + 1)]
     # The odd-m scale is the even one negated: sign flips are exact.
-    even = [_scale(0, k, params) for k in range(2 * MAX_ORDER + 1)]
-    return [ci * cj for ci in coef for cj in coef], even + [-v for v in even]
+    return np.array([*_coefficients(params), *scales,
+                     *[-v for v in scales]])
 
 
 def _terms(kind: QuantityKind, params: Theta, timoshenko: bool):

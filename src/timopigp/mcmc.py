@@ -184,15 +184,15 @@ def _log_likelihood(layout: gp.Layout, theta: Theta, counts: Counter) -> float:
     ``counts`` gets one count: the failure's cause or the jitter level.
     """
     try:
-        model = gp.factorize(layout, theta)
+        value, level = gp.log_evidence(layout, theta)
     except NonFiniteCovarianceError:
         counts["non_finite_covariance"] += 1
         return -math.inf
     except IllConditionedModelError:
         counts["ill_conditioned"] += 1
         return -math.inf
-    counts[model.jitter] += 1
-    return gp.log_marginal_likelihood(model)
+    counts[level] += 1
+    return value
 
 
 def log_posterior(theta: Theta, datasets, bcs, priors: dict,
@@ -288,14 +288,15 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     layout = gp.data_layout(datasets, bcs)
     table = _prior_table(names, priors)
     labels = list(theta0.sigma_n)
+    log_index = np.flatnonzero(is_log)
     counts = Counter()
 
     def log_target(s):
         counts["evaluations"] += 1
+        logs = s.take(log_index)
         vec = s.copy()
-        with np.errstate(over="ignore"):  # inf is refused by Theta
-            vec[is_log] = np.exp(s[is_log])
-        if (vec <= 0).any():
+        vec[log_index] = np.exp(logs)
+        if vec.min() <= 0:
             counts["prior_support"] += 1
             return -np.inf
         values = vec.tolist()
@@ -312,10 +313,13 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
         if not math.isfinite(lp):
             return -np.inf
         # Jacobian of the log transform.
-        return lp + float(s[is_log].sum())
+        return lp + float(logs.sum())
 
-    draws_s, acc, lts = random_walk_metropolis(log_target, s0, cfg,
-                                               scales=scales)
+    # exp overflows to inf past a log-scale value of ~709: Theta refuses
+    # the inf, so the chain counts it without a warning.
+    with np.errstate(over="ignore"):
+        draws_s, acc, lts = random_walk_metropolis(log_target, s0, cfg,
+                                                   scales=scales)
     draws = draws_s.copy()
     draws[:, is_log] = np.exp(draws_s[:, is_log])
     thetas = thetas_from_draws(draws, names)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from timopigp import beam, cli, experiments, gp, placement
 from timopigp.beam import BeamConfig
+from timopigp.errors import StuckChainError
 from timopigp.quantities import QuantityKind
 
 BEAM = {"L": 1.0, "EI": 1.0, "kGA": 3.0, "q0": 1.0}
@@ -462,6 +463,38 @@ class TestStudy:
         assert [float(r["sweep_value"]) for r in rows] == [10.0, 50.0]
         for r in rows:
             assert int(r["n_reps"]) + int(r["n_failed"]) == 2
+        failures = json.loads(
+            (out_a / "study_noise_failures.json").read_text())
+        assert len(failures) == sum(int(r["n_failed"]) for r in rows)
+
+    def test_failed_replication_is_recorded(self, tmp_path, monkeypatch):
+        """A replication that raises is listed with its sweep value,
+        replication index, seed and error in study_noise_failures.json."""
+        monkeypatch.setenv("TIMO_PIGP_THREADS", "1")
+        real, calls = experiments.identify, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise StuckChainError(7)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "identify", second_fails)
+        cfg = {"version": 1, "beam": BEAM, "seed": 42,
+               "mcmc": {"n_total": 200, "n_b": 50, "n_t": 5},
+               "study": {"noise": {"snrs": [10, 50], "replications": 2}}}
+        out = tmp_path / "out"
+        assert run(["study", "--study", "noise", "--config",
+                    write_config(tmp_path, cfg), "--out", out]) == 0
+        failures = json.loads((out / "study_noise_failures.json").read_text())
+        assert failures == [{"sweep_value": 10, "replication": 1,
+                             "seed": experiments.replication_seed(42, 0, 1),
+                             "error": repr(StuckChainError(7))}]
+        assert [int(r["n_failed"]) for r in
+                read_rows(out / "study_noise.csv")] == [1, 0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {"study_noise.csv",
+                                            "study_noise_failures.json"}
 
     def test_ndp_study_ignores_rigidity(self, tmp_path, monkeypatch):
         # The ndp study runs at r = 1 whatever its config section says.

@@ -349,6 +349,48 @@ class TestPredictMixture:
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.var, b.var)
 
+    def test_layouts_built_once_per_query(self, monkeypatch):
+        """Each query's layouts are built once, not once per draw, and the
+        bytes are those of a per-draw ``predict``."""
+        datasets = [w_dataset([0.3, 0.7], sigma=0.05),
+                    Dataset(kind=QuantityKind.STRAIN, x=[0.4, 0.6],
+                            y=[0.0, 0.0], z=[0.05, -0.05], sigma_n=1e-3,
+                            label="eps")]
+        bcs = [support_bc()]
+        queries = [(QuantityKind.DEFLECTION, [0.2, 0.5], None),
+                   (QuantityKind.STRAIN, [0.1, 0.6, 0.9], [0.05, -0.05, 0.05]),
+                   (QuantityKind.SHEAR, [0.4], None)]
+        thetas = [Theta(sigma_s2=1.0, ell=0.3, EI=1.0, kGA=3.0),
+                  Theta(sigma_s2=0.5, ell=0.4, EI=1.3, kGA=2.0),
+                  Theta(sigma_s2=0.8, ell=0.35, EI=0.9, kGA=2.5)]
+        builds = []
+
+        class Counted(gp.Layout):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "Layout", Counted)
+        gp.predict_mixture(datasets, bcs, thetas[:1], queries)  # warm caches
+        builds.clear()
+        gp.predict_mixture(datasets, bcs, thetas[:1], queries)
+        one_draw = len(builds)
+        builds.clear()
+        mixed = gp.predict_mixture(datasets, bcs, thetas, queries)
+        assert len(builds) == one_draw
+        monkeypatch.undo()
+
+        layout = gp.data_layout(datasets, bcs)
+        models = [gp.factorize(layout, t) for t in thetas]
+        for (kind, x, z), got in zip(queries, mixed):
+            preds = [gp.predict(m, kind, x, z) for m in models]
+            means = np.asarray([p.mean for p in preds])
+            variances = np.asarray([p.var for p in preds])
+            mu = means.mean(axis=0)
+            var = variances.mean(axis=0) + np.mean((means - mu) ** 2, axis=0)
+            assert got.mean.tobytes() == mu.tobytes()
+            assert got.var.tobytes() == var.tobytes()
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             gp.predict_mixture([w_dataset([0.5], sigma=0.1)], [], [],
@@ -546,6 +588,21 @@ class TestLayoutEngine:
                                match=f": {n_bad} of "):
                 gp.assemble(datasets, bcs, theta)
 
+    def test_sign_fold_keeps_nan_bits(self):
+        """Odd-degree terms at negative differences (w-phi, w-V) at a tiny
+        length scale: the reference's NaNs carry the sign bit that a
+        multiplication by -1.0 keeps and a negation would flip."""
+        rows = [gp.Points(QuantityKind.DEFLECTION, np.array([0.2, 0.7])),
+                gp.Points(QuantityKind.ROTATION, np.array([0.5])),
+                gp.Points(QuantityKind.SHEAR, np.array([0.1, 0.9]))]
+        cols = [gp.Points(QuantityKind.ROTATION, np.array([0.9, 0.3])),
+                gp.Points(QuantityKind.DEFLECTION, np.array([0.6]))]
+        theta = Theta(sigma_s2=1.0, ell=1e-300, EI=1.0, kGA=3.0)
+        for c in (None, cols):
+            want = reference_covariance(rows, theta, c)
+            assert np.isnan(want).any()
+            assert same_bits(gp.covariance(rows, theta, c), want)
+
     def test_layout_reused_across_thetas(self):
         datasets = [w_dataset(np.linspace(0.1, 0.9, 5), sigma=0.01),
                     Dataset(kind=QuantityKind.STRAIN, x=[0.3, 0.6],
@@ -558,6 +615,14 @@ class TestLayoutEngine:
             a = gp.factorize(layout, theta)
             b = gp.assemble(datasets, bcs, theta)
             assert same_bits(a.K, b.K) and same_bits(a.chol, b.chol)
+
+    def test_empty_entries(self):
+        empty = [gp.Points(QuantityKind.ROTATION, np.zeros(0))]
+        assert gp.covariance(empty, THETA).shape == (0, 0)
+        model = gp.assemble([w_dataset([0.3, 0.6], sigma=0.01)], [], THETA)
+        assert gp.covariance(empty, THETA, model.entries).shape == (0, 2)
+        pred = gp.predict(model, QuantityKind.ROTATION, np.zeros(0))
+        assert pred.mean.shape == pred.var.shape == (0,)
 
     def test_strain_without_depths_rejected(self):
         with pytest.raises(ValueError, match="requires z"):
