@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from timopigp import experiments, gp, mcmc, placement
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import (BoundaryCondition, finite_floats, read_csv,
                            read_datasets_csv, write_csv, write_datasets_csv)
-from timopigp.errors import (DataFormatError, EnumerationGuardError,
-                             IllConditionedModelError,
+from timopigp.errors import (DataFormatError, EntropyOverflowError,
+                             EnumerationGuardError, IllConditionedModelError,
                              NonFiniteCovarianceError, StuckChainError)
 from timopigp.mcmc import McmcConfig, PosteriorChain
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
@@ -261,27 +262,36 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     kinds = _read(p, "placement", "kinds", _kinds, ["w"])
     criteria = _read(p, "placement", "criteria", _criteria, ["physics"])
 
-    # The map does not depend on the criterion: one per kind, its rows
-    # written for each criterion.
-    maps = {}
+    # One prior for every problem: K_bb is factorized once, and each
+    # kind's pool Sigma built once for its map and its physics greedy.
+    prior = placement.Prior(bcs, params)
+    outputs = {}
     if _read(p, "placement", "entropy_map", _switch, False):
-        for kind in kinds:
-            entropy_map = placement.exhaustive_entropy_map(
-                PlacementProblem(candidates=candidates, kinds=kind,
-                                 n_sensors=n_sensors, params=params, bcs=bcs),
-                max_combos=_read(p, "placement", "max_combos", _count,
-                                 300_000),
-                full_scale=full_scale)
-            maps[kind] = [("|".join(map(str, subset)), h)
-                          for subset, h in entropy_map]
+        max_combos = _read(p, "placement", "max_combos", _count, 300_000)
+        maps = {kind: placement.exhaustive_entropy_map(
+            PlacementProblem(candidates=candidates, kinds=kind,
+                             n_sensors=n_sensors, params=params, bcs=bcs,
+                             prior=prior),
+            max_combos=max_combos, full_scale=full_scale) for kind in kinds}
+        for kind, entropy_map in maps.items():
+            # The map does not depend on the criterion: its rows are
+            # formatted once and the file copied for each criterion.
+            paths = [out_dir / f"entropy_map_{crit.value}_{kind.code}.csv"
+                     for crit in criteria]
+            if paths:
+                write_csv(paths[0], ["subset", "normalized_entropy"],
+                          (("|".join(map(str, subset)), h)
+                           for subset, h in entropy_map))
+            for path in paths[1:]:
+                shutil.copyfile(paths[0], path)
+            outputs.update((path.name, {"seed": seed}) for path in paths)
 
     results = []
-    outputs = {}
     for crit in criteria:
         for kind in kinds:
             problem = PlacementProblem(candidates=candidates, kinds=kind,
                                        n_sensors=n_sensors, params=params,
-                                       bcs=bcs, criterion=crit)
+                                       bcs=bcs, criterion=crit, prior=prior)
             res = greedy_place(problem)
             results.append({
                 "criterion": crit.value,
@@ -293,11 +303,6 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
                 "params": {"sigma_s2": params.sigma_s2, "ell": params.ell,
                            "EI": params.EI, "kGA": params.kGA},
             })
-            if kind in maps:
-                name = f"entropy_map_{crit.value}_{kind.code}.csv"
-                write_csv(out_dir / name, ["subset", "normalized_entropy"],
-                          maps[kind])
-                outputs[name] = {"seed": seed}
 
     with open(out_dir / "placement.json", "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)
@@ -517,7 +522,8 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (IllConditionedModelError, NonFiniteCovarianceError,
-            StuckChainError, np.linalg.LinAlgError) as exc:
+            EntropyOverflowError, StuckChainError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -49,6 +49,18 @@ class EnumerationGuardError(RuntimeError):
         )
 
 
+class EntropyOverflowError(ArithmeticError):
+    """Joint entropies of sensor subsets overflowed the float range."""
+
+    def __init__(self, n_sensors: int, k: int):
+        super().__init__(
+            f"joint entropies of {k} of {n_sensors} sensors overflowed: "
+            "conditioning a subset in order grew its covariance past the "
+            "float range, as nearly collinear candidates do; use fewer "
+            "candidates or sensors, or a shorter length scale"
+        )
+
+
 class DataFormatError(ValueError):
     """A CSV input file could not be parsed."""
 

@@ -9,7 +9,7 @@ couples domains through the cross-covariance kernels.  Placement is
 pre-data: only locations and kernel parameters enter the scores.
 
 Every score is read from one prior covariance Sigma per candidate pool:
-the pool's covariance conditioned on the BCs (``conditioned_covariance``,
+the pool's covariance conditioned on the BCs (``Prior.conditioned``,
 Sigma = K_cc - K_cb K_bb^-1 K_bc) for the physics criterion, the SE base
 kernel for the baselines.  A candidate scores 0.5 ln(2 pi e C_jj), C_jj
 floored at 1e-12 of its prior variance; observing it conditions C, which
@@ -20,11 +20,15 @@ precision.  Mutual information (Krause, Singh & Guestrin, JMLR 2008)
 subtracts the entropy of 1/diag((Sigma_UU + delta I)^-1) - delta over U,
 the unselected set.  A joint entropy sums the physics scores of a set in
 order, each given those before it: ``set_entropy`` walks one set and the
-exhaustive map every subset of the candidates, depth first.
+exhaustive map every subset of the candidates, depth first, scoring the
+last three picks of each prefix in one vectorized step.  A ``Prior``
+holds the BCs' K_bb factorized once and each pool's Sigma built once, so
+one ``place`` command shares them across kinds, criteria and the map.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from timopigp import gp, kernels
-from timopigp.errors import EnumerationGuardError
+from timopigp.errors import EntropyOverflowError, EnumerationGuardError
 from timopigp.gp import JITTER_LADDER, Theta
 from timopigp.quantities import BLOCK_INDEX, QuantityKind
 
@@ -48,7 +52,11 @@ class PlacementCriterion(Enum):
 
 @dataclass
 class PlacementProblem:
-    """Candidate grid, budget and model for one placement run."""
+    """Candidate grid, budget and model for one placement run.
+
+    ``prior`` is the ``Prior`` of ``bcs`` and ``params``; problems that
+    share one share its K_bb factorization and conditioned covariances.
+    """
 
     candidates: np.ndarray
     kinds: list
@@ -57,8 +65,14 @@ class PlacementProblem:
     bcs: list = field(default_factory=list)
     criterion: PlacementCriterion = PlacementCriterion.PHYSICS_INFORMED_ENTROPY
     joint_budget: bool = False
+    prior: Prior | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.prior is None:
+            self.prior = Prior(self.bcs, self.params)
+        elif self.prior.bcs is not self.bcs or \
+                self.prior.theta != self.params:
+            raise ValueError("prior was built for other BCs or parameters")
         self.candidates = np.atleast_1d(np.asarray(self.candidates, float))
         if isinstance(self.kinds, QuantityKind):
             self.kinds = [self.kinds] * self.candidates.size
@@ -91,26 +105,50 @@ def _require_distinct(sensors):
         raise ValueError("selected sensors must be distinct")
 
 
-def conditioned_covariance(sensors, bcs, theta: Theta):
-    """(diag(K_SS), Sigma) of (x, kind) sensors in their order.
+class Prior:
+    """The physics-informed prior of one (BCs, theta).
 
-    Sigma = K_SS - K_Sb K_bb^-1 K_bS, K_bb factorized by ``gp.assemble([],
-    bcs, theta)``.  Repeated sensors give a singular Sigma, which the
-    downdates tolerate.
+    ``conditioned(sensors)`` is (diag(K_SS), Sigma) of (x, kind) sensors
+    in their order, Sigma = K_SS - K_Sb K_bb^-1 K_bS.  K_bb is factorized
+    by ``gp.assemble([], bcs, theta)`` on first use, and each sensor list's
+    pair is built once and kept, read-only, for the Prior's lifetime: one
+    Prior per command shares them across its kinds, criteria and map.
+    Repeated sensors give a singular Sigma, which the downdates tolerate.
     """
-    entries = [gp.Points(kind, np.array([x for x, _ in run], float))
-               for kind, run in itertools.groupby(sensors, key=lambda s: s[1])]
-    if not bcs:
-        k = gp.check_finite(gp.covariance(entries, theta))
-        return np.diag(k).copy(), k
-    # K_SS and K_Sb are the sensor rows of one covariance over the sensors
-    # followed by the BCs.
-    model = gp.assemble([], bcs, theta)
-    k = gp.covariance(entries + list(model.entries), theta)
-    n = len(sensors)
-    ks = k[:n, n:]
-    return (np.diag(k)[:n].copy(),
-            gp.check_finite(k[:n, :n] - ks @ model.solve(ks.T)))
+
+    def __init__(self, bcs, theta: Theta):
+        self.bcs = bcs
+        self.theta = theta
+        self._conditioned = {}
+
+    @functools.cached_property
+    def bc_model(self) -> gp.CovarianceModel:
+        return gp.assemble([], self.bcs, self.theta)
+
+    def conditioned(self, sensors) -> tuple:
+        key = tuple(sensors)
+        if key not in self._conditioned:
+            pair = self._condition(key)
+            for a in pair:
+                a.flags.writeable = False
+            self._conditioned[key] = pair
+        return self._conditioned[key]
+
+    def _condition(self, sensors) -> tuple:
+        entries = [gp.Points(kind, np.array([x for x, _ in run], float))
+                   for kind, run in itertools.groupby(sensors,
+                                                      key=lambda s: s[1])]
+        if not self.bcs:
+            k = gp.check_finite(gp.covariance(entries, self.theta))
+            return np.diag(k).copy(), k
+        # K_SS and K_Sb are the sensor rows of one covariance over the
+        # sensors followed by the BCs.
+        model = self.bc_model
+        k = gp.covariance(entries + list(model.entries), self.theta)
+        n = len(sensors)
+        ks = k[:n, n:]
+        return (np.diag(k)[:n].copy(),
+                gp.check_finite(k[:n, :n] - ks @ model.solve(ks.T)))
 
 
 def _entropy_from_var(var):
@@ -131,7 +169,8 @@ def conditional_entropy(x_star, kind: QuantityKind, placed, bcs,
     then x_star, downdated on each placed sensor in turn.
     """
     sensors = list(placed) + [(float(x_star), kind)]
-    prior, C = conditioned_covariance(sensors, bcs, params)
+    prior, sigma = Prior(bcs, params).conditioned(sensors)
+    C = sigma.copy()
     floor = JITTER_LADDER[0] * prior
     for j in range(len(placed)):
         _observe(C, j, 0.0, floor[j])
@@ -143,8 +182,7 @@ def _greedy_single(problem: PlacementProblem, pool):
     if problem.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
         sensors = [(float(problem.candidates[i]), problem.kinds[i])
                    for i in pool]
-        prior, sigma = conditioned_covariance(sensors, problem.bcs,
-                                              problem.params)
+        prior, sigma = problem.prior.conditioned(sensors)
         delta = 0.0
     else:
         x = problem.candidates[pool]
@@ -214,13 +252,16 @@ def _subset_entropies(sensors, problem: PlacementProblem, k):
     the prefix, the prefix's entropy, the picks it needs and the positions
     left to pick, last first, so rows fill ``raw`` from its end.  A final
     pick replaces its frame, which bounds memory as k nears n.  The last
-    two picks (t, a), t < a, score at once from the block's triangle.
+    three picks of a prefix score at once (``_last_three``); the last two
+    do so only at the root of a k = 2 map, from the block's triangle.  The
+    walk runs with overflow raising: a set conditioned in order, without
+    pivoting, can grow past the float range, and its rows would be
+    meaningless.
     """
     if k == 0:
         raise ValueError("selection must be non-empty")
     _require_distinct(sensors)
-    prior, sigma = conditioned_covariance(sensors, problem.bcs,
-                                          problem.params)
+    prior, sigma = problem.prior.conditioned(sensors)
     floor = JITTER_LADDER[0] * prior
     n = len(sensors)
     if k == 1:
@@ -228,27 +269,75 @@ def _subset_entropies(sensors, problem: PlacementProblem, k):
     raw = np.empty(math.comb(n, k))
     end = raw.size
     frames = [(0, sigma, 0.0, k, iter(range(n - k, -1, -1)))]
-    while frames:
-        start, C, h, need, picks = frames[-1]
-        var = np.maximum(np.diag(C), floor[start:])
-        if need == 2:
-            t, a = np.triu_indices(var.size, 1)
-            c = C[a, t]
-            raw[end - t.size:end] = (h + _entropy_from_var(var)[t]) + \
-                _entropy_from_var(np.maximum(var[a] - c * c / var[t],
-                                             floor[start:][a]))
-            end -= t.size
-            frames.pop()
-            continue
-        t = next(picks)
-        if t == 0:
-            frames.pop()
-        block = C[t:, t:].copy()
-        _observe(block, 0, 0.0, var[t])
-        frames.append((start + t + 1, block[1:, 1:],
-                       h + _entropy_from_var(var[t]), need - 1,
-                       iter(range(var.size - t - need, -1, -1))))
+    with np.errstate(over="raise"):
+        try:
+            while frames:
+                start, C, h, need, picks = frames[-1]
+                var = np.maximum(np.diag(C), floor[start:])
+                if need <= 3:
+                    last = _last_three if need == 3 else _last_two
+                    rows = last(C, var, floor[start:], h)
+                    raw[end - rows.size:end] = rows
+                    end -= rows.size
+                    frames.pop()
+                    continue
+                t = next(picks)
+                if t == 0:
+                    frames.pop()
+                block = C[t:, t:].copy()
+                _observe(block, 0, 0.0, var[t])
+                frames.append((start + t + 1, block[1:, 1:],
+                               h + _entropy_from_var(var[t]), need - 1,
+                               iter(range(var.size - t - need, -1, -1))))
+        except FloatingPointError:
+            raise EntropyOverflowError(n, k) from None
     return raw
+
+
+def _last_two(C, var, floor, h):
+    """Rows of the pairs t < a of the whole pool, lexicographic."""
+    t, a = np.triu_indices(var.size, 1)
+    c = C[a, t]
+    return (h + _entropy_from_var(var)[t]) + \
+        _entropy_from_var(np.maximum(var[a] - c * c / var[t], floor[a]))
+
+
+def _last_three(C, var, floor, h):
+    """Rows of a prefix's triples t < a < b of its block C, lexicographic.
+
+    Each row is ``_observe``'s arithmetic on t and then a, in its order,
+    read from C's lower triangle:
+    ((h + H(var_t)) + H(v_a)) + H(max(v_b - c c / v_a, floor_b)), where
+    v_x = max(C_xx - C_xt C_xt / var_t, floor_x) and
+    c = C_ba - C_bt C_at / var_t.
+    """
+    t, x, ta, tb, ab = _triples(var.size)
+    c_xt = C[x, t]
+    var_t = var.take(t)
+    # Per pair (t, x): x's variance given t, and the prefix's entropy
+    # with t and then x.
+    v = np.maximum(np.diag(C).take(x) - c_xt * c_xt / var_t, floor.take(x))
+    h_tx = (h + _entropy_from_var(var).take(t)) + _entropy_from_var(v)
+    c = c_xt.take(ab) - c_xt.take(tb) * c_xt.take(ta) / var_t.take(ta)
+    v_b = v.take(tb) - c * c / v.take(ta)
+    return h_tx.take(ta) + _entropy_from_var(
+        np.maximum(v_b, floor.take(x).take(tb)))
+
+
+@functools.lru_cache(maxsize=64)
+def _triples(m):
+    """The index tables of an m-candidate block: its pairs (t, x), t < x,
+    lexicographic, and per lexicographic triple t < a < b the positions of
+    its pairs (t, a), (t, b) and (a, b) among them."""
+    i, j, k = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), 3)),
+        np.intp, 3 * math.comb(m, 3)).reshape(-1, 3).T
+    # Pair (i, j), i < j, is number i (2 m - i - 3) / 2 + j - 1.
+    tables = np.triu_indices(m, 1) + tuple(
+        p * (2 * m - p - 3) // 2 + q - 1 for p, q in ((i, j), (i, k), (j, k)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def exhaustive_entropy_map(problem: PlacementProblem,
@@ -260,8 +349,10 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     ``set_entropy`` normalized over all rows.  Only single-domain
     problems are enumerable; the guard refuses counts above
     ``max_combos`` unless ``full_scale`` lifts it.  A row of a 31 x 4 map
-    costs 1.2-1.9 us (2-vCPU VM, one BLAS thread), so a map at the guard
-    takes about half a second; the C(31, 7) = 2.6 M rows walk in about 7 s.
+    costs 0.28-0.33 us, Sigma and the row list included (2-vCPU VM, one
+    BLAS thread), so a map at the guard takes about a tenth of a second;
+    the C(31, 7) = 2.6 M rows walk in about 1.2 s.  The walk raises
+    EntropyOverflowError where conditioning a subset overflows.
     """
     if len(set(problem.kinds)) != 1:
         raise ValueError("exhaustive maps require a single-domain problem")
@@ -274,5 +365,5 @@ def exhaustive_entropy_map(problem: PlacementProblem,
                              for x in problem.candidates], problem, n_s)
     lo, hi = raw.min(), raw.max()
     span = hi - lo if hi > lo else 1.0
-    return [(subset, float((h - lo) / span)) for subset, h in
-            zip(itertools.combinations(range(n_p), n_s), raw)]
+    return list(zip(itertools.combinations(range(n_p), n_s),
+                    ((raw - lo) / span).tolist()))

@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestExitCodes:
         assert "non-finite covariance" in err
         assert "Traceback" not in err
 
+    def test_overflowing_entropy_map_named(self, tmp_path, capsys):
+        """A 37-of-40 w map at ell = 0.125 conditions nearly collinear
+        candidates until a downdate overflows: exit 4 with a message, no
+        RuntimeWarning and no rows."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["place", "--config",
+                        self.place_config(tmp_path, n_candidates=40,
+                                          n_sensors=37, ell=0.125,
+                                          entropy_map=True),
+                        "--out", tmp_path / "o"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "37 of 40 sensors overflowed" in capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not list((tmp_path / "o").glob("entropy_map_*.csv"))
+
 
 class TestPlace:
     def test_zero_sensors_succeeds(self, tmp_path):
@@ -289,11 +307,21 @@ class TestPlace:
         assert vals.max() == pytest.approx(1.0)
 
     def test_entropy_map_once_per_kind(self, tmp_path, monkeypatch):
-        calls = []
+        """One map per kind, formatted once and copied per criterion, and
+        one K_bb factorization for the whole command."""
+        calls, writes, factorized = [], [], []
         real = placement.exhaustive_entropy_map
         monkeypatch.setattr(placement, "exhaustive_entropy_map",
                             lambda p, **kw: calls.append(p.kinds[0])
                             or real(p, **kw))
+        real_write = cli.write_csv
+        monkeypatch.setattr(cli, "write_csv",
+                            lambda path, *a: writes.append(path)
+                            or real_write(path, *a))
+        real_assemble = gp.assemble
+        monkeypatch.setattr(gp, "assemble",
+                            lambda *a: factorized.append(a[1])
+                            or real_assemble(*a))
         criteria = ["physics", "entropy", "mi"]
         cfg = {"version": 1, "beam": BEAM, "seed": 0,
                "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
@@ -304,6 +332,7 @@ class TestPlace:
         assert run(["place", "--config", write_config(tmp_path, cfg),
                     "--out", out]) == 0
         assert calls == [QuantityKind.DEFLECTION, QuantityKind.ROTATION]
+        assert len(writes) == 2 and len(factorized) == 1
         for kind in ("w", "phi"):
             maps = [(out / f"entropy_map_{c}_{kind}.csv").read_bytes()
                     for c in criteria]

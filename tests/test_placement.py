@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timopigp import gp, kernels, placement
 from timopigp.data import BoundaryCondition, Dataset
-from timopigp.errors import EnumerationGuardError, NonFiniteCovarianceError
+from timopigp.errors import (EntropyOverflowError, EnumerationGuardError,
+                             NonFiniteCovarianceError)
 from timopigp.gp import Theta
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 conditional_entropy, exhaustive_entropy_map,
@@ -235,7 +238,7 @@ class TestConditionedCovariance:
         p = problem([QuantityKind.DEFLECTION] * 4,
                     PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                     n_sensors=2, n_candidates=4, bcs=support_bcs())
-        _, got = placement.conditioned_covariance(sel, p.bcs, PARAMS)
+        _, got = placement.Prior(p.bcs, PARAMS).conditioned(sel)
         K = np.array([[float(kernels.kernel(ki, kj, xi, xj, PARAMS))
                        for xj, kj in sel] for xi, ki in sel])
         xb = np.array([0.0, 1.0])
@@ -370,7 +373,7 @@ class TestExhaustiveEntropyMap:
         bc_list = BC_SETS["w" if bcs == "bcs" else bcs]
         # A w candidate on a w BC is pinned: its Sigma is singular.
         pinned = {0.0, 1.0} if bc_list and kind is W else set()
-        for n_sensors in (1, 3, 9):
+        for n_sensors in (1, 2, 3, 4, 6, 9):
             p = problem(kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                         n_sensors=n_sensors, n_candidates=9, bcs=bc_list)
             rows = exhaustive_entropy_map(p)
@@ -388,7 +391,7 @@ class TestExhaustiveEntropyMap:
                 if pinned & {x for x, _ in s}:
                     continue
                 sign, logdet = np.linalg.slogdet(
-                    placement.conditioned_covariance(s, p.bcs, PARAMS)[1])
+                    placement.Prior(p.bcs, PARAMS).conditioned(s)[1])
                 assert sign > 0
                 assert abs(h - 0.5 * (len(s) * LOG_2PIE + logdet)) <= \
                     1e-12 * max(1.0, abs(h))
@@ -538,3 +541,82 @@ def test_greedy_matches_explicit_conditioning(crit, kind, bcs):
     tol = 1e-6 if crit is PlacementCriterion.MUTUAL_INFORMATION else 1e-9
     np.testing.assert_allclose(res.step_entropies, want_steps, rtol=0,
                                atol=tol)
+
+
+def _reference_subset_entropies(sensors, problem, k):
+    """The frame-by-frame walk: every prefix down to two picks left is
+    conditioned by ``_observe``, and the last two picks score from the
+    block's triangle."""
+    prior, sigma = problem.prior.conditioned(sensors)
+    floor = 1e-12 * prior
+    n = len(sensors)
+    if k == 1:
+        return placement._entropy_from_var(np.maximum(np.diag(sigma), floor))
+    raw = np.empty(math.comb(n, k))
+    end = raw.size
+    frames = [(0, sigma, 0.0, k, iter(range(n - k, -1, -1)))]
+    while frames:
+        start, C, h, need, picks = frames[-1]
+        var = np.maximum(np.diag(C), floor[start:])
+        if need == 2:
+            t, a = np.triu_indices(var.size, 1)
+            c = C[a, t]
+            raw[end - t.size:end] = \
+                (h + placement._entropy_from_var(var)[t]) + \
+                placement._entropy_from_var(
+                    np.maximum(var[a] - c * c / var[t], floor[start:][a]))
+            end -= t.size
+            frames.pop()
+            continue
+        t = next(picks)
+        if t == 0:
+            frames.pop()
+        block = C[t:, t:].copy()
+        placement._observe(block, 0, 0.0, var[t])
+        frames.append((start + t + 1, block[1:, 1:],
+                       h + placement._entropy_from_var(var[t]), need - 1,
+                       iter(range(var.size - t - need, -1, -1))))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 14),
+       kind=st.sampled_from([W, PHI]), bcs=st.sampled_from(sorted(BC_SETS)),
+       ell=st.floats(0.05, 1.0), sigma_s2=st.floats(0.1, 10.0))
+def test_walk_matches_frame_by_frame_reference(data, n, kind, bcs, ell,
+                                               sigma_s2):
+    """The walk's rows are the frame-by-frame walk's bit for bit, and it
+    raises EntropyOverflowError exactly where that walk overflows."""
+    k = data.draw(st.integers(1, n), label="k")
+    params = Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0, kGA=3.0)
+    _check_walk(kind, n, k, params, BC_SETS[bcs])
+
+
+def test_overflowing_walk_named():
+    """37 of 40 nearly collinear w candidates overflow a downdate."""
+    assert _check_walk(W, 40, 37, PARAMS, BC_SETS["w"]) == "overflow"
+
+
+def _check_walk(kind, n, k, params, bcs):
+    p = PlacementProblem(candidates=np.linspace(0.0, 1.0, n), kinds=kind,
+                         n_sensors=k, params=params, bcs=bcs)
+    sensors = [(float(x), kind) for x in p.candidates]
+    try:
+        with np.errstate(over="raise"):
+            want = _reference_subset_entropies(sensors, p, k)
+    except FloatingPointError:
+        with pytest.raises(EntropyOverflowError):
+            placement._subset_entropies(sensors, p, k)
+        return "overflow"
+    got = placement._subset_entropies(sensors, p, k)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    return "equal"
+
+
+def test_problem_refuses_a_prior_of_other_parameters():
+    prior = placement.Prior([], PARAMS)
+    other = Theta(sigma_s2=2.0, ell=0.125, EI=1.0, kGA=3.0)
+    with pytest.raises(ValueError, match="prior"):
+        PlacementProblem(candidates=np.linspace(0.0, 1.0, 5), kinds=W,
+                         n_sensors=2, params=other, bcs=prior.bcs,
+                         prior=prior)
