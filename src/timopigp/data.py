@@ -85,18 +85,13 @@ class BoundaryCondition:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV: a string as is, None as an empty field and a number as
-    the repr of its Python value, so floats round-trip exactly."""
+    """Write a CSV through ``csv.writer``: None as an empty field and any
+    other value as its ``str``, which for a float or a numpy float64 is
+    the shortest repr, so floats round-trip exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(map(_field, row) for row in rows)
-
-
-def _field(value) -> str:
-    if value is None or isinstance(value, str):
-        return value or ""
-    return repr(value.item() if isinstance(value, np.generic) else value)
+        writer.writerows(rows)
 
 
 def read_csv(path, parse_row, header=None, empty="empty file"):

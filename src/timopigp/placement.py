@@ -17,13 +17,18 @@ starts at Sigma, by the rank-1 downdate C <- C - c c^T / (C_jj + delta).
 delta, the noise of a placed sensor, is 0 for physics and 1e-8 sigma_s^2
 for the baselines, whose dense-grid SE covariance is singular to working
 precision.  Mutual information (Krause, Singh & Guestrin, JMLR 2008)
-subtracts the entropy of 1/diag((Sigma_UU + delta I)^-1) - delta over U,
-the unselected set.  A joint entropy sums the physics scores of a set in
-order, each given those before it: ``set_entropy`` walks one set and the
-exhaustive map every subset of the candidates, depth first, scoring the
-last three picks of each prefix in one vectorized step.  A ``Prior``
-holds the BCs' K_bb factorized once and each pool's Sigma built once, so
-one ``place`` command shares them across kinds, criteria and the map.
+subtracts the entropy of 1/diag(P) - delta over U, the unselected set,
+P = (Sigma_UU + delta I)^-1: inverted once per pool, and each pick
+dropped from P by its Schur complement, the same rank-1 downdate.  MI
+scores within a relative 1e-6 of the best tie, and the lowest index
+wins; the others tie only when equal.  A joint entropy sums the physics
+scores of a set in order, each given those before it: ``set_entropy``
+walks one set and the exhaustive map every subset of the candidates,
+depth first, scoring the last three picks of each prefix in one
+vectorized step.  A ``Prior`` holds the BCs' K_bb factorized once and
+each pool's Sigma built once, so one ``place`` command shares them across
+kinds, criteria and the map, and a greedy's set reads its Sigma from the
+pool's.
 """
 
 from __future__ import annotations
@@ -42,6 +47,25 @@ from timopigp.gp import JITTER_LADDER, Theta
 from timopigp.quantities import BLOCK_INDEX, QuantityKind
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
+
+# Relative tolerance within which mutual-information scores tie.  An MI
+# score subtracts the entropy of 1 / P_ii - delta, P the precision of
+# Sigma_UU + delta I, so its rounding error scales with cond(Sigma_UU +
+# delta I) eps: up to about 8e-7 on 121 candidates at ell = L/8, where
+# cond is 3-4e9.  A fresh inverse per step and the downdated P gave
+# scores up to 6e-8 apart there, more than the gaps that decide some
+# picks.  Scores within this tolerance of the maximum tie and the lowest
+# index wins, so the pick does not hinge on how P was rounded.  The
+# physics and entropy scores tie only at equality.
+_MI_TIE = 1e-6
+
+# Largest pool whose Sigma a Prior reads sub-blocks from.  A sub-block is
+# the fresh Sigma of its sensors bit for bit only while BLAS forms each
+# element of K_Sb K_bb^-1 K_bS alike at both sizes: checked for pools of
+# up to this size (tests/test_placement.py); from about 190 sensors up,
+# OpenBLAS 0.3.31's dgemm (Haswell kernels) rounds some elements
+# otherwise.
+_HELD_POOL_MAX = 128
 
 
 class PlacementCriterion(Enum):
@@ -112,7 +136,9 @@ class Prior:
     in their order, Sigma = K_SS - K_Sb K_bb^-1 K_bS.  K_bb is factorized
     by ``gp.assemble([], bcs, theta)`` on first use, and each sensor list's
     pair is built once and kept, read-only, for the Prior's lifetime: one
-    Prior per command shares them across its kinds, criteria and map.
+    Prior per command shares them across its kinds, criteria and map.  A
+    list that a held pool of at most ``_HELD_POOL_MAX`` sensors covers is
+    read from that pool's pair, so a greedy's set is not built again.
     Repeated sensors give a singular Sigma, which the downdates tolerate.
     """
 
@@ -120,6 +146,7 @@ class Prior:
         self.bcs = bcs
         self.theta = theta
         self._conditioned = {}
+        self._positions = {}    # held pool: {sensor: position}
 
     @functools.cached_property
     def bc_model(self) -> gp.CovarianceModel:
@@ -128,11 +155,23 @@ class Prior:
     def conditioned(self, sensors) -> tuple:
         key = tuple(sensors)
         if key not in self._conditioned:
-            pair = self._condition(key)
+            pair = self._from_held(key) or self._condition(key)
             for a in pair:
                 a.flags.writeable = False
             self._conditioned[key] = pair
+            if len(key) <= _HELD_POOL_MAX:
+                self._positions[key] = {s: i for i, s in enumerate(key)}
         return self._conditioned[key]
+
+    def _from_held(self, sensors):
+        """The pair of ``sensors`` as the sub-block, in their order, of a
+        held pool's pair that holds them all; None if no pool does."""
+        for pool, where in self._positions.items():
+            if all(s in where for s in sensors):
+                pos = [where[s] for s in sensors]
+                prior, sigma = self._conditioned[pool]
+                return prior[pos], sigma[np.ix_(pos, pos)]
+        return None
 
     def _condition(self, sensors) -> tuple:
         entries = [gp.Points(kind, np.array([x for x, _ in run], float))
@@ -192,27 +231,41 @@ def _greedy_single(problem: PlacementProblem, pool):
     floor = JITTER_LADDER[0] * prior
     mutual = problem.criterion is PlacementCriterion.MUTUAL_INFORMATION
     C = sigma.copy()
+    if mutual:
+        # The precision of the unselected set U, which starts as the pool.
+        prec = np.linalg.inv(sigma + delta * np.eye(len(pool)))
     free = np.ones(len(pool), bool)
     selected, step_entropies = [], []
     for _ in range(min(problem.n_sensors, len(pool))):
         scores = _entropy_from_var(np.maximum(np.diag(C), floor))
         if mutual:
-            # var(y_i | the other unselected) from the precision matrix.
+            # var(y_i | the rest of U) = 1 / P_ii - delta.
             u = np.flatnonzero(free)
-            prec = np.linalg.inv(sigma[np.ix_(u, u)] + delta * np.eye(u.size))
             scores[u] -= _entropy_from_var(
-                np.maximum(1.0 / np.diag(prec) - delta, floor[u]))
+                np.maximum(1.0 / np.diag(prec)[u] - delta, floor[u]))
         scores[~free] = -np.inf
-        j = int(np.argmax(scores))  # first max = lowest index
+        j = _pick(scores, _MI_TIE if mutual else 0.0)
         selected.append(pool[j])
         step_entropies.append(float(scores[j]))
         free[j] = False
         _observe(C, j, delta, floor[j])
+        if mutual:
+            # Dropping j from U is its Schur complement in the precision,
+            # P <- P - p p^T / P_jj: the same rank-1 downdate, O(n^2).
+            _observe(prec, j, 0.0, 0.0)
     return selected, step_entropies
 
 
+def _pick(scores, tie):
+    """The lowest index whose score is within tie * max(1, |max|) of the
+    maximum; tie = 0 is numpy's first-max argmax."""
+    best = scores.max()
+    return int(np.argmax(scores >= best - tie * max(1.0, abs(best))))
+
+
 def greedy_place(problem: PlacementProblem) -> PlacementResult:
-    """Iterative argmax placement; ties break on the lowest candidate index.
+    """Iterative argmax placement; ties break on the lowest candidate
+    index, MI scores tying within ``_MI_TIE`` of the best.
 
     With heterogeneous candidate kinds the budget applies per domain by
     default (n_sensors in each), or jointly with ``joint_budget=True``.

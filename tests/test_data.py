@@ -1,10 +1,14 @@
 """Tests for the observation containers and the dataset CSV reader."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from timopigp.data import (BoundaryCondition, Dataset, read_datasets_csv,
-                           write_datasets_csv)
+                           write_csv, write_datasets_csv)
 from timopigp.errors import DataFormatError
 from timopigp.quantities import QuantityKind
 
@@ -69,3 +73,32 @@ class TestCsv:
         with pytest.raises(DataFormatError,
                            match=f"d.csv:3: {field} must be finite"):
             read_datasets_csv(path)
+
+
+def _reference_field(value) -> str:
+    """A field as CSVs were once formatted: a string as is, None as empty
+    and a number as the repr of its Python value."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
+FIELDS = st.one_of(
+    st.none(), st.sampled_from(["w", "phi", "", "a,b", 'q"t', "ds 0"]),
+    st.floats(), st.floats().map(np.float64), st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.sampled_from([1e16, 5e-324, -0.0, np.float64(-0.0), np.float64(1e16),
+                     np.float64(5e-324)]))
+
+
+@given(rows=st.lists(st.lists(FIELDS, min_size=1, max_size=5), max_size=6))
+def test_write_csv_matches_reference_fields(tmp_path_factory, rows):
+    """``csv.writer`` fed the values themselves writes the bytes that the
+    field-by-field formatting wrote, floats of both types included."""
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "got.csv", ["h"], rows)
+    with open(d / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h"])
+        writer.writerows([_reference_field(v) for v in row] for row in rows)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()

@@ -271,7 +271,9 @@ def slow_target(datasets, bcs, priors, names, counts):
     def target(s):
         counts["evaluations"] += 1
         vec = s.copy()
-        vec[is_log] = np.exp(s[is_log])
+        # As in run_chain: an overflow to inf is counted, not warned of.
+        with np.errstate(over="ignore"):
+            vec[is_log] = np.exp(s[is_log])
         if np.any(vec <= 0):
             counts["prior_support"] += 1
             return -np.inf

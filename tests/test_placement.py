@@ -620,3 +620,145 @@ def test_problem_refuses_a_prior_of_other_parameters():
         PlacementProblem(candidates=np.linspace(0.0, 1.0, 5), kinds=W,
                          n_sensors=2, params=other, bcs=prior.bcs,
                          prior=prior)
+
+
+def _mi_problem(x, params, kind=W, bcs=(), n_sensors=7):
+    return PlacementProblem(candidates=x, kinds=kind, n_sensors=n_sensors,
+                            params=params, bcs=list(bcs),
+                            criterion=PlacementCriterion.MUTUAL_INFORMATION)
+
+
+def _picks(result, x):
+    return [int(np.flatnonzero(x == x_)[0]) for x_, _ in result.selected]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mi_downdated_precision_tracks_a_fresh_inverse(seed):
+    """After each MI pick, the precision downdated by the pick's Schur
+    complement has the diagonal of a fresh inverse of Sigma_UU + delta I
+    over the unselected U.  On these pools cond(Sigma + delta I) stays
+    below 1e7, and the diagonal within 1e-8 relative."""
+    x = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, 25))
+    params = Theta(sigma_s2=1.0, ell=0.01, EI=1.0, kGA=3.0)
+    picks = _picks(greedy_place(_mi_problem(x, params, n_sensors=12)), x)
+    sigma = kernels.se_base(x[:, None], x[None, :], params)
+    noisy = sigma + 1e-8 * params.sigma_s2 * np.eye(x.size)
+    assert np.linalg.cond(noisy) < 1e7
+    prec = np.linalg.inv(noisy)
+    free = np.ones(x.size, bool)
+    for j in picks:
+        placement._observe(prec, j, 0.0, 0.0)
+        free[j] = False
+        u = np.flatnonzero(free)
+        np.testing.assert_allclose(np.diag(prec)[u],
+                                   np.diag(np.linalg.inv(noisy[np.ix_(u, u)])),
+                                   rtol=1e-8, atol=0)
+
+
+class TestTieRule:
+    TIE = placement._MI_TIE
+
+    @pytest.mark.parametrize("best", [5.0, -5.0, 0.1])
+    def test_within_tolerance_lower_index_wins(self, best):
+        gap = 0.9 * self.TIE * max(1.0, abs(best))
+        assert placement._pick(np.array([-np.inf, best - gap, best]),
+                               self.TIE) == 1
+
+    @pytest.mark.parametrize("best", [5.0, -5.0, 0.1])
+    def test_beyond_tolerance_maximum_wins(self, best):
+        gap = 1.1 * self.TIE * max(1.0, abs(best))
+        assert placement._pick(np.array([-np.inf, best - gap, best]),
+                               self.TIE) == 2
+
+    def test_zero_tolerance_is_first_max(self):
+        scores = np.array([-np.inf, 1.0, np.nextafter(1.0, 2.0), 1.0,
+                           np.nextafter(1.0, 2.0)])
+        assert placement._pick(scores, 0.0) == int(np.argmax(scores)) == 2
+
+
+def _inverse_per_step_mi(problem):
+    """The MI greedy with the unselected set's precision inverted afresh
+    at every step, picking by the same tie rule."""
+    x, params = problem.candidates, problem.params
+    sigma = kernels.se_base(x[:, None], x[None, :], params)
+    delta = 1e-8 * params.sigma_s2
+    floor = 1e-12 * np.diag(sigma)
+    C = sigma.copy()
+    free = np.ones(x.size, bool)
+    picks = []
+    for _ in range(problem.n_sensors):
+        u = np.flatnonzero(free)
+        prec = np.linalg.inv(sigma[np.ix_(u, u)] + delta * np.eye(u.size))
+        scores = placement._entropy_from_var(np.maximum(np.diag(C), floor))
+        scores[u] -= placement._entropy_from_var(
+            np.maximum(1.0 / np.diag(prec) - delta, floor[u]))
+        scores[~free] = -np.inf
+        j = placement._pick(scores, placement._MI_TIE)
+        picks.append(j)
+        free[j] = False
+        placement._observe(C, j, delta, floor[j])
+    return picks
+
+
+def _benchmark_prior(seed):
+    """The place benchmark's prior at one seed: length scale within 10 %
+    of L/8 and signal variance within a factor 2 of 1, L = 1."""
+    rng = np.random.default_rng(seed)
+    ell = 0.125 * float(np.exp(rng.uniform(np.log(0.9), np.log(1.1))))
+    sigma_s2 = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+    return Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0, kGA=3.0)
+
+
+@pytest.mark.parametrize("kind", [W, PHI], ids=lambda k: k.code)
+@pytest.mark.parametrize("grid", [(121, 7), (12, 4)], ids=str)
+def test_mi_sets_match_inverse_per_step_on_benchmark_grids(grid, kind):
+    """The downdated precision and a fresh inverse per step pick the same
+    MI sets on the place benchmark's grids and priors (seeds 1-20, w BCs):
+    their rounding differs by less than the tie tolerance."""
+    n, k = grid
+    x = np.linspace(0.0, 1.0, n)
+    for seed in range(1, 21):
+        p = _mi_problem(x, _benchmark_prior(seed), kind, BC_SETS["w"], k)
+        assert _picks(greedy_place(p), x) == _inverse_per_step_mi(p), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), bcs=st.sampled_from(sorted(BC_SETS)),
+       ell=st.floats(0.05, 1.0), sigma_s2=st.floats(0.1, 10.0))
+def test_held_pool_sub_block_is_the_fresh_sigma(data, bcs, ell, sigma_s2):
+    """A set read from a held pool's Sigma, in its own order, is the pair
+    a fresh build gives, bit for bit, for pools of every size up to the
+    bound, of mixed kinds in any order, under each BC set."""
+    n = data.draw(st.integers(1, placement._HELD_POOL_MAX), label="n")
+    x = data.draw(st.permutations(np.linspace(0.0, 1.0, n).tolist()),
+                  label="x")
+    kinds = data.draw(st.lists(st.sampled_from([W, PHI, QuantityKind.MOMENT,
+                                                QuantityKind.SHEAR]),
+                               min_size=n, max_size=n), label="kinds")
+    pool = list(zip(x, kinds))
+    order = data.draw(st.permutations(range(n)), label="order")
+    sensors = tuple(pool[i] for i in order[:data.draw(st.integers(1, n))])
+    params = Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0, kGA=3.0)
+    prior = placement.Prior(BC_SETS[bcs], params)
+    prior.conditioned(pool)
+    got = prior._from_held(sensors)
+    want = placement.Prior(BC_SETS[bcs], params)._condition(sensors)
+    assert got is not None
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_set_entropy_reads_the_greedy_pool(monkeypatch, extra):
+    """A physics greedy builds Sigma once, for its pool, and its set's
+    entropy reads the pool's sub-block, up to the held-pool bound."""
+    n = placement._HELD_POOL_MAX + extra
+    built = []
+    real = placement.Prior._condition
+    monkeypatch.setattr(placement.Prior, "_condition",
+                        lambda self, s: built.append(len(s))
+                        or real(self, s))
+    greedy_place(pool_problem("w", PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
+                              BC_SETS["w"],
+                              candidates=np.linspace(0.0, 1.0, n)))
+    assert built == [n] + [7] * extra
