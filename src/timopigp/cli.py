@@ -26,7 +26,7 @@ from timopigp.data import (BoundaryCondition, finite_floats, read_csv,
 from timopigp.errors import (DataFormatError, EntropyOverflowError,
                              EnumerationGuardError, IllConditionedModelError,
                              NonFiniteCovarianceError, StuckChainError)
-from timopigp.mcmc import McmcConfig, PosteriorChain
+from timopigp.mcmc import McmcConfig
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 greedy_place)
 from timopigp.quantities import QuantityKind
@@ -159,18 +159,19 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
 
 
 def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
-    """Bounded stiffness priors: factors of the true EI (and kGA)."""
+    """Bounded-uniform stiffness priors: lo_factor and hi_factor (0.5 and
+    1.5 by default) times the true EI and kGA, each read from its own
+    section; kGA takes EI's factors when it has no section."""
     pr = _read(cfg, "config", "priors", _section, {})
-    ei = _read(pr, "priors", "EI", _section, {})
-    lo = _read(ei, "priors.EI", "lo_factor", _finite, 0.5)
-    hi = _read(ei, "priors.EI", "hi_factor", _finite, 1.5)
-    priors = experiments.stiffness_priors(beam, lo=lo, hi=hi)
-    if "kGA" in pr:
-        kga = _read(pr, "priors", "kGA", _section)
-        lo = _read(kga, "priors.kGA", "lo_factor", _finite, 0.5)
-        hi = _read(kga, "priors.kGA", "hi_factor", _finite, 1.5)
-        priors["kGA"] = mcmc.UniformBounded(lo * beam.kGA_true,
-                                            hi * beam.kGA_true)
+    priors, where, spec = {}, "priors.EI", {}
+    for name, true in (("EI", beam.EI_true), ("kGA", beam.kGA_true)):
+        # Without a section of its own, kGA keeps EI's.
+        if name in pr:
+            where = f"priors.{name}"
+            spec = _read(pr, "priors", name, _section)
+        priors[name] = mcmc.UniformBounded(
+            _read(spec, where, "lo_factor", _finite, 0.5) * true,
+            _read(spec, where, "hi_factor", _finite, 1.5) * true)
     return priors
 
 
@@ -333,14 +334,6 @@ def _apply_dataset_config(datasets: list, cfg: dict):
             ds.learn_noise = _read(spec, where, "learn_noise", _switch, True)
 
 
-def _read_chain_csv(path) -> PosteriorChain:
-    names, rows = read_csv(path, finite_floats, empty="empty chain file")
-    draws = np.asarray(rows)
-    return PosteriorChain(names, draws, mcmc.thetas_from_draws(draws, names),
-                          acceptance_rate=float("nan"),
-                          log_posterior_trace=np.array([]), seed=-1)
-
-
 def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
                  dump_kernels: bool = False) -> int:
     beam = beam_from_config(cfg)
@@ -386,13 +379,18 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
     datasets = read_data(data_paths, beam)
     _apply_dataset_config(datasets, cfg)
     bcs = bcs_from_config(cfg, beam)
-    chain = _read_chain_csv(chain_path)
+    names, rows = read_csv(chain_path, finite_floats,
+                           empty="empty chain file")
+    try:
+        codec = mcmc.ThetaCodec(names)
+    except ValueError as exc:
+        raise DataFormatError(chain_path, 1, str(exc)) from None
     pcfg = _read(cfg, "config", "predict", _section, {})
     max_draws = _read(pcfg, "predict", "max_draws", _count, 100)
-    if len(chain.thetas) > max_draws:
-        idx = np.linspace(0, len(chain.thetas) - 1, max_draws).astype(int)
-        chain.thetas = [chain.thetas[i] for i in idx]
-        chain.draws = chain.draws[idx]
+    if len(rows) > max_draws:
+        idx = np.linspace(0, len(rows) - 1, max_draws).astype(int)
+        rows = [rows[i] for i in idx]
+    thetas = [codec.theta(row) for row in rows]
 
     x_star = np.linspace(0.0, beam.L,
                          _read(pcfg, "predict", "n_grid", _count, 101))
@@ -409,7 +407,7 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
         else:
             queries.append((kind, x_star, None))
     outputs = {}
-    for pred in gp.predict_mixture(datasets, bcs, chain, queries):
+    for pred in gp.predict_mixture(datasets, bcs, thetas, queries):
         name = f"pred_{pred.kind.code}.csv"
         n = pred.x_star.size
         z = [None] * n if pred.z_star is None else pred.z_star

@@ -33,8 +33,9 @@ The factorization and the solves call LAPACK directly (``dpotrf``,
 scipy's ``cholesky``, ``cho_solve`` and ``solve_triangular`` call, so L
 and the solutions are theirs bit for bit, without the wrappers' second
 finiteness check of a K that ``check_finite`` has passed.  ``factorize``
-and the sampler's ``log_evidence`` share one path from a data layout to
-L: evaluate, add the layout's noise plan, check, factorize.
+and ``log_marginal_likelihood``, which the sampler calls once per step,
+share one path from a data layout to L: evaluate, add the layout's noise
+plan, check, factorize.
 """
 
 from __future__ import annotations
@@ -388,7 +389,8 @@ def data_layout(datasets, bcs) -> Layout:
 
 def _factor(layout: Layout, theta: Theta) -> tuple:
     """(K, L, jitter level): a data layout evaluated, its noise added and
-    factorized, the one path ``factorize`` and ``log_evidence`` share."""
+    factorized, the one path ``factorize`` and ``log_marginal_likelihood``
+    share."""
     K = evaluate(layout, theta)
     noise, learned = layout.noise
     if learned:
@@ -427,26 +429,18 @@ def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
     return factorize(data_layout(datasets, bcs), theta)
 
 
-def _log_evidence(chol: np.ndarray, y: np.ndarray, log_norm) -> float:
-    """-y'K^-1 y/2 - log|K|/2 - log_norm, K = L L'."""
-    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
-    return float(-0.5 * y @ _solve(chol, y) - 0.5 * log_det - log_norm)
+def log_marginal_likelihood(layout: Layout, theta: Theta) -> tuple:
+    """(log evidence, jitter level) of a data layout at theta.
 
-
-def log_marginal_likelihood(model: CovarianceModel) -> float:
-    """Gaussian log evidence -y'K^-1 y/2 - log|K|/2 - n log(2 pi)/2."""
-    return _log_evidence(model.chol, model.y,
-                         0.5 * model.y.size * np.log(2.0 * np.pi))
-
-
-def log_evidence(layout: Layout, theta: Theta) -> tuple:
-    """(log marginal likelihood, jitter level) of a data layout at theta.
-
-    ``log_marginal_likelihood(factorize(layout, theta))`` bit for bit,
-    without building the model; it raises as ``factorize`` does.
+    The Gaussian log evidence -y'K^-1 y/2 - log|K|/2 - n log(2 pi)/2,
+    K = L L' (Rasmussen & Williams, GPML eq. 2.30), from ``factorize``'s
+    path without building the model; it raises as ``factorize`` does.
     """
     _, chol, level = _factor(layout, theta)
-    return _log_evidence(chol, layout.y, layout.log_norm), level
+    y = layout.y
+    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
+    return (float(-0.5 * y @ _solve(chol, y) - 0.5 * log_det
+                  - layout.log_norm), level)
 
 
 def _query(kind: QuantityKind, x_star, z_star) -> Points:
@@ -521,16 +515,15 @@ def predict(model: CovarianceModel, kind: QuantityKind, x_star,
                       var=np.maximum(var, 0.0), z_star=z_star)
 
 
-def predict_mixture(datasets, bcs, chain, queries) -> list:
+def predict_mixture(datasets, bcs, thetas, queries) -> list:
     """Fully Bayesian prediction averaging per-draw Gaussian predictives.
 
     One Prediction per ``(kind, x_star, z_star)`` query; the data and
-    query layouts are built once, and each draw is factorized and solved
-    for K^-1 y once for all queries.  The mixture mean is the average of
-    per-draw means; the mixture variance adds the spread of the per-draw
-    means to the average per-draw variance.
+    query layouts are built once, and each posterior draw (a Theta) is
+    factorized and solved for K^-1 y once for all queries.  The mixture
+    mean is the average of per-draw means; the mixture variance adds the
+    spread of the per-draw means to the average per-draw variance.
     """
-    thetas = chain.thetas if hasattr(chain, "thetas") else list(chain)
     if not thetas:
         raise ValueError("posterior chain must be non-empty")
     layout = data_layout(datasets, bcs)

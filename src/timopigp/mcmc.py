@@ -7,17 +7,23 @@ stiffness parameters keep linear coordinates because their priors are
 bounded-uniform in linear units.  The Gaussian proposal is symmetric, so
 the proposal ratio cancels in the acceptance probability.
 
-A chain builds its prior once: a table of each parameter's log density in
-parameter order, summed per step in that order, the path ``log_prior``
-takes too.  Each log-target evaluation lands in one count: a rejection by
-cause (prior support, invalid theta, non-finite K, ill-conditioned K) or
-the jitter level its factorization used.
+One ``ThetaCodec`` maps parameter names to ``Theta`` fields and says
+which are sampled in log space: the chain's start vector and steps, its
+draws' Thetas and a chain CSV's header all go through it.  A chain builds
+its data layout and its prior once, a table of each parameter's log
+density in parameter order.  Each step undoes the log transform, checks
+positivity, builds the Theta and scores it with ``log_posterior``: the
+table summed in that order plus ``gp.log_marginal_likelihood``.  Each
+log-target evaluation lands in one count: a rejection by cause (prior
+support, invalid theta, non-finite K, ill-conditioned K) or the jitter
+level its factorization used.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -97,6 +103,58 @@ class McmcConfig:
                                  f"finite numbers, got {v!r}")
 
 
+class ThetaCodec:
+    """Parameter vectors <-> Theta, by name.
+
+    ``names`` holds each of ``FIELDS`` once and one ``sigma_n:<label>``
+    per learned noise level, in any order; ``is_log`` flags the entries
+    sampled in log space.  A chain's names are the fields, then its
+    start point's noise labels (``of``); a chain CSV's are its header.
+    """
+
+    FIELDS = ("sigma_s2", "ell", "EI", "kGA")
+    NOISE = "sigma_n:"
+
+    def __init__(self, names):
+        self.names = list(names)
+        for name in self.names:
+            if name not in self.FIELDS and not name.startswith(self.NOISE):
+                raise ValueError(f"column {name!r} is not a parameter")
+            if self.names.count(name) > 1:
+                raise ValueError(f"column {name!r} appears twice")
+        for name in self.FIELDS:
+            if name not in self.names:
+                raise ValueError(f"no {name!r} column")
+        noise = [i for i, name in enumerate(self.names)
+                 if name not in self.FIELDS]
+        self.labels = [self.names[i][len(self.NOISE):] for i in noise]
+        self.is_log = np.array([self.log_space(name) for name in self.names])
+        # The fields in Theta's order, then the noise levels.
+        self._order = [self.names.index(name) for name in self.FIELDS] + noise
+        self._take = operator.itemgetter(*self._order)
+
+    @classmethod
+    def of(cls, theta: Theta) -> ThetaCodec:
+        return cls(list(cls.FIELDS)
+                   + [cls.NOISE + label for label in theta.sigma_n])
+
+    @classmethod
+    def log_space(cls, name: str) -> bool:
+        """Scale-like parameters are sampled in log space."""
+        return name in LOG_PARAMS or name.startswith(cls.NOISE)
+
+    def theta(self, values) -> Theta:
+        """The Theta of one vector: a list of floats in ``names`` order."""
+        v = self._take(values)
+        return Theta(*v[:4], sigma_n=dict(zip(self.labels, v[4:])))
+
+    def vector(self, theta: Theta) -> np.ndarray:
+        out = np.empty(len(self.names))
+        out[self._order] = [theta.sigma_s2, theta.ell, theta.EI, theta.kGA] \
+            + [theta.sigma_n[label] for label in self.labels]
+        return out
+
+
 @dataclass
 class PosteriorChain:
     """Post burn-in, thinned draws with acceptance diagnostics.
@@ -108,54 +166,29 @@ class PosteriorChain:
 
     param_names: list
     draws: np.ndarray
-    thetas: list
     acceptance_rate: float
     log_posterior_trace: np.ndarray
     seed: int
     target_counts: dict = field(default_factory=dict)
 
+    @property
+    def thetas(self) -> list:
+        """One Theta per draw, built on each access."""
+        return thetas_from_draws(self.draws, self.param_names)
+
     def __len__(self) -> int:
-        return len(self.thetas)
-
-
-def _param_layout(theta0: Theta):
-    names = ["sigma_s2", "ell", "EI", "kGA"]
-    names += [f"sigma_n:{label}" for label in theta0.sigma_n]
-    is_log = [name in LOG_PARAMS or name.startswith("sigma_n:")
-              for name in names]
-    return names, np.array(is_log)
-
-
-def _theta_to_vector(theta: Theta, names) -> np.ndarray:
-    out = []
-    for name in names:
-        if name.startswith("sigma_n:"):
-            out.append(theta.sigma_n[name.split(":", 1)[1]])
-        else:
-            out.append(getattr(theta, name))
-    return np.array(out, dtype=float)
-
-
-def _vector_to_theta(vec: np.ndarray, names) -> Theta:
-    kw = {"sigma_n": {}}
-    for name, value in zip(names, vec):
-        if name.startswith("sigma_n:"):
-            kw["sigma_n"][name.split(":", 1)[1]] = float(value)
-        else:
-            kw[name] = float(value)
-    return Theta(**kw)
+        return len(self.draws)
 
 
 def thetas_from_draws(draws: np.ndarray, names) -> list:
     """One Theta per row of a draws matrix with columns ``names``."""
-    return [_vector_to_theta(v, names) for v in draws]
+    codec = ThetaCodec(names)
+    return [codec.theta(row) for row in np.asarray(draws).tolist()]
 
 
 def default_prior(name: str):
     """Scale-like parameters get LogFlat, everything else Flat."""
-    if name in LOG_PARAMS or name.startswith("sigma_n:"):
-        return LogFlat()
-    return Flat()
+    return LogFlat() if ThetaCodec.log_space(name) else Flat()
 
 
 def _prior_table(names, priors: dict) -> list:
@@ -164,27 +197,24 @@ def _prior_table(names, priors: dict) -> list:
             for name in names]
 
 
-def _prior_sum(table, values) -> float:
-    """Sum of the prior log densities in table order; -inf off support."""
-    total = 0.0
-    for log_density, value in zip(table, values):
-        total += log_density(value)
-    return total if math.isfinite(total) else -math.inf
+def log_posterior(layout: gp.Layout, theta: Theta, values, table,
+                  counts: Counter) -> float:
+    """Unnormalized log posterior: log prior plus log marginal likelihood.
 
-
-def log_prior(theta: Theta, priors: dict) -> float:
-    names, _ = _param_layout(theta)
-    return _prior_sum(_prior_table(names, priors),
-                      _theta_to_vector(theta, names).tolist())
-
-
-def _log_likelihood(layout: gp.Layout, theta: Theta, counts: Counter) -> float:
-    """Log marginal likelihood, -inf for a K that cannot be factorized.
-
-    ``counts`` gets one count: the failure's cause or the jitter level.
+    ``values`` is theta's parameter vector in the order of ``table``, the
+    prior table of its names (``_prior_table``); the log prior sums the
+    table's densities in that order.  The value is -inf off the prior's
+    support and for a K that cannot be factorized; ``counts`` gets one
+    count, the cause (``REJECTIONS``) or the jitter level.
     """
+    lp = 0.0
+    for log_density, v in zip(table, values):
+        lp += log_density(v)
+    if not math.isfinite(lp):
+        counts["prior_support"] += 1
+        return -math.inf
     try:
-        value, level = gp.log_evidence(layout, theta)
+        lml, level = gp.log_marginal_likelihood(layout, theta)
     except NonFiniteCovarianceError:
         counts["non_finite_covariance"] += 1
         return -math.inf
@@ -192,22 +222,7 @@ def _log_likelihood(layout: gp.Layout, theta: Theta, counts: Counter) -> float:
         counts["ill_conditioned"] += 1
         return -math.inf
     counts[level] += 1
-    return value
-
-
-def log_posterior(theta: Theta, datasets, bcs, priors: dict,
-                  layout: gp.Layout | None = None) -> float:
-    """Unnormalized log posterior: marginal likelihood plus log prior.
-
-    ``layout`` is ``gp.data_layout(datasets, bcs)``, for a caller that
-    evaluates many thetas on the same data.
-    """
-    lp = log_prior(theta, priors)
-    if not np.isfinite(lp):
-        return -np.inf
-    if layout is None:
-        layout = gp.data_layout(datasets, bcs)
-    return _log_likelihood(layout, theta, Counter()) + lp
+    return lml + lp
 
 
 def random_walk_metropolis(log_target, x0, cfg: McmcConfig,
@@ -269,8 +284,9 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig,
 def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
               theta0: Theta) -> PosteriorChain:
     """Sample the hyperparameter posterior; deterministic under fixed seed."""
-    names, is_log = _param_layout(theta0)
-    x0 = _theta_to_vector(theta0, names)
+    codec = ThetaCodec.of(theta0)
+    names, is_log = codec.names, codec.is_log
+    x0 = codec.vector(theta0)
     if np.any(x0[is_log] <= 0):
         raise ValueError("log-transformed parameters must start positive")
     s0 = x0.copy()
@@ -287,7 +303,6 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     scales[~is_log] *= np.abs(x0[~is_log])
     layout = gp.data_layout(datasets, bcs)
     table = _prior_table(names, priors)
-    labels = list(theta0.sigma_n)
     log_index = np.flatnonzero(is_log)
     counts = Counter()
 
@@ -301,15 +316,11 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
             return -np.inf
         values = vec.tolist()
         try:
-            theta = Theta(*values[:4], sigma_n=dict(zip(labels, values[4:])))
+            theta = codec.theta(values)
         except ValueError:
             counts["invalid_theta"] += 1
             return -np.inf
-        lp = _prior_sum(table, values)
-        if lp == -math.inf:
-            counts["prior_support"] += 1
-            return -np.inf
-        lp = _log_likelihood(layout, theta, counts) + lp
+        lp = log_posterior(layout, theta, values, table, counts)
         if not math.isfinite(lp):
             return -np.inf
         # Jacobian of the log transform.
@@ -322,14 +333,13 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
                                                    scales=scales)
     draws = draws_s.copy()
     draws[:, is_log] = np.exp(draws_s[:, is_log])
-    thetas = thetas_from_draws(draws, names)
     target_counts = {
         "evaluations": counts["evaluations"],
         "rejected": {cause: counts[cause] for cause in REJECTIONS},
         "jitter": {repr(level): counts[level]
                    for level in (0.0,) + gp.JITTER_LADDER},
     }
-    return PosteriorChain(param_names=names, draws=draws, thetas=thetas,
+    return PosteriorChain(param_names=names, draws=draws,
                           acceptance_rate=acc, log_posterior_trace=lts,
                           seed=cfg.seed, target_counts=target_counts)
 

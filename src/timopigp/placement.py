@@ -200,22 +200,6 @@ def _observe(C, j, delta, floor):
     C -= np.outer(c, c) / max(C[j, j] + delta, floor)
 
 
-def conditional_entropy(x_star, kind: QuantityKind, placed, bcs,
-                        params: Theta) -> float:
-    """Entropy 0.5 ln(2 pi e sigma^2) of one candidate given placed sensors.
-
-    The physics greedy's arithmetic: Sigma over the placed sensors and
-    then x_star, downdated on each placed sensor in turn.
-    """
-    sensors = list(placed) + [(float(x_star), kind)]
-    prior, sigma = Prior(bcs, params).conditioned(sensors)
-    C = sigma.copy()
-    floor = JITTER_LADDER[0] * prior
-    for j in range(len(placed)):
-        _observe(C, j, 0.0, floor[j])
-    return float(_entropy_from_var(max(C[-1, -1], floor[-1])))
-
-
 def _greedy_single(problem: PlacementProblem, pool):
     """Greedy selection over one pool of candidate indices."""
     if problem.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:

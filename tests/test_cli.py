@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timopigp import beam, cli, experiments, gp, placement
+from timopigp import beam, cli, experiments, gp, mcmc, placement
 from timopigp.beam import BeamConfig
 from timopigp.errors import StuckChainError
 from timopigp.quantities import QuantityKind
@@ -441,6 +441,41 @@ class TestIdentifyPredict:
         assert "bad_chain.csv:2: EI must be finite" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,message", [
+        (["sigma_s2", "ell", "EI"], "no 'kGA' column"),
+        (["sigma_s2", "ell", "EI", "kGA", "foo"],
+         "column 'foo' is not a parameter")])
+    def test_chain_header_refused_by_column(self, workflow, capsys, header,
+                                            message):
+        tmp_path, _, _ = workflow
+        chain = tmp_path / "bad_header_chain.csv"
+        chain.write_text(",".join(header) + "\n"
+                         + ",".join(["1.0"] * len(header)) + "\n")
+        code = run(["predict", "--config", tmp_path / "id.json",
+                    "--out", tmp_path / "bad_header_pred", "--chain", chain,
+                    "--data", tmp_path / "sim" / "data_w.csv"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert f"bad_header_chain.csv:1: {message}" in err
+        assert "Traceback" not in err
+
+    def test_chain_columns_read_by_name(self, workflow):
+        """A chain CSV with its columns in another order predicts the
+        same bytes."""
+        tmp_path, out_id, out_pred = workflow
+        with open(out_id / "chain.csv", newline="") as fh:
+            rows = [row[::-1] for row in csv.reader(fh)]
+        chain = tmp_path / "reversed_chain.csv"
+        with open(chain, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "reversed_pred"
+        data = [tmp_path / "sim" / f"data_{label}.csv"
+                for label in ("w", "phi", "q")]
+        assert run(["predict", "--config", tmp_path / "id.json",
+                    "--out", out, "--chain", chain, "--data"] + data) == 0
+        for name in ("pred_w.csv", "pred_M.csv", "pred_eps.csv"):
+            assert (out / name).read_bytes() == (out_pred / name).read_bytes()
+
     def test_dump_kernels_writes_the_starting_covariance(self, workflow):
         """kernel_matrix.csv is K at the chain's start point, exactly: the
         savetxt format keeps every bit of a float."""
@@ -472,6 +507,22 @@ class TestIdentifyPredict:
                                         "diagnostics.json"}
         m_pred = json.loads((out_pred / "manifest.json").read_text())
         assert "pred_w.csv" in m_pred["outputs"]
+
+
+def test_kga_prior_takes_ei_factors_without_its_own_section():
+    beam_cfg = cli.beam_from_config({"beam": BEAM})
+    ei = {"lo_factor": 0.8, "hi_factor": 1.25}
+
+    def priors(section):
+        return cli.priors_from_config({"priors": section}, beam_cfg)
+
+    assert priors({}) == {"EI": mcmc.UniformBounded(0.5, 1.5),
+                          "kGA": mcmc.UniformBounded(1.5, 4.5)}
+    assert priors({"EI": ei})["kGA"] == mcmc.UniformBounded(0.8 * 3.0,
+                                                            1.25 * 3.0)
+    # A kGA section of its own: its missing factors take the defaults.
+    assert priors({"EI": ei, "kGA": {"lo_factor": 0.9}})["kGA"] == \
+        mcmc.UniformBounded(0.9 * 3.0, 1.5 * 3.0)
 
 
 class TestStudy:

@@ -11,9 +11,9 @@ from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
 from timopigp.errors import StuckChainError
 from timopigp.gp import Theta
-from timopigp.mcmc import (Flat, LogFlat, McmcConfig, UniformBounded,
-                           log_posterior, log_prior, random_walk_metropolis,
-                           run_chain, summarize)
+from timopigp.mcmc import (Flat, LogFlat, McmcConfig, ThetaCodec,
+                           UniformBounded, log_posterior,
+                           random_walk_metropolis, run_chain, summarize)
 from timopigp.quantities import QuantityKind
 
 CFG = BeamConfig(L=1.0, EI_true=1.0, kGA_true=3.0, q0=1.0)
@@ -29,6 +29,16 @@ def tiny_problem(seed=0, sigma=0.05):
     bcs = [BoundaryCondition(kind=QuantityKind.DEFLECTION,
                              x=np.array([0.0, 1.0]))]
     return [ds], bcs
+
+
+def score(theta, datasets, bcs, priors, counts, layout=None):
+    """``log_posterior`` of theta, its vector and prior table built as a
+    chain builds them."""
+    codec = ThetaCodec.of(theta)
+    if layout is None:
+        layout = gp.data_layout(datasets, bcs)
+    return log_posterior(layout, theta, codec.vector(theta).tolist(),
+                         mcmc._prior_table(codec.names, priors), counts)
 
 
 class TestPriors:
@@ -64,17 +74,24 @@ class TestPriors:
         assert isinstance(mcmc.default_prior("kGA"), Flat)
 
     def test_log_prior_sums(self):
+        datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=2.0, ell=0.5, EI=1.0, kGA=3.0)
         priors = {"EI": UniformBounded(0.5, 1.5),
                   "kGA": UniformBounded(1.5, 4.5),
                   "sigma_s2": Flat(), "ell": Flat()}
         want = -np.log(1.0) - np.log(3.0)
-        assert log_prior(theta, priors) == pytest.approx(want)
+        lml, _ = gp.log_marginal_likelihood(gp.data_layout(datasets, bcs),
+                                            theta)
+        lp = score(theta, datasets, bcs, priors, Counter()) - lml
+        assert lp == pytest.approx(want)
 
     def test_log_prior_outside_support(self):
+        datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=1.0, ell=0.5, EI=2.0, kGA=3.0)
         priors = {"EI": UniformBounded(0.5, 1.5)}
-        assert log_prior(theta, priors) == -np.inf
+        counts = Counter()
+        assert score(theta, datasets, bcs, priors, counts) == -np.inf
+        assert counts == {"prior_support": 1}
 
 
 class TestLogPosterior:
@@ -84,29 +101,36 @@ class TestLogPosterior:
         priors = {"sigma_s2": Flat(), "ell": Flat(),
                   "EI": Flat(), "kGA": Flat()}
         model = gp.assemble(datasets, bcs, theta)
-        want = gp.log_marginal_likelihood(model)
-        assert log_posterior(theta, datasets, bcs, priors) == \
+        want, level = gp.log_marginal_likelihood(
+            gp.data_layout(datasets, bcs), theta)
+        assert level == model.jitter
+        counts = Counter()
+        assert score(theta, datasets, bcs, priors, counts) == \
             pytest.approx(want, rel=1e-12)
+        assert counts == {level: 1}
 
     def test_non_finite_covariance_is_zero_density(self):
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0,
                       sigma_n={})
-        assert log_posterior(theta, datasets, bcs, {}) == -np.inf
+        counts = Counter()
+        assert score(theta, datasets, bcs, {}, counts) == -np.inf
+        assert counts == {"non_finite_covariance": 1}
 
     def test_outside_prior_support(self):
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=0.01, ell=0.3, EI=3.0, kGA=3.0)
         priors = {"EI": UniformBounded(0.5, 1.5)}
-        assert log_posterior(theta, datasets, bcs, priors) == -np.inf
+        assert score(theta, datasets, bcs, priors, Counter()) == -np.inf
 
     def test_prebuilt_layout_gives_the_same_value(self):
+        """One layout scores many thetas as a fresh one scores each."""
         datasets, bcs = tiny_problem()
         layout = gp.data_layout(datasets, bcs)
         for theta in (Theta(sigma_s2=0.01, ell=0.3, EI=1.0, kGA=3.0),
                       Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0)):
-            assert log_posterior(theta, datasets, bcs, {}, layout) == \
-                log_posterior(theta, datasets, bcs, {})
+            assert score(theta, datasets, bcs, {}, Counter(), layout) == \
+                score(theta, datasets, bcs, {}, Counter())
 
 
 class TestThetasFromDraws:
@@ -123,6 +147,53 @@ class TestThetasFromDraws:
         with pytest.raises(ValueError, match="EI"):
             mcmc.thetas_from_draws(np.array([[0.5, 0.2, -1.0, 3.0]]),
                                    ["sigma_s2", "ell", "EI", "kGA"])
+
+
+class TestThetaCodec:
+    def test_columns_read_by_name_in_any_order(self):
+        names = ["EI", "sigma_n:w", "ell", "kGA", "sigma_s2", "sigma_n:phi"]
+        codec = ThetaCodec(names)
+        theta = Theta(sigma_s2=0.6, ell=0.3, EI=1.2, kGA=3.1,
+                      sigma_n={"w": 0.02, "phi": 0.05})
+        assert codec.theta([1.2, 0.02, 0.3, 3.1, 0.6, 0.05]) == theta
+        assert codec.theta([1.2, 0.02, 0.3, 3.1, 0.6, 0.05]).sigma_n == \
+            theta.sigma_n
+        assert codec.vector(theta).tolist() == \
+            [1.2, 0.02, 0.3, 3.1, 0.6, 0.05]
+        assert codec.is_log.tolist() == [False, True, True, False, True,
+                                         True]
+
+    def test_of_a_theta_lists_fields_then_noise(self):
+        theta = Theta(sigma_s2=0.6, ell=0.3, EI=1.2, kGA=3.1,
+                      sigma_n={"w": 0.02})
+        codec = ThetaCodec.of(theta)
+        assert codec.names == ["sigma_s2", "ell", "EI", "kGA", "sigma_n:w"]
+        assert codec.theta(codec.vector(theta).tolist()) == theta
+
+    @pytest.mark.parametrize("names,message", [
+        (["sigma_s2", "ell", "EI"], "no 'kGA' column"),
+        (["sigma_s2", "ell", "EI", "kGA", "foo"],
+         "column 'foo' is not a parameter"),
+        (["sigma_s2", "ell", "EI", "kGA", "EI"], "column 'EI' appears twice"),
+    ])
+    def test_bad_names_are_named(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            ThetaCodec(names)
+
+    def test_default_prior_follows_the_log_space_rule(self):
+        for name in ("sigma_s2", "ell", "EI", "kGA", "sigma_n:w"):
+            assert isinstance(mcmc.default_prior(name), LogFlat) == \
+                ThetaCodec.log_space(name)
+
+    def test_chain_thetas_are_its_draws(self):
+        names = ["sigma_s2", "ell", "EI", "kGA", "sigma_n:w"]
+        draws = np.array([[0.5, 0.2, 1.1, 2.9, 0.01],
+                          [0.6, 0.3, 1.2, 3.1, 0.02]])
+        chain = mcmc.PosteriorChain(param_names=names, draws=draws,
+                                    acceptance_rate=0.3,
+                                    log_posterior_trace=np.zeros(2), seed=0)
+        assert chain.thetas == mcmc.thetas_from_draws(draws, names)
+        assert len(chain) == 2
 
 
 class TestRandomWalkMetropolis:
@@ -405,7 +476,6 @@ class TestSummarize:
     def _chain(self, draws, names=("EI",)):
         draws = np.asarray(draws, float)
         return mcmc.PosteriorChain(param_names=list(names), draws=draws,
-                                   thetas=[None] * len(draws),
                                    acceptance_rate=0.3,
                                    log_posterior_trace=np.zeros(len(draws)),
                                    seed=0)

@@ -14,8 +14,8 @@ from timopigp.errors import (EntropyOverflowError, EnumerationGuardError,
                              NonFiniteCovarianceError)
 from timopigp.gp import Theta
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
-                                conditional_entropy, exhaustive_entropy_map,
-                                greedy_place, set_entropy)
+                                exhaustive_entropy_map, greedy_place,
+                                set_entropy)
 from timopigp.quantities import QuantityKind
 
 PARAMS = Theta(sigma_s2=1.0, ell=0.125, EI=1.0, kGA=3.0)
@@ -37,6 +37,21 @@ def problem(kinds, criterion, n_sensors=7, n_candidates=31, bcs=None,
 
 def selected_x(result):
     return sorted(x for x, _ in result.selected)
+
+
+def conditional_entropy(x_star, kind, placed, bcs, params):
+    """Entropy 0.5 ln(2 pi e sigma^2) of one candidate given placed sensors.
+
+    The physics greedy's arithmetic: Sigma over the placed sensors and
+    then x_star, downdated on each placed sensor in turn.
+    """
+    sensors = list(placed) + [(float(x_star), kind)]
+    prior, sigma = placement.Prior(bcs, params).conditioned(sensors)
+    C = sigma.copy()
+    floor = gp.JITTER_LADDER[0] * prior
+    for j in range(len(placed)):
+        placement._observe(C, j, 0.0, floor[j])
+    return float(placement._entropy_from_var(max(C[-1, -1], floor[-1])))
 
 
 class TestConditionalEntropy:
