@@ -159,20 +159,18 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
 
 
 def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
-    """Bounded-uniform stiffness priors: lo_factor and hi_factor (0.5 and
-    1.5 by default) times the true EI and kGA, each read from its own
-    section; kGA takes EI's factors when it has no section."""
+    """Bounded-uniform stiffness priors (``experiments.stiffness_priors``)
+    from each stiffness's own section of lo_factor and hi_factor."""
     pr = _read(cfg, "config", "priors", _section, {})
-    priors, where, spec = {}, "priors.EI", {}
-    for name, true in (("EI", beam.EI_true), ("kGA", beam.kGA_true)):
-        # Without a section of its own, kGA keeps EI's.
+    factors = {}
+    for name in ("EI", "kGA"):
         if name in pr:
-            where = f"priors.{name}"
             spec = _read(pr, "priors", name, _section)
-        priors[name] = mcmc.UniformBounded(
-            _read(spec, where, "lo_factor", _finite, 0.5) * true,
-            _read(spec, where, "hi_factor", _finite, 1.5) * true)
-    return priors
+            factors[name] = tuple(
+                _read(spec, f"priors.{name}", key, _finite, default)
+                for key, default in zip(("lo_factor", "hi_factor"),
+                                        experiments.PRIOR_FACTORS))
+    return experiments.stiffness_priors(beam, factors)
 
 
 def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
@@ -379,18 +377,17 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
     datasets = read_data(data_paths, beam)
     _apply_dataset_config(datasets, cfg)
     bcs = bcs_from_config(cfg, beam)
-    names, rows = read_csv(chain_path, finite_floats,
-                           empty="empty chain file")
-    try:
+
+    def chain_row(names):
         codec = mcmc.ThetaCodec(names)
-    except ValueError as exc:
-        raise DataFormatError(chain_path, 1, str(exc)) from None
+        return lambda fields: codec.theta(finite_floats(names, fields))
+
+    thetas = read_csv(chain_path, chain_row, empty="empty chain file")
     pcfg = _read(cfg, "config", "predict", _section, {})
     max_draws = _read(pcfg, "predict", "max_draws", _count, 100)
-    if len(rows) > max_draws:
-        idx = np.linspace(0, len(rows) - 1, max_draws).astype(int)
-        rows = [rows[i] for i in idx]
-    thetas = [codec.theta(row) for row in rows]
+    if len(thetas) > max_draws:
+        idx = np.linspace(0, len(thetas) - 1, max_draws).astype(int)
+        thetas = [thetas[i] for i in idx]
 
     x_star = np.linspace(0.0, beam.L,
                          _read(pcfg, "predict", "n_grid", _count, 101))

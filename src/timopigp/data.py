@@ -94,11 +94,11 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path, parse_row, header=None, empty="empty file"):
-    """A CSV file's header and ``parse_row(names, fields)`` of each
-    non-blank row.  An empty file, a header other than ``header`` (if
-    given; fields stripped), a row whose field count is not the header's
-    and a ValueError from ``parse_row`` are DataFormatErrors at file:line.
+def read_csv(path, row_parser, empty="empty file"):
+    """A CSV file's non-blank rows, each parsed by ``row_parser(names)``,
+    the row parser that the header ``names`` gives.  An empty file, a row
+    whose field count is not the header's and a ValueError from the
+    header's or a row's parser are DataFormatErrors at file:line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -106,9 +106,10 @@ def read_csv(path, parse_row, header=None, empty="empty file"):
             names = next(reader)
         except StopIteration:
             raise DataFormatError(path, 1, empty) from None
-        if header is not None and [h.strip() for h in names] != header:
-            raise DataFormatError(path, 1,
-                                  f"expected header {','.join(header)}")
+        try:
+            parse_row = row_parser(names)
+        except ValueError as exc:
+            raise DataFormatError(path, 1, str(exc)) from None
         parsed = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -118,10 +119,10 @@ def read_csv(path, parse_row, header=None, empty="empty file"):
                                       f"expected {len(names)} fields, "
                                       f"got {len(row)}")
             try:
-                parsed.append(parse_row(names, row))
+                parsed.append(parse_row(row))
             except ValueError as exc:
                 raise DataFormatError(path, line_no, str(exc)) from None
-    return names, parsed
+    return parsed
 
 
 def finite_floats(names, fields) -> list:
@@ -147,7 +148,12 @@ def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
     """
     groups: dict[str, tuple] = {}   # dataset_id: (kind, rows)
 
-    def parse_row(_, row):
+    def row_parser(names):
+        if [h.strip() for h in names] != CSV_HEADER:
+            raise ValueError(f"expected header {','.join(CSV_HEADER)}")
+        return parse_row
+
+    def parse_row(row):
         code, xs, zs, vs, ds_id = [c.strip() for c in row]
         kind = QuantityKind.from_code(code)
         x, value, *z = finite_floats(("x", "value", "z"),
@@ -164,7 +170,7 @@ def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
                              f"{first.code} and {kind.code}")
         rows.append((x, value, z))
 
-    read_csv(path, parse_row, header=CSV_HEADER)
+    read_csv(path, row_parser)
     datasets = []
     for ds_id, (kind, rows) in groups.items():
         x, y, z = zip(*rows)

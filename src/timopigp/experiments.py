@@ -114,12 +114,20 @@ def synth_identification_data(beam: BeamConfig, w_locs, phi_locs, snr: float,
     return datasets
 
 
-def stiffness_priors(beam: BeamConfig, lo: float = 0.5,
-                     hi: float = 1.5) -> dict:
-    """Bounded-uniform stiffness priors around truth; flat elsewhere."""
+# A stiffness prior's (lo, hi) factors on the true value, by default.
+PRIOR_FACTORS = (0.5, 1.5)
+
+
+def stiffness_priors(beam: BeamConfig, factors: dict) -> dict:
+    """Bounded-uniform stiffness priors: ``factors[name]``, a (lo, hi)
+    pair, times the true EI and kGA; flat elsewhere.  EI's pair is
+    ``PRIOR_FACTORS`` unless given, and kGA's is EI's unless given."""
+    ei = factors.get("EI", PRIOR_FACTORS)
+    kga = factors.get("kGA", ei)
     return {
-        "EI": UniformBounded(lo * beam.EI_true, hi * beam.EI_true),
-        "kGA": UniformBounded(lo * beam.kGA_true, hi * beam.kGA_true),
+        "EI": UniformBounded(ei[0] * beam.EI_true, ei[1] * beam.EI_true),
+        "kGA": UniformBounded(kga[0] * beam.kGA_true,
+                              kga[1] * beam.kGA_true),
     }
 
 
@@ -163,7 +171,7 @@ def identify(datasets, bcs, beam: BeamConfig, cfg: McmcConfig,
              priors: dict | None = None,
              theta0: Theta | None = None) -> mcmc.PosteriorChain:
     """Run the stiffness-identification chain for one scenario."""
-    priors = priors if priors is not None else stiffness_priors(beam)
+    priors = priors if priors is not None else stiffness_priors(beam, {})
     theta0 = theta0 or default_theta0(datasets, beam, priors)
     return mcmc.run_chain(datasets, bcs, priors, cfg, theta0)
 

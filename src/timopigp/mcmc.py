@@ -130,8 +130,8 @@ class ThetaCodec:
         self.labels = [self.names[i][len(self.NOISE):] for i in noise]
         self.is_log = np.array([self.log_space(name) for name in self.names])
         # The fields in Theta's order, then the noise levels.
-        self._order = [self.names.index(name) for name in self.FIELDS] + noise
-        self._take = operator.itemgetter(*self._order)
+        self._take = operator.itemgetter(
+            *[self.names.index(name) for name in self.FIELDS], *noise)
 
     @classmethod
     def of(cls, theta: Theta) -> ThetaCodec:
@@ -148,11 +148,11 @@ class ThetaCodec:
         v = self._take(values)
         return Theta(*v[:4], sigma_n=dict(zip(self.labels, v[4:])))
 
-    def vector(self, theta: Theta) -> np.ndarray:
-        out = np.empty(len(self.names))
-        out[self._order] = [theta.sigma_s2, theta.ell, theta.EI, theta.kGA] \
-            + [theta.sigma_n[label] for label in self.labels]
-        return out
+    @staticmethod
+    def vector(theta: Theta) -> np.ndarray:
+        """Theta's vector in the order of ``of(theta)``'s names."""
+        return np.array([theta.sigma_s2, theta.ell, theta.EI, theta.kGA,
+                         *theta.sigma_n.values()], dtype=float)
 
 
 @dataclass
@@ -173,17 +173,13 @@ class PosteriorChain:
 
     @property
     def thetas(self) -> list:
-        """One Theta per draw, built on each access."""
-        return thetas_from_draws(self.draws, self.param_names)
+        """One Theta per draw.  Each access builds the list anew, so a
+        caller binds it once."""
+        codec = ThetaCodec(self.param_names)
+        return [codec.theta(row) for row in self.draws.tolist()]
 
     def __len__(self) -> int:
         return len(self.draws)
-
-
-def thetas_from_draws(draws: np.ndarray, names) -> list:
-    """One Theta per row of a draws matrix with columns ``names``."""
-    codec = ThetaCodec(names)
-    return [codec.theta(row) for row in np.asarray(draws).tolist()]
 
 
 def default_prior(name: str):
@@ -286,7 +282,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     """Sample the hyperparameter posterior; deterministic under fixed seed."""
     codec = ThetaCodec.of(theta0)
     names, is_log = codec.names, codec.is_log
-    x0 = codec.vector(theta0)
+    x0 = ThetaCodec.vector(theta0)
     if np.any(x0[is_log] <= 0):
         raise ValueError("log-transformed parameters must start positive")
     s0 = x0.copy()

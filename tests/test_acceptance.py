@@ -488,7 +488,7 @@ def test_acceptance_9_sampler_sanity():
     beam = experiments.scenario_beam(1.0)
     datasets = experiments.synth_identification_data(
         beam, np.linspace(0.2, 0.8, 4), None, snr=20.0, seed=6)
-    priors = experiments.stiffness_priors(beam)
+    priors = experiments.stiffness_priors(beam, {})
     chain = experiments.identify(datasets, experiments.support_bcs(beam),
                                  beam, McmcConfig(n_total=1200, n_b=400,
                                                   n_t=2, seed=8),

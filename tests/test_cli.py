@@ -441,6 +441,26 @@ class TestIdentifyPredict:
         assert "bad_chain.csv:2: EI must be finite" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_invalid_theta_row_reports_line(self, workflow, capsys, bad):
+        """Every row is checked, the middle one too, which thinning three
+        rows to two drops."""
+        tmp_path, out_id, _ = workflow
+        with open(out_id / "chain.csv", newline="") as fh:
+            names, *rows = list(csv.reader(fh))[:4]
+        rows[bad][names.index("EI")] = "-1.0"
+        chain = tmp_path / "bad_theta_chain.csv"
+        chain.write_text("\n".join(",".join(r) for r in [names] + rows)
+                         + "\n")
+        cfg = {"version": 1, "beam": BEAM, "predict": {"max_draws": 2}}
+        code = run(["predict", "--config",
+                    write_config(tmp_path, cfg, "bad_theta.json"),
+                    "--out", tmp_path / "bad_theta_pred", "--chain", chain,
+                    "--data", tmp_path / "sim" / "data_w.csv"])
+        assert code == cli.EXIT_DATA
+        assert f"bad_theta_chain.csv:{bad + 2}: EI must be positive and " \
+            "finite, got -1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("header,message", [
         (["sigma_s2", "ell", "EI"], "no 'kGA' column"),
         (["sigma_s2", "ell", "EI", "kGA", "foo"],
@@ -517,7 +537,8 @@ def test_kga_prior_takes_ei_factors_without_its_own_section():
         return cli.priors_from_config({"priors": section}, beam_cfg)
 
     assert priors({}) == {"EI": mcmc.UniformBounded(0.5, 1.5),
-                          "kGA": mcmc.UniformBounded(1.5, 4.5)}
+                          "kGA": mcmc.UniformBounded(1.5, 4.5)} == \
+        experiments.stiffness_priors(beam_cfg, {})
     assert priors({"EI": ei})["kGA"] == mcmc.UniformBounded(0.8 * 3.0,
                                                             1.25 * 3.0)
     # A kGA section of its own: its missing factors take the defaults.

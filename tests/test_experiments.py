@@ -79,7 +79,7 @@ class TestSynthData:
 class TestPriorsAndStart:
     def test_priors_scale_with_truth(self):
         beam = scenario_beam(0.01)  # kGA = 300
-        priors = stiffness_priors(beam)
+        priors = stiffness_priors(beam, {})
         assert isinstance(priors["EI"], UniformBounded)
         assert priors["kGA"].lo == pytest.approx(0.5 * beam.kGA_true)
         assert priors["kGA"].hi == pytest.approx(1.5 * beam.kGA_true)
@@ -88,7 +88,7 @@ class TestPriorsAndStart:
         beam = scenario_beam(1.0)
         datasets = synth_identification_data(beam, [0.3, 0.5, 0.7], None,
                                              snr=20.0, seed=1)
-        priors = stiffness_priors(beam)
+        priors = stiffness_priors(beam, {})
         theta0 = default_theta0(datasets, beam, priors)
         assert theta0.EI == pytest.approx(beam.EI_true)
         assert theta0.kGA == pytest.approx(beam.kGA_true)
@@ -108,7 +108,7 @@ class TestPriorsAndStart:
             else (None, locs)
         datasets = synth_identification_data(beam, w, phi, snr=20.0, seed=1)
         assert datasets[0].kind is kind
-        theta0 = default_theta0(datasets, beam, stiffness_priors(beam))
+        theta0 = default_theta0(datasets, beam, stiffness_priors(beam, {}))
         unit = Theta(sigma_s2=1.0, ell=theta0.ell, EI=theta0.EI,
                      kGA=theta0.kGA)
         gain = float(kernels.kernel(kind, kind, 0.0, 0.0, unit))

@@ -37,7 +37,7 @@ def score(theta, datasets, bcs, priors, counts, layout=None):
     codec = ThetaCodec.of(theta)
     if layout is None:
         layout = gp.data_layout(datasets, bcs)
-    return log_posterior(layout, theta, codec.vector(theta).tolist(),
+    return log_posterior(layout, theta, ThetaCodec.vector(theta).tolist(),
                          mcmc._prior_table(codec.names, priors), counts)
 
 
@@ -133,20 +133,28 @@ class TestLogPosterior:
                 score(theta, datasets, bcs, {}, Counter())
 
 
+def chain_of(draws, names):
+    return mcmc.PosteriorChain(param_names=names, draws=np.asarray(draws),
+                               acceptance_rate=0.3,
+                               log_posterior_trace=np.zeros(len(draws)),
+                               seed=0)
+
+
 class TestThetasFromDraws:
     def test_columns_map_to_fields_and_noise(self):
         names = ["sigma_s2", "ell", "EI", "kGA", "sigma_n:w"]
         draws = np.array([[0.5, 0.2, 1.1, 2.9, 0.01],
                           [0.6, 0.3, 1.2, 3.1, 0.02]])
-        thetas = mcmc.thetas_from_draws(draws, names)
+        thetas = chain_of(draws, names).thetas
         assert thetas[1] == Theta(sigma_s2=0.6, ell=0.3, EI=1.2, kGA=3.1,
                                   sigma_n={"w": 0.02})
         assert len(thetas) == 2
 
     def test_invalid_draw_rejected(self):
+        chain = chain_of([[0.5, 0.2, -1.0, 3.0]],
+                         ["sigma_s2", "ell", "EI", "kGA"])
         with pytest.raises(ValueError, match="EI"):
-            mcmc.thetas_from_draws(np.array([[0.5, 0.2, -1.0, 3.0]]),
-                                   ["sigma_s2", "ell", "EI", "kGA"])
+            chain.thetas
 
 
 class TestThetaCodec:
@@ -158,8 +166,6 @@ class TestThetaCodec:
         assert codec.theta([1.2, 0.02, 0.3, 3.1, 0.6, 0.05]) == theta
         assert codec.theta([1.2, 0.02, 0.3, 3.1, 0.6, 0.05]).sigma_n == \
             theta.sigma_n
-        assert codec.vector(theta).tolist() == \
-            [1.2, 0.02, 0.3, 3.1, 0.6, 0.05]
         assert codec.is_log.tolist() == [False, True, True, False, True,
                                          True]
 
@@ -168,7 +174,9 @@ class TestThetaCodec:
                       sigma_n={"w": 0.02})
         codec = ThetaCodec.of(theta)
         assert codec.names == ["sigma_s2", "ell", "EI", "kGA", "sigma_n:w"]
-        assert codec.theta(codec.vector(theta).tolist()) == theta
+        assert ThetaCodec.vector(theta).tolist() == [0.6, 0.3, 1.2, 3.1,
+                                                     0.02]
+        assert codec.theta(ThetaCodec.vector(theta).tolist()) == theta
 
     @pytest.mark.parametrize("names,message", [
         (["sigma_s2", "ell", "EI"], "no 'kGA' column"),
@@ -186,13 +194,12 @@ class TestThetaCodec:
                 ThetaCodec.log_space(name)
 
     def test_chain_thetas_are_its_draws(self):
-        names = ["sigma_s2", "ell", "EI", "kGA", "sigma_n:w"]
-        draws = np.array([[0.5, 0.2, 1.1, 2.9, 0.01],
-                          [0.6, 0.3, 1.2, 3.1, 0.02]])
-        chain = mcmc.PosteriorChain(param_names=names, draws=draws,
-                                    acceptance_rate=0.3,
-                                    log_posterior_trace=np.zeros(2), seed=0)
-        assert chain.thetas == mcmc.thetas_from_draws(draws, names)
+        names = ["sigma_n:w", "EI", "sigma_s2", "kGA", "ell"]
+        chain = chain_of([[0.01, 1.1, 0.5, 2.9, 0.2],
+                          [0.02, 1.2, 0.6, 3.1, 0.3]], names)
+        assert chain.thetas == [
+            Theta(sigma_s2=0.5, ell=0.2, EI=1.1, kGA=2.9, sigma_n={"w": 0.01}),
+            Theta(sigma_s2=0.6, ell=0.3, EI=1.2, kGA=3.1, sigma_n={"w": 0.02})]
         assert len(chain) == 2
 
 
@@ -348,8 +355,14 @@ def slow_target(datasets, bcs, priors, names, counts):
         if np.any(vec <= 0):
             counts["prior_support"] += 1
             return -np.inf
+        kw = {"sigma_n": {}}
+        for name, value in zip(names, vec):
+            if name.startswith("sigma_n:"):
+                kw["sigma_n"][name.split(":", 1)[1]] = float(value)
+            else:
+                kw[name] = float(value)
         try:
-            theta = mcmc.thetas_from_draws(vec[None, :], names)[0]
+            theta = Theta(**kw)
         except ValueError:
             counts["invalid_theta"] += 1
             return -np.inf
