@@ -29,7 +29,7 @@ from timopigp.errors import (DataFormatError, EntropyOverflowError,
 from timopigp.mcmc import McmcConfig
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 greedy_place)
-from timopigp.quantities import QuantityKind
+from timopigp.quantities import BLOCK_INDEX, QuantityKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,13 +149,11 @@ def beam_from_config(cfg: dict) -> BeamConfig:
 
 def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
     m = _read(cfg, "config", "mcmc", _section, {})
-    return McmcConfig(n_total=_read(m, "mcmc", "n_total", _count, 25000),
-                      n_b=_read(m, "mcmc", "n_b", _count, 5000),
-                      n_t=_read(m, "mcmc", "n_t", _count, 10),
-                      proposal_scale=_read(m, "mcmc", "proposal_scale",
-                                           _scales, 0.1),
-                      seed=seed,
-                      adapt=_read(m, "mcmc", "adapt", _switch, True))
+    return McmcConfig(seed=seed, **{
+        key: _read(m, "mcmc", key, parse, getattr(McmcConfig, key))
+        for key, parse in (("n_total", _count), ("n_b", _count),
+                           ("n_t", _count), ("proposal_scale", _scales),
+                           ("adapt", _switch))})
 
 
 def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
@@ -187,11 +185,6 @@ def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
                               f"[0, {beam.L!r}]")
         out.append(bc)
     return out
-
-
-def read_data(paths, beam: BeamConfig) -> list:
-    """Datasets from CSV files, each row's x checked against the span."""
-    return [ds for path in paths for ds in read_datasets_csv(path, beam.L)]
 
 
 def resolve_locations(spec: dict, beam: BeamConfig, where: str,
@@ -262,15 +255,15 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     criteria = _read(p, "placement", "criteria", _criteria, ["physics"])
 
     # One prior for every problem: K_bb is factorized once, and each
-    # kind's pool Sigma built once for its map and its physics greedy.
+    # kind's candidate Sigma built once for its map and its greedies.
+    # Each kind is its own problem, with its own budget of n_sensors.
     prior = placement.Prior(bcs, params)
     outputs = {}
     if _read(p, "placement", "entropy_map", _switch, False):
         max_combos = _read(p, "placement", "max_combos", _count, 300_000)
         maps = {kind: placement.exhaustive_entropy_map(
             PlacementProblem(candidates=candidates, kinds=kind,
-                             n_sensors=n_sensors, params=params, bcs=bcs,
-                             prior=prior),
+                             n_sensors=n_sensors, prior=prior),
             max_combos=max_combos, full_scale=full_scale) for kind in kinds}
         for kind, entropy_map in maps.items():
             # The map does not depend on the criterion: its rows are
@@ -288,10 +281,9 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     results = []
     for crit in criteria:
         for kind in kinds:
-            problem = PlacementProblem(candidates=candidates, kinds=kind,
-                                       n_sensors=n_sensors, params=params,
-                                       bcs=bcs, criterion=crit, prior=prior)
-            res = greedy_place(problem)
+            res = greedy_place(PlacementProblem(
+                candidates=candidates, kinds=kind, n_sensors=n_sensors,
+                prior=prior, criterion=crit))
             results.append({
                 "criterion": crit.value,
                 "kind": kind.code,
@@ -332,15 +324,27 @@ def _apply_dataset_config(datasets: list, cfg: dict):
             ds.learn_noise = _read(spec, where, "learn_noise", _switch, True)
 
 
-def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
-                 dump_kernels: bool = False) -> int:
+def read_model_inputs(cfg: dict, data_paths) -> tuple:
+    """(beam, datasets, BCs) for identify and predict.
+
+    The datasets of the CSV files, each row's x checked against the span,
+    stably sorted into the block order, so the chain does not depend on
+    the order of the files, and with the config's noise treatment.
+    """
     beam = beam_from_config(cfg)
-    datasets = read_data(data_paths, beam)
+    datasets = sorted((ds for path in data_paths
+                       for ds in read_datasets_csv(path, beam.L)),
+                      key=lambda ds: BLOCK_INDEX[ds.kind])
     if not datasets:
         raise DataFormatError(data_paths[0] if data_paths else "<none>", 1,
                               "no datasets loaded")
     _apply_dataset_config(datasets, cfg)
-    bcs = bcs_from_config(cfg, beam)
+    return beam, datasets, bcs_from_config(cfg, beam)
+
+
+def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
+                 dump_kernels: bool = False) -> int:
+    beam, datasets, bcs = read_model_inputs(cfg, data_paths)
     priors = priors_from_config(cfg, beam)
     mcfg = mcmc_from_config(cfg, seed)
     theta0 = experiments.default_theta0(datasets, beam, priors)
@@ -373,10 +377,7 @@ def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
 
 def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
                 data_paths) -> int:
-    beam = beam_from_config(cfg)
-    datasets = read_data(data_paths, beam)
-    _apply_dataset_config(datasets, cfg)
-    bcs = bcs_from_config(cfg, beam)
+    beam, datasets, bcs = read_model_inputs(cfg, data_paths)
 
     def chain_row(names):
         codec = mcmc.ThetaCodec(names)

@@ -21,7 +21,7 @@ from timopigp.data import BoundaryCondition, Dataset
 from timopigp.gp import Theta
 from timopigp.mcmc import McmcConfig, UniformBounded
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
-                                greedy_place)
+                                Prior, greedy_place)
 from timopigp.quantities import QuantityKind
 
 THREADS_ENV = "TIMO_PIGP_THREADS"
@@ -77,8 +77,8 @@ def sensor_set(beam: BeamConfig, kind: QuantityKind,
         candidates=np.linspace(0.0, beam.L, n_candidates),
         kinds=kind,
         n_sensors=n_sensors,
-        params=placement_params(beam, ell=ell),
-        bcs=deflection_bcs(beam) if with_bcs else [],
+        prior=Prior(deflection_bcs(beam) if with_bcs else [],
+                    placement_params(beam, ell=ell)),
         criterion=criterion,
     )
     result = greedy_place(problem)
@@ -185,7 +185,8 @@ def replication_seed(root_seed: int, point: int, rep: int) -> int:
 @dataclass(frozen=True)
 class SweepTask:
     """One replication: support BCs and sensor_set's 7 physics-placed
-    sensors per domain on 31 candidates."""
+    w sensors and 7 physics-placed phi sensors, each set placed on its
+    own 31 candidates."""
 
     beam_r: float
     snr: float

@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from timopigp import kernels
 from timopigp.errors import IllConditionedModelError, NonFiniteCovarianceError
-from timopigp.quantities import BLOCK_INDEX, QuantityKind
+from timopigp.quantities import BLOCK_INDEX, BLOCK_ORDER, QuantityKind
 
 JITTER_LADDER = (1e-12, 1e-10, 1e-8, 1e-6)
 
@@ -140,8 +140,6 @@ def _slices(entries) -> tuple:
     return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
 
-_KINDS = tuple(QuantityKind)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 _N_ORDERS = 2 * kernels.MAX_ORDER + 1
 # He_k highest power first, padded with leading zeros to one length.
 _HORNER = np.array([(0.0,) * (_N_ORDERS - 1 - k) + h
@@ -180,9 +178,9 @@ def _terms_of(pairs: tuple) -> _Terms:
     # (degree, slot, q, ci, cj, m, pi, pj) per term, after the no-term row.
     terms = [(0,) * 8]
     for q, p in enumerate(pairs):
-        ki, kj = divmod(p, len(_KINDS))
-        pair_terms = itertools.product(kernels.OPERATORS[_KINDS[ki]],
-                                       kernels.OPERATORS[_KINDS[kj]])
+        ki, kj = divmod(p, len(BLOCK_ORDER))
+        pair_terms = itertools.product(kernels.OPERATORS[BLOCK_ORDER[ki]],
+                                       kernels.OPERATORS[BLOCK_ORDER[kj]])
         for s, ((ci, pi, m), (cj, pj, n)) in enumerate(pair_terms):
             terms.append((m + n, s, q, ci, cj, m, pi, pj))
     shape = (max(t[1] for t in terms) + 1, 2 * len(pairs))
@@ -196,7 +194,7 @@ def _terms_of(pairs: tuple) -> _Terms:
             column[2 * q + 1] = 2 * q
     degree, _, _, ci, cj, m, _, _ = (np.array(c).repeat(2)
                                      for c in zip(*terms))
-    pair_number = np.zeros(len(_KINDS) ** 2, np.intp)
+    pair_number = np.zeros(len(BLOCK_ORDER) ** 2, np.intp)
     pair_number[list(pairs)] = range(len(pairs))
     negated = (m + np.arange(degree.size)) % 2
     return _Terms(pair_number=pair_number, column=column, codes=codes,
@@ -242,10 +240,10 @@ class Layout:
                                  "requires z")
         r_len = [len(e.x) for e in self.rows]
         c_len = [len(e.x) for e in cols]
-        kr = np.array([_KIND_INDEX[e.kind] for e in self.rows])
+        kr = np.array([BLOCK_INDEX[e.kind] for e in self.rows])
         kc = kr if symmetric else \
-            np.array([_KIND_INDEX[e.kind] for e in cols])
-        pairs = kr[:, None] * len(_KINDS) + kc
+            np.array([BLOCK_INDEX[e.kind] for e in cols])
+        pairs = kr[:, None] * len(BLOCK_ORDER) + kc
         # Each element is computed as itself, or, below the block diagonal
         # of a symmetric matrix, as its mirror element.
         mirror = symmetric and len(self.rows) > 1

@@ -78,8 +78,9 @@ def _scale(odd: int, order: int, params: Theta) -> float:
 # Operator terms per quantity: (coefficient code, z power, derivative
 # order), the codes indexing ``_coefficients``.  The Timoshenko
 # deflection/rotation/strain operators carry a second, shear-correction term
-# scaled by a = EI/kGA; the Euler-Bernoulli level keeps only the first term.
-# Moments, shears and loads are identical at both levels.
+# scaled by a = EI/kGA; their first terms alone are the shear-rigid
+# (Euler-Bernoulli) operators.  Moments, shears and loads are identical at
+# both levels.
 ONE, MINUS_ONE, SHEAR, MINUS_SHEAR, BENDING = range(5)
 N_COEFFICIENTS = 5
 OPERATORS = {
@@ -112,31 +113,6 @@ def term_factors(params: Theta) -> np.ndarray:
                      *[-v for v in scales]])
 
 
-def _terms(kind: QuantityKind, params: Theta, timoshenko: bool):
-    if kind not in OPERATORS:
-        raise ValueError(f"unknown quantity kind {kind!r}")
-    coef = _coefficients(params)
-    terms = OPERATORS[kind] if timoshenko else OPERATORS[kind][:1]
-    return tuple((coef[c], p, m) for c, p, m in terms)
-
-
-def _combine(i, j, x, x_prime, params, z, z_prime, timoshenko):
-    if i is QuantityKind.STRAIN and z is None:
-        raise ValueError("kernel with a strain first index requires z")
-    if j is QuantityKind.STRAIN and z_prime is None:
-        raise ValueError("kernel with a strain second index requires z_prime")
-    total = 0.0
-    for ci, pi, m in _terms(i, params, timoshenko):
-        for cj, pj, n in _terms(j, params, timoshenko):
-            term = (ci * cj) * se_derivative(m, n, x, x_prime, params)
-            if pi:
-                term = term * np.asarray(z, float)
-            if pj:
-                term = term * np.asarray(z_prime, float)
-            total = total + term
-    return total
-
-
 def kernel(i: QuantityKind, j: QuantityKind, x, x_prime,
            params: Theta, z=None, z_prime=None):
     """Timoshenko-level covariance between quantities i at x and j at x'.
@@ -144,10 +120,22 @@ def kernel(i: QuantityKind, j: QuantityKind, x, x_prime,
     Broadcasts over array inputs; strain indices require the matching
     depth argument.  Satisfies kernel(i, j, x, x') = kernel(j, i, x', x).
     """
-    return _combine(i, j, x, x_prime, params, z, z_prime, timoshenko=True)
-
-
-def bernoulli_kernel(i: QuantityKind, j: QuantityKind, x, x_prime,
-                     params: Theta, z=None, z_prime=None):
-    """Covariance for the shear-rigid (Euler-Bernoulli) beam quantities."""
-    return _combine(i, j, x, x_prime, params, z, z_prime, timoshenko=False)
+    for kind in (i, j):
+        if kind not in OPERATORS:
+            raise ValueError(f"unknown quantity kind {kind!r}")
+    if i is QuantityKind.STRAIN and z is None:
+        raise ValueError("kernel with a strain first index requires z")
+    if j is QuantityKind.STRAIN and z_prime is None:
+        raise ValueError("kernel with a strain second index requires z_prime")
+    coef = _coefficients(params)
+    total = 0.0
+    for ci, pi, m in OPERATORS[i]:
+        for cj, pj, n in OPERATORS[j]:
+            term = (coef[ci] * coef[cj]) * se_derivative(m, n, x, x_prime,
+                                                         params)
+            if pi:
+                term = term * np.asarray(z, float)
+            if pj:
+                term = term * np.asarray(z_prime, float)
+            total = total + term
+    return total

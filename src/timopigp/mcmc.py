@@ -168,7 +168,6 @@ class PosteriorChain:
     draws: np.ndarray
     acceptance_rate: float
     log_posterior_trace: np.ndarray
-    seed: int
     target_counts: dict = field(default_factory=dict)
 
     @property
@@ -337,7 +336,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     }
     return PosteriorChain(param_names=names, draws=draws,
                           acceptance_rate=acc, log_posterior_trace=lts,
-                          seed=cfg.seed, target_counts=target_counts)
+                          target_counts=target_counts)
 
 
 def summarize(chain: PosteriorChain,

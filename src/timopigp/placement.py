@@ -6,10 +6,13 @@ entropy baseline, and a plain SE-kernel mutual-information baseline.  The
 baselines are blind to the physical domain, so they yield the same sets
 for deflection and rotation candidates; the physics-informed criterion
 couples domains through the cross-covariance kernels.  Placement is
-pre-data: only locations and kernel parameters enter the scores.
+pre-data: only locations and kernel parameters enter the scores.  One
+greedy runs over all of a problem's candidates under one budget, so
+candidates of mixed kinds are placed jointly; a budget per kind is one
+problem per kind.
 
-Every score is read from one prior covariance Sigma per candidate pool:
-the pool's covariance conditioned on the BCs (``Prior.conditioned``,
+Every score is read from one prior covariance Sigma of the candidates:
+their covariance conditioned on the BCs (``Prior.conditioned``,
 Sigma = K_cc - K_cb K_bb^-1 K_bc) for the physics criterion, the SE base
 kernel for the baselines.  A candidate scores 0.5 ln(2 pi e C_jj), C_jj
 floored at 1e-12 of its prior variance; observing it conditions C, which
@@ -18,17 +21,17 @@ delta, the noise of a placed sensor, is 0 for physics and 1e-8 sigma_s^2
 for the baselines, whose dense-grid SE covariance is singular to working
 precision.  Mutual information (Krause, Singh & Guestrin, JMLR 2008)
 subtracts the entropy of 1/diag(P) - delta over U, the unselected set,
-P = (Sigma_UU + delta I)^-1: inverted once per pool, and each pick
+P = (Sigma_UU + delta I)^-1: inverted once per problem, and each pick
 dropped from P by its Schur complement, the same rank-1 downdate.  MI
 scores within a relative 1e-6 of the best tie, and the lowest index
 wins; the others tie only when equal.  A joint entropy sums the physics
 scores of a set in order, each given those before it: ``set_entropy``
-walks one set and the exhaustive map every subset of the candidates,
+walks one set, a greedy its selection's sub-block of the candidates'
+physics Sigma, and the exhaustive map every subset of the candidates,
 depth first, scoring the last three picks of each prefix in one
 vectorized step.  A ``Prior`` holds the BCs' K_bb factorized once and
-each pool's Sigma built once, so one ``place`` command shares them across
-kinds, criteria and the map, and a greedy's set reads its Sigma from the
-pool's.
+each sensor list's Sigma built once, so one ``place`` command shares
+them across kinds, criteria and the map.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,7 +47,7 @@ import numpy as np
 from timopigp import gp, kernels
 from timopigp.errors import EntropyOverflowError, EnumerationGuardError
 from timopigp.gp import JITTER_LADDER, Theta
-from timopigp.quantities import BLOCK_INDEX, QuantityKind
+from timopigp.quantities import QuantityKind
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
@@ -59,14 +62,6 @@ _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 # physics and entropy scores tie only at equality.
 _MI_TIE = 1e-6
 
-# Largest pool whose Sigma a Prior reads sub-blocks from.  A sub-block is
-# the fresh Sigma of its sensors bit for bit only while BLAS forms each
-# element of K_Sb K_bb^-1 K_bS alike at both sizes: checked for pools of
-# up to this size (tests/test_placement.py); from about 190 sensors up,
-# OpenBLAS 0.3.31's dgemm (Haswell kernels) rounds some elements
-# otherwise.
-_HELD_POOL_MAX = 128
-
 
 class PlacementCriterion(Enum):
     PHYSICS_INFORMED_ENTROPY = "physics"
@@ -78,26 +73,21 @@ class PlacementCriterion(Enum):
 class PlacementProblem:
     """Candidate grid, budget and model for one placement run.
 
-    ``prior`` is the ``Prior`` of ``bcs`` and ``params``; problems that
+    ``n_sensors`` is one budget over all candidates, whatever their
+    kinds.  ``prior`` holds the BCs and the parameters; problems that
     share one share its K_bb factorization and conditioned covariances.
     """
 
     candidates: np.ndarray
     kinds: list
     n_sensors: int
-    params: Theta
-    bcs: list = field(default_factory=list)
+    prior: Prior
     criterion: PlacementCriterion = PlacementCriterion.PHYSICS_INFORMED_ENTROPY
-    joint_budget: bool = False
-    prior: Prior | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.prior is None:
-            self.prior = Prior(self.bcs, self.params)
-        elif self.prior.bcs is not self.bcs or \
-                self.prior.theta != self.params:
-            raise ValueError("prior was built for other BCs or parameters")
         self.candidates = np.atleast_1d(np.asarray(self.candidates, float))
+        if self.candidates.size == 0:
+            raise ValueError("placement needs at least one candidate")
         if isinstance(self.kinds, QuantityKind):
             self.kinds = [self.kinds] * self.candidates.size
         if len(self.kinds) != self.candidates.size:
@@ -107,9 +97,16 @@ class PlacementProblem:
                              "sensors in the x-only domains")
         if self.n_sensors < 0:
             raise ValueError("n_sensors must be non-negative")
-        if self.n_sensors > self.candidates.size and not self.joint_budget \
-                and len(set(self.kinds)) == 1:
+        if self.n_sensors > self.candidates.size:
             raise ValueError("n_sensors exceeds candidate count")
+
+    @property
+    def params(self) -> Theta:
+        return self.prior.theta
+
+    @property
+    def bcs(self) -> list:
+        return self.prior.bcs
 
 
 @dataclass
@@ -136,9 +133,7 @@ class Prior:
     in their order, Sigma = K_SS - K_Sb K_bb^-1 K_bS.  K_bb is factorized
     by ``gp.assemble([], bcs, theta)`` on first use, and each sensor list's
     pair is built once and kept, read-only, for the Prior's lifetime: one
-    Prior per command shares them across its kinds, criteria and map.  A
-    list that a held pool of at most ``_HELD_POOL_MAX`` sensors covers is
-    read from that pool's pair, so a greedy's set is not built again.
+    Prior per command shares them across its kinds, criteria and map.
     Repeated sensors give a singular Sigma, which the downdates tolerate.
     """
 
@@ -146,7 +141,6 @@ class Prior:
         self.bcs = bcs
         self.theta = theta
         self._conditioned = {}
-        self._positions = {}    # held pool: {sensor: position}
 
     @functools.cached_property
     def bc_model(self) -> gp.CovarianceModel:
@@ -155,23 +149,11 @@ class Prior:
     def conditioned(self, sensors) -> tuple:
         key = tuple(sensors)
         if key not in self._conditioned:
-            pair = self._from_held(key) or self._condition(key)
+            pair = self._condition(key)
             for a in pair:
                 a.flags.writeable = False
             self._conditioned[key] = pair
-            if len(key) <= _HELD_POOL_MAX:
-                self._positions[key] = {s: i for i, s in enumerate(key)}
         return self._conditioned[key]
-
-    def _from_held(self, sensors):
-        """The pair of ``sensors`` as the sub-block, in their order, of a
-        held pool's pair that holds them all; None if no pool does."""
-        for pool, where in self._positions.items():
-            if all(s in where for s in sensors):
-                pos = [where[s] for s in sensors]
-                prior, sigma = self._conditioned[pool]
-                return prior[pos], sigma[np.ix_(pos, pos)]
-        return None
 
     def _condition(self, sensors) -> tuple:
         entries = [gp.Points(kind, np.array([x for x, _ in run], float))
@@ -200,15 +182,19 @@ def _observe(C, j, delta, floor):
     C -= np.outer(c, c) / max(C[j, j] + delta, floor)
 
 
-def _greedy_single(problem: PlacementProblem, pool):
-    """Greedy selection over one pool of candidate indices."""
+def greedy_place(problem: PlacementProblem) -> PlacementResult:
+    """Iterative argmax placement of ``n_sensors`` among all candidates,
+    of whatever kinds; ties break on the lowest candidate index, MI
+    scores tying within ``_MI_TIE`` of the best.  The set's entropy is
+    read from its sub-block of the candidates' physics Sigma."""
+    sensors = [(float(x), kind)
+               for x, kind in zip(problem.candidates, problem.kinds)]
+    physics = problem.prior.conditioned(sensors)
     if problem.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
-        sensors = [(float(problem.candidates[i]), problem.kinds[i])
-                   for i in pool]
-        prior, sigma = problem.prior.conditioned(sensors)
+        prior, sigma = physics
         delta = 0.0
     else:
-        x = problem.candidates[pool]
+        x = problem.candidates
         sigma = kernels.se_base(x[:, None], x[None, :], problem.params)
         prior = np.diag(sigma)
         delta = JITTER_LADDER[2] * problem.params.sigma_s2
@@ -216,11 +202,12 @@ def _greedy_single(problem: PlacementProblem, pool):
     mutual = problem.criterion is PlacementCriterion.MUTUAL_INFORMATION
     C = sigma.copy()
     if mutual:
-        # The precision of the unselected set U, which starts as the pool.
-        prec = np.linalg.inv(sigma + delta * np.eye(len(pool)))
-    free = np.ones(len(pool), bool)
-    selected, step_entropies = [], []
-    for _ in range(min(problem.n_sensors, len(pool))):
+        # The precision of the unselected set U, which starts as all
+        # candidates.
+        prec = np.linalg.inv(sigma + delta * np.eye(len(sensors)))
+    free = np.ones(len(sensors), bool)
+    picks, step_entropies = [], []
+    for _ in range(problem.n_sensors):
         scores = _entropy_from_var(np.maximum(np.diag(C), floor))
         if mutual:
             # var(y_i | the rest of U) = 1 / P_ii - delta.
@@ -229,7 +216,7 @@ def _greedy_single(problem: PlacementProblem, pool):
                 np.maximum(1.0 / np.diag(prec)[u] - delta, floor[u]))
         scores[~free] = -np.inf
         j = _pick(scores, _MI_TIE if mutual else 0.0)
-        selected.append(pool[j])
+        picks.append(j)
         step_entropies.append(float(scores[j]))
         free[j] = False
         _observe(C, j, delta, floor[j])
@@ -237,7 +224,17 @@ def _greedy_single(problem: PlacementProblem, pool):
             # Dropping j from U is its Schur complement in the precision,
             # P <- P - p p^T / P_jj: the same rank-1 downdate, O(n^2).
             _observe(prec, j, 0.0, 0.0)
-    return selected, step_entropies
+
+    selected = [sensors[i] for i in picks]
+    result = PlacementResult(selected=selected,
+                             step_entropies=step_entropies,
+                             criterion=problem.criterion)
+    if picks:
+        _require_distinct(selected)
+        result.set_entropy = float(_subset_entropies(
+            (physics[0][picks], physics[1][np.ix_(picks, picks)]),
+            len(picks))[0])
+    return result
 
 
 def _pick(scores, tie):
@@ -247,43 +244,18 @@ def _pick(scores, tie):
     return int(np.argmax(scores >= best - tie * max(1.0, abs(best))))
 
 
-def greedy_place(problem: PlacementProblem) -> PlacementResult:
-    """Iterative argmax placement; ties break on the lowest candidate
-    index, MI scores tying within ``_MI_TIE`` of the best.
-
-    With heterogeneous candidate kinds the budget applies per domain by
-    default (n_sensors in each), or jointly with ``joint_budget=True``.
-    """
-    kinds_present = sorted(set(problem.kinds),
-                           key=lambda k: BLOCK_INDEX[k])
-    if problem.joint_budget or len(kinds_present) == 1:
-        pools = [list(range(problem.candidates.size))]
-    else:
-        pools = [[i for i, k in enumerate(problem.kinds) if k is kind]
-                 for kind in kinds_present]
-
-    selected, gains = [], []
-    for pool in pools:
-        idx, step_h = _greedy_single(problem, pool)
-        selected += [(float(problem.candidates[i]), problem.kinds[i])
-                     for i in idx]
-        gains += step_h
-
-    result = PlacementResult(selected=selected, step_entropies=gains,
-                             criterion=problem.criterion)
-    if selected:
-        result.set_entropy = set_entropy(selected, problem)
-    return result
-
-
 def set_entropy(selected, problem: PlacementProblem) -> float:
     """Joint Gaussian entropy of a selected sensor set under the PI prior."""
-    return float(_subset_entropies(selected, problem, len(selected))[0])
+    if not selected:
+        raise ValueError("selection must be non-empty")
+    _require_distinct(selected)
+    return float(_subset_entropies(problem.prior.conditioned(selected),
+                                   len(selected))[0])
 
 
-def _subset_entropies(sensors, problem: PlacementProblem, k):
-    """Chain-rule entropies of the k-subsets of distinct (x, kind) sensors
-    under the PI prior, in lexicographic order.
+def _subset_entropies(pair, k):
+    """Chain-rule entropies of the k-subsets of distinct sensors, in
+    lexicographic order, from their (diag(K_SS), Sigma) ``pair``.
 
     A frame is a prefix: its block's first candidate, the block's C given
     the prefix, the prefix's entropy, the picks it needs and the positions
@@ -297,10 +269,9 @@ def _subset_entropies(sensors, problem: PlacementProblem, k):
     """
     if k == 0:
         raise ValueError("selection must be non-empty")
-    _require_distinct(sensors)
-    prior, sigma = problem.prior.conditioned(sensors)
+    prior, sigma = pair
     floor = JITTER_LADDER[0] * prior
-    n = len(sensors)
+    n = prior.size
     if k == 1:
         return _entropy_from_var(np.maximum(np.diag(sigma), floor))
     raw = np.empty(math.comb(n, k))
@@ -398,8 +369,9 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     n_combos = math.comb(n_p, n_s)
     if n_combos > max_combos and not full_scale:
         raise EnumerationGuardError(n_combos, max_combos)
-    raw = _subset_entropies([(float(x), problem.kinds[0])
-                             for x in problem.candidates], problem, n_s)
+    sensors = [(float(x), problem.kinds[0]) for x in problem.candidates]
+    _require_distinct(sensors)
+    raw = _subset_entropies(problem.prior.conditioned(sensors), n_s)
     lo, hi = raw.min(), raw.max()
     span = hi - lo if hi > lo else 1.0
     return list(zip(itertools.combinations(range(n_p), n_s),

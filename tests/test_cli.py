@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from timopigp import beam, cli, experiments, gp, mcmc, placement
 from timopigp.beam import BeamConfig
+from timopigp.data import CSV_HEADER
 from timopigp.errors import StuckChainError
 from timopigp.quantities import QuantityKind
 
@@ -510,15 +511,40 @@ class TestIdentifyPredict:
         assert run(["identify", "--config",
                     write_config(tmp_path, cfg, "dump.json"), "--out", out,
                     "--dump-kernels", "--data"] + data) == 0
-        beam_cfg = cli.beam_from_config(cfg)
-        datasets = cli.read_data(data, beam_cfg)
-        cli._apply_dataset_config(datasets, cfg)
-        bcs = cli.bcs_from_config(cfg, beam_cfg)
+        beam_cfg, datasets, bcs = cli.read_model_inputs(cfg, data)
         theta0 = experiments.default_theta0(
             datasets, beam_cfg, cli.priors_from_config(cfg, beam_cfg))
         K = gp.assemble(datasets, bcs, theta0).K
         np.testing.assert_array_equal(
             np.loadtxt(out / "kernel_matrix.csv", delimiter=","), K)
+
+    @pytest.mark.parametrize("labels", [("q", "phi", "w"), ("q", "phi")],
+                             ids="-".join)
+    def test_chain_does_not_depend_on_file_order(self, workflow, labels):
+        """The datasets are read in block order: the files in reverse
+        order write the chain.csv of the files in order."""
+        tmp_path, _, _ = workflow
+        config = tmp_path / "id.json"
+        chains = []
+        for order in (sorted(labels, key=["w", "phi", "q"].index), labels):
+            out = tmp_path / ("order_" + "_".join(order))
+            assert run(["identify", "--config", config, "--out", out,
+                        "--data"] + [tmp_path / "sim" / f"data_{label}.csv"
+                                     for label in order]) == 0
+            chains.append((out / "chain.csv").read_bytes())
+        assert chains[0] == chains[1]
+
+    def test_predict_refuses_header_only_data(self, workflow, capsys):
+        """predict, like identify, refuses data that hold no rows."""
+        tmp_path, out_id, _ = workflow
+        empty = tmp_path / "header_only.csv"
+        empty.write_text(",".join(CSV_HEADER) + "\n")
+        for command in (["identify"],
+                        ["predict", "--chain", out_id / "chain.csv"]):
+            assert run(command + ["--config", tmp_path / "id.json",
+                                  "--out", tmp_path / "header_only",
+                                  "--data", empty]) == 3
+            assert "no datasets loaded" in capsys.readouterr().err
 
     def test_manifest_lists_outputs(self, workflow):
         _, out_id, out_pred = workflow
@@ -527,6 +553,11 @@ class TestIdentifyPredict:
                                         "diagnostics.json"}
         m_pred = json.loads((out_pred / "manifest.json").read_text())
         assert "pred_w.csv" in m_pred["outputs"]
+
+
+@pytest.mark.parametrize("cfg", [{}, {"mcmc": {}}], ids=["absent", "empty"])
+def test_mcmc_defaults_are_mcmc_config_defaults(cfg):
+    assert cli.mcmc_from_config(cfg, 7) == mcmc.McmcConfig(seed=7)
 
 
 def test_kga_prior_takes_ei_factors_without_its_own_section():

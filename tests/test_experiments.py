@@ -1,11 +1,16 @@
 """Tests for experiment scaffolding: scenarios, seeds and sweep plumbing."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from timopigp import experiments, kernels, mcmc
+from timopigp import cli, experiments, kernels, mcmc
 from timopigp.errors import StuckChainError
 from timopigp.experiments import (SweepTask, default_theta0, deflection_bcs,
                                   replication_seed, scenario_beam,
@@ -167,6 +172,59 @@ def test_chain_pinned():
     assert chain.draws.shape == (200, 6)
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == (
         "0b688f0a402e9c1ee2b8672e8094cb293becb5260e901405ecbfdfbacc3227f2")
+
+
+# The place benchmark's grids, (candidates, sensors, entropy map), and the
+# sha256 of each file `place` writes on them at the benchmark's prior of
+# seed 17: every criterion and kind, w BCs at both ends.
+# Each kind's map is one file, copied for every criterion.
+_MAP_PINNED = {
+    "w": "8176e109c733b463a29a04d309e49f196a87fcf31f63f40731d427be2e0a1bfa",
+    "phi": "e3cdb89f10cbc9af663cca72527ed312dece539ad10735c9782d683ae640377e",
+}
+PLACE_PINNED = {
+    (121, 7, False): {"placement.json": "b0a0b7f763764a98ca70a4f53f176030"
+                                        "efe669bcb7f25215a21ed54fc1e94947"},
+    (12, 4, True): {"placement.json": "d39ccfaa7afaf57855c5989202d054b6"
+                                      "f7c140992765fa2c56aa266c05a99ead",
+                    **{f"entropy_map_{crit}_{kind}.csv": digest
+                       for crit in ("physics", "entropy", "mi")
+                       for kind, digest in _MAP_PINNED.items()}},
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PLACE_PINNED), ids=str)
+def test_place_pinned(tmp_path, grid):
+    """`place` on the benchmark's grids, pinned to its bytes.
+
+    It runs in a process of its own on one BLAS thread: the MI greedy's
+    121 x 121 inverse rounds otherwise on more threads.  Like
+    ``test_chain_pinned``, the digests also depend on the numpy and BLAS
+    builds, so a new toolchain may move them.
+    """
+    n, k, with_map = grid
+    rng = np.random.default_rng(17)
+    ell = 0.125 * float(np.exp(rng.uniform(np.log(0.9), np.log(1.1))))
+    sigma_s2 = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+    cfg = {"version": 1, "seed": 17,
+           "beam": {"L": 1.0, "EI": 1.0, "kGA": 3.0, "q0": 1.0},
+           "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+           "placement": {"n_candidates": n, "n_sensors": k,
+                         "kinds": ["w", "phi"],
+                         "criteria": ["physics", "entropy", "mi"],
+                         "ell": ell, "sigma_s2": sigma_s2,
+                         "entropy_map": with_map}}
+    config = tmp_path / "place.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    subprocess.run([sys.executable, "-m", "timopigp.cli", "place", "--config",
+                    str(config), "--out", str(out)], env=env, check=True)
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.name != "manifest.json"}
+    assert written == PLACE_PINNED[grid]
 
 
 class TestSweeps:

@@ -263,9 +263,23 @@ class TestKernelPairs:
                                    atol=1e-5 * np.max(np.abs(got)))
 
 
+def _shear_rigid_kernel(i, j, x, xp, params, z=None, z_prime=None):
+    """The shear-rigid (Euler-Bernoulli) kernel from the first term of
+    each quantity's operator in ``kernels.OPERATORS``."""
+    coef = kernels._coefficients(params)
+    (ci, pi, m), (cj, pj, n) = kernels.OPERATORS[i][0], kernels.OPERATORS[j][0]
+    out = (coef[ci] * coef[cj]) * kernels.se_derivative(m, n, x, xp, params)
+    if pi:
+        out = out * np.asarray(z, float)
+    if pj:
+        out = out * np.asarray(z_prime, float)
+    return out
+
+
 class TestBernoulliKernel:
-    def test_shear_rigid_limit(self):
-        """Timoshenko kernels converge to shear-rigid ones as kGA grows."""
+    def test_shear_rigid_limit(self, sym_bernoulli_kernels):
+        """Timoshenko kernels converge to the sympy shear-rigid ones as kGA
+        grows."""
         xs = np.linspace(0.0, 1.0, 13)
         p_rigid = Theta(sigma_s2=1.3, ell=0.4, EI=1.2,
                         kGA=1e12 * 1.2)
@@ -276,36 +290,38 @@ class TestBernoulliKernel:
             kw = _pair_args(i, j)
             timo = kernels.kernel(i, j, xs[:, None], xs[None, :], p_rigid,
                                   **kw)
-            eb = kernels.bernoulli_kernel(i, j, xs[:, None], xs[None, :],
-                                          p_rigid, **kw)
+            eb = _eval_kernel(sym_bernoulli_kernels[(i, j)], i, j,
+                              xs[:, None], xs[None, :], p_rigid,
+                              z=kw.get("z", 1.0), zp=kw.get("z_prime", 1.0))
             scale = max(np.max(np.abs(eb)), p_rigid.sigma_s2)
             assert np.max(np.abs(timo - eb)) < 1e-6 * scale
 
     def test_deflection_rotation_uncorrelated_at_same_point(self):
-        assert kernels.bernoulli_kernel(
+        assert _shear_rigid_kernel(
             QuantityKind.DEFLECTION, QuantityKind.ROTATION, 0.4, 0.4,
             PARAMS) == pytest.approx(0.0, abs=1e-14)
 
     def test_moment_variance(self):
-        got = kernels.bernoulli_kernel(QuantityKind.MOMENT,
-                                       QuantityKind.MOMENT, 0.4, 0.4, PARAMS)
+        got = _shear_rigid_kernel(QuantityKind.MOMENT, QuantityKind.MOMENT,
+                                  0.4, 0.4, PARAMS)
         want = 3.0 * PARAMS.EI**2 * PARAMS.sigma_s2 / PARAMS.ell**4
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_load_variance(self):
-        got = kernels.bernoulli_kernel(QuantityKind.LOAD, QuantityKind.LOAD,
-                                       0.4, 0.4, PARAMS)
+        got = _shear_rigid_kernel(QuantityKind.LOAD, QuantityKind.LOAD,
+                                  0.4, 0.4, PARAMS)
         want = PARAMS.EI**2 * kernels.se_derivative(4, 4, 0.0, 0.0, PARAMS)
         assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("i", ALL_KINDS, ids=lambda k: k.code)
     @pytest.mark.parametrize("j", ALL_KINDS, ids=lambda k: k.code)
     def test_against_symbolic_oracle(self, i, j, sym_bernoulli_kernels):
+        """The operators' first terms are the shear-rigid operators."""
         rng = np.random.default_rng(7)
         xs = rng.uniform(0.0, 1.0, 20)
         xps = rng.uniform(0.0, 1.0, 20)
         kw = _pair_args(i, j)
-        got = kernels.bernoulli_kernel(i, j, xs, xps, PARAMS, **kw)
+        got = _shear_rigid_kernel(i, j, xs, xps, PARAMS, **kw)
         want = _eval_kernel(sym_bernoulli_kernels[(i, j)], i, j, xs, xps,
                             PARAMS, z=kw.get("z", 1.0),
                             zp=kw.get("z_prime", 1.0))

@@ -136,8 +136,7 @@ class TestLogPosterior:
 def chain_of(draws, names):
     return mcmc.PosteriorChain(param_names=names, draws=np.asarray(draws),
                                acceptance_rate=0.3,
-                               log_posterior_trace=np.zeros(len(draws)),
-                               seed=0)
+                               log_posterior_trace=np.zeros(len(draws)))
 
 
 class TestThetasFromDraws:
@@ -490,8 +489,7 @@ class TestSummarize:
         draws = np.asarray(draws, float)
         return mcmc.PosteriorChain(param_names=list(names), draws=draws,
                                    acceptance_rate=0.3,
-                                   log_posterior_trace=np.zeros(len(draws)),
-                                   seed=0)
+                                   log_posterior_trace=np.zeros(len(draws)))
 
     def test_constant_chain(self):
         s = summarize(self._chain([[2.0]] * 10))

@@ -28,11 +28,11 @@ def support_bcs():
 
 
 def problem(kinds, criterion, n_sensors=7, n_candidates=31, bcs=None,
-            params=PARAMS, **kw):
+            params=PARAMS):
     return PlacementProblem(candidates=np.linspace(0.0, 1.0, n_candidates),
-                            kinds=kinds, n_sensors=n_sensors, params=params,
-                            bcs=bcs if bcs is not None else [],
-                            criterion=criterion, **kw)
+                            kinds=kinds, n_sensors=n_sensors,
+                            prior=placement.Prior(bcs or [], params),
+                            criterion=criterion)
 
 
 def selected_x(result):
@@ -162,31 +162,28 @@ class TestGreedyPlace:
         assert all(gains[i] >= gains[i + 1] - 1e-9
                    for i in range(len(gains) - 1))
 
-    def test_per_domain_budget(self):
-        cands = np.concatenate([np.linspace(0, 1, 11), np.linspace(0, 1, 11)])
-        kinds = ([QuantityKind.DEFLECTION] * 11 +
-                 [QuantityKind.ROTATION] * 11)
-        p = PlacementProblem(candidates=cands, kinds=kinds, n_sensors=3,
-                             params=PARAMS,
-                             criterion=PlacementCriterion.
-                             PHYSICS_INFORMED_ENTROPY)
-        res = greedy_place(p)
-        by_kind = {}
-        for _, k in res.selected:
-            by_kind[k] = by_kind.get(k, 0) + 1
-        assert by_kind == {QuantityKind.DEFLECTION: 3,
-                           QuantityKind.ROTATION: 3}
-
     def test_joint_budget(self):
+        """Mixed w and phi candidates share one budget: the greedy places
+        n_sensors in all, its set entropy is set_entropy's, and a budget
+        above the candidate count is refused."""
         cands = np.concatenate([np.linspace(0, 1, 11), np.linspace(0, 1, 11)])
         kinds = ([QuantityKind.DEFLECTION] * 11 +
                  [QuantityKind.ROTATION] * 11)
         p = PlacementProblem(candidates=cands, kinds=kinds, n_sensors=4,
-                             params=PARAMS, joint_budget=True,
+                             prior=placement.Prior([], PARAMS),
                              criterion=PlacementCriterion.
                              PHYSICS_INFORMED_ENTROPY)
         res = greedy_place(p)
         assert len(res.selected) == 4
+        assert res.set_entropy == set_entropy(res.selected, p)
+        with pytest.raises(ValueError, match="exceeds"):
+            PlacementProblem(candidates=cands, kinds=kinds, n_sensors=23,
+                             prior=p.prior)
+
+    def test_no_candidates_rejected(self):
+        with pytest.raises(ValueError, match="candidate"):
+            problem(QuantityKind.DEFLECTION, PlacementCriterion.ENTROPY,
+                    n_sensors=0, n_candidates=0)
 
     def test_strain_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -371,7 +368,7 @@ class TestExhaustiveEntropyMap:
         cands = np.concatenate([np.linspace(0, 1, 4), np.linspace(0, 1, 4)])
         kinds = [QuantityKind.DEFLECTION] * 4 + [QuantityKind.ROTATION] * 4
         p = PlacementProblem(candidates=cands, kinds=kinds, n_sensors=2,
-                             params=PARAMS,
+                             prior=placement.Prior([], PARAMS),
                              criterion=PlacementCriterion.ENTROPY)
         with pytest.raises(ValueError):
             exhaustive_entropy_map(p)
@@ -421,7 +418,7 @@ class TestExhaustiveEntropyMap:
     def test_duplicate_candidates_rejected(self):
         p = PlacementProblem(candidates=np.array([0.2, 0.4, 0.4, 0.8]),
                              kinds=QuantityKind.DEFLECTION, n_sensors=2,
-                             params=PARAMS)
+                             prior=placement.Prior([], PARAMS))
         with pytest.raises(ValueError, match="distinct"):
             exhaustive_entropy_map(p)
 
@@ -448,15 +445,16 @@ BC_SETS = {
 
 
 def pool_problem(pool, criterion, bcs, candidates=None, n_sensors=7):
-    """A single-kind pool, or w and phi candidates under one joint budget."""
+    """A single-kind pool, or w and phi candidates under one budget."""
     x = np.linspace(0.0, 1.0, 31) if candidates is None else candidates
+    prior = placement.Prior(bcs, PARAMS)
     if pool == "w+phi":
         return PlacementProblem(candidates=np.concatenate([x, x]),
                                 kinds=[W] * x.size + [PHI] * x.size,
-                                n_sensors=n_sensors, params=PARAMS, bcs=bcs,
-                                criterion=criterion, joint_budget=True)
+                                n_sensors=n_sensors, prior=prior,
+                                criterion=criterion)
     return PlacementProblem(candidates=x, kinds={"w": W, "phi": PHI}[pool],
-                            n_sensors=n_sensors, params=PARAMS, bcs=bcs,
+                            n_sensors=n_sensors, prior=prior,
                             criterion=criterion)
 
 
@@ -478,8 +476,9 @@ def test_repeated_candidate_selected_once(crit, kind):
     """A second copy of a placed candidate carries no information, and
     the downdates stay finite on the singular Sigma it makes."""
     p = PlacementProblem(candidates=np.append(np.linspace(0.0, 1.0, 11), 0.5),
-                         kinds=kind, n_sensors=7, params=PARAMS,
-                         bcs=support_bcs(), criterion=crit)
+                         kinds=kind, n_sensors=7,
+                         prior=placement.Prior(support_bcs(), PARAMS),
+                         criterion=crit)
     res = greedy_place(p)
     xs = [x for x, _ in res.selected]
     assert len(xs) == 7 and xs.count(0.5) <= 1
@@ -558,13 +557,13 @@ def test_greedy_matches_explicit_conditioning(crit, kind, bcs):
                                atol=tol)
 
 
-def _reference_subset_entropies(sensors, problem, k):
+def _reference_subset_entropies(pair, k):
     """The frame-by-frame walk: every prefix down to two picks left is
     conditioned by ``_observe``, and the last two picks score from the
     block's triangle."""
-    prior, sigma = problem.prior.conditioned(sensors)
+    prior, sigma = pair
     floor = 1e-12 * prior
-    n = len(sensors)
+    n = prior.size
     if k == 1:
         return placement._entropy_from_var(np.maximum(np.diag(sigma), floor))
     raw = np.empty(math.comb(n, k))
@@ -613,33 +612,23 @@ def test_overflowing_walk_named():
 
 
 def _check_walk(kind, n, k, params, bcs):
-    p = PlacementProblem(candidates=np.linspace(0.0, 1.0, n), kinds=kind,
-                         n_sensors=k, params=params, bcs=bcs)
-    sensors = [(float(x), kind) for x in p.candidates]
+    pair = placement.Prior(bcs, params).conditioned(
+        [(float(x), kind) for x in np.linspace(0.0, 1.0, n)])
     try:
         with np.errstate(over="raise"):
-            want = _reference_subset_entropies(sensors, p, k)
+            want = _reference_subset_entropies(pair, k)
     except FloatingPointError:
         with pytest.raises(EntropyOverflowError):
-            placement._subset_entropies(sensors, p, k)
+            placement._subset_entropies(pair, k)
         return "overflow"
-    got = placement._subset_entropies(sensors, p, k)
+    got = placement._subset_entropies(pair, k)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     return "equal"
 
 
-def test_problem_refuses_a_prior_of_other_parameters():
-    prior = placement.Prior([], PARAMS)
-    other = Theta(sigma_s2=2.0, ell=0.125, EI=1.0, kGA=3.0)
-    with pytest.raises(ValueError, match="prior"):
-        PlacementProblem(candidates=np.linspace(0.0, 1.0, 5), kinds=W,
-                         n_sensors=2, params=other, bcs=prior.bcs,
-                         prior=prior)
-
-
 def _mi_problem(x, params, kind=W, bcs=(), n_sensors=7):
     return PlacementProblem(candidates=x, kinds=kind, n_sensors=n_sensors,
-                            params=params, bcs=list(bcs),
+                            prior=placement.Prior(list(bcs), params),
                             criterion=PlacementCriterion.MUTUAL_INFORMATION)
 
 
@@ -737,14 +726,22 @@ def test_mi_sets_match_inverse_per_step_on_benchmark_grids(grid, kind):
         assert _picks(greedy_place(p), x) == _inverse_per_step_mi(p), seed
 
 
+# The largest candidate count checked below.  From about 190 sensors up,
+# OpenBLAS 0.3.31's dgemm (Haswell kernels) rounds some elements of
+# K_Sb K_bb^-1 K_bS otherwise at different matrix sizes, so a sub-block
+# can differ from the fresh Sigma at rounding level.
+SUB_BLOCK_MAX = 128
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), bcs=st.sampled_from(sorted(BC_SETS)),
        ell=st.floats(0.05, 1.0), sigma_s2=st.floats(0.1, 10.0))
 def test_held_pool_sub_block_is_the_fresh_sigma(data, bcs, ell, sigma_s2):
-    """A set read from a held pool's Sigma, in its own order, is the pair
-    a fresh build gives, bit for bit, for pools of every size up to the
-    bound, of mixed kinds in any order, under each BC set."""
-    n = data.draw(st.integers(1, placement._HELD_POOL_MAX), label="n")
+    """The index sub-block, in a set's own order, of the pair a Prior
+    holds for the candidates is the pair a fresh build of the set gives,
+    bit for bit, for up to SUB_BLOCK_MAX candidates of mixed kinds in any
+    order, under each BC set: a greedy's set entropy reads it."""
+    n = data.draw(st.integers(1, SUB_BLOCK_MAX), label="n")
     x = data.draw(st.permutations(np.linspace(0.0, 1.0, n).tolist()),
                   label="x")
     kinds = data.draw(st.lists(st.sampled_from([W, PHI, QuantityKind.MOMENT,
@@ -752,22 +749,20 @@ def test_held_pool_sub_block_is_the_fresh_sigma(data, bcs, ell, sigma_s2):
                                min_size=n, max_size=n), label="kinds")
     pool = list(zip(x, kinds))
     order = data.draw(st.permutations(range(n)), label="order")
-    sensors = tuple(pool[i] for i in order[:data.draw(st.integers(1, n))])
+    idx = order[:data.draw(st.integers(1, n))]
     params = Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0, kGA=3.0)
-    prior = placement.Prior(BC_SETS[bcs], params)
-    prior.conditioned(pool)
-    got = prior._from_held(sensors)
-    want = placement.Prior(BC_SETS[bcs], params)._condition(sensors)
-    assert got is not None
-    for a, b in zip(got, want):
+    prior, sigma = placement.Prior(BC_SETS[bcs], params).conditioned(pool)
+    want = placement.Prior(BC_SETS[bcs], params)._condition(
+        [pool[i] for i in idx])
+    for a, b in zip((prior[idx], sigma[np.ix_(idx, idx)]), want):
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_set_entropy_reads_the_greedy_pool(monkeypatch, extra):
-    """A physics greedy builds Sigma once, for its pool, and its set's
-    entropy reads the pool's sub-block, up to the held-pool bound."""
-    n = placement._HELD_POOL_MAX + extra
+    """A physics greedy builds Sigma once, for its candidates, and its
+    set's entropy reads the candidates' sub-block, at any pool size."""
+    n = SUB_BLOCK_MAX + extra
     built = []
     real = placement.Prior._condition
     monkeypatch.setattr(placement.Prior, "_condition",
@@ -776,4 +771,4 @@ def test_set_entropy_reads_the_greedy_pool(monkeypatch, extra):
     greedy_place(pool_problem("w", PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                               BC_SETS["w"],
                               candidates=np.linspace(0.0, 1.0, n)))
-    assert built == [n] + [7] * extra
+    assert built == [n]
