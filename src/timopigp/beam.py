@@ -129,10 +129,9 @@ def shear_fraction(cfg: BeamConfig) -> float:
     return ws / w
 
 
-def field_max(cfg: BeamConfig, quantity: QuantityKind, z=None,
-              n_grid: int = 2001) -> float:
-    """Peak |field| over the span, used to convert an SNR to a noise std."""
-    x = np.linspace(0.0, cfg.L, n_grid)
+def field_max(cfg: BeamConfig, quantity: QuantityKind, z=None) -> float:
+    """Peak |field| over 2001 span points, to convert an SNR to a noise std."""
+    x = np.linspace(0.0, cfg.L, 2001)
     if quantity is QuantityKind.STRAIN:
         z = cfg.h / 2.0 if z is None else np.max(np.abs(np.asarray(z, float)))
     vals = analytic_field(cfg, quantity, x, z=z)

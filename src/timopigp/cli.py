@@ -149,11 +149,14 @@ def beam_from_config(cfg: dict) -> BeamConfig:
 
 def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
     m = _read(cfg, "config", "mcmc", _section, {})
-    return McmcConfig(seed=seed, **{
-        key: _read(m, "mcmc", key, parse, getattr(McmcConfig, key))
-        for key, parse in (("n_total", _count), ("n_b", _count),
-                           ("n_t", _count), ("proposal_scale", _scales),
-                           ("adapt", _switch))})
+    try:
+        return McmcConfig(seed=seed, **{
+            key: _read(m, "mcmc", key, parse, getattr(McmcConfig, key))
+            for key, parse in (("n_total", _count), ("n_b", _count),
+                               ("n_t", _repeats), ("proposal_scale", _scales),
+                               ("adapt", _switch))})
+    except ValueError as exc:   # n_b against n_total
+        raise ConfigError(f"mcmc: {exc}") from None
 
 
 def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
@@ -175,9 +178,13 @@ def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
     out = []
     for i, spec in enumerate(_read(cfg, "config", "bcs", _sections, [])):
         where = f"bcs[{i}]"
-        bc = BoundaryCondition(kind=_read(spec, where, "kind", _kind),
-                               x=_read(spec, where, "locations", _numbers),
-                               y=_read(spec, where, "values", _numbers, None))
+        try:
+            bc = BoundaryCondition(
+                kind=_read(spec, where, "kind", _kind),
+                x=_read(spec, where, "locations", _numbers),
+                y=_read(spec, where, "values", _numbers, None))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         off = bc.x[(bc.x < 0.0) | (bc.x > beam.L)]
         if off.size:
             raise ConfigError(f"{where} ({bc.kind.code}): location "
@@ -240,12 +247,14 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_place(cfg: dict, out_dir: Path, seed: int,
-              full_scale: bool = False) -> int:
+def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
     beam = beam_from_config(cfg)
     p = _read(cfg, "config", "placement", _section)
     n_candidates = _read(p, "placement", "n_candidates", _count, 31)
-    n_sensors = _read(p, "placement", "n_sensors", _count, 7)
+    entropy_map = _read(p, "placement", "entropy_map", _switch, False)
+    # A map ranks subsets of at least one sensor.
+    n_sensors = _read(p, "placement", "n_sensors",
+                      _repeats if entropy_map else _count, 7)
     params = experiments.placement_params(
         beam, ell=_read(p, "placement", "ell", _scale, None),
         sigma_s2=_read(p, "placement", "sigma_s2", _scale, 1.0))
@@ -259,12 +268,13 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int,
     # Each kind is its own problem, with its own budget of n_sensors.
     prior = placement.Prior(bcs, params)
     outputs = {}
-    if _read(p, "placement", "entropy_map", _switch, False):
+    if entropy_map:
         max_combos = _read(p, "placement", "max_combos", _count, 300_000)
         maps = {kind: placement.exhaustive_entropy_map(
             PlacementProblem(candidates=candidates, kinds=kind,
                              n_sensors=n_sensors, prior=prior),
-            max_combos=max_combos, full_scale=full_scale) for kind in kinds}
+            max_combos=math.inf if full_scale else max_combos)
+            for kind in kinds}
         for kind, entropy_map in maps.items():
             # The map does not depend on the criterion: its rows are
             # formatted once and the file copied for each criterion.
@@ -343,16 +353,16 @@ def read_model_inputs(cfg: dict, data_paths) -> tuple:
 
 
 def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
-                 dump_kernels: bool = False) -> int:
+                 dump_kernels: bool) -> int:
     beam, datasets, bcs = read_model_inputs(cfg, data_paths)
     priors = priors_from_config(cfg, beam)
     mcfg = mcmc_from_config(cfg, seed)
-    theta0 = experiments.default_theta0(datasets, beam, priors)
     if dump_kernels:
+        # K at the chain's start point.
+        theta0 = experiments.default_theta0(datasets, beam, priors)
         np.savetxt(out_dir / "kernel_matrix.csv",
                    gp.assemble(datasets, bcs, theta0).K, delimiter=",")
-    chain = experiments.identify(datasets, bcs, beam, mcfg, priors=priors,
-                                 theta0=theta0)
+    chain = experiments.identify(datasets, bcs, beam, mcfg, priors=priors)
 
     write_csv(out_dir / "chain.csv", chain.param_names, chain.draws.tolist())
     stats = mcmc.summarize(chain)
@@ -385,7 +395,7 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
 
     thetas = read_csv(chain_path, chain_row, empty="empty chain file")
     pcfg = _read(cfg, "config", "predict", _section, {})
-    max_draws = _read(pcfg, "predict", "max_draws", _count, 100)
+    max_draws = _read(pcfg, "predict", "max_draws", _repeats, 100)
     if len(thetas) > max_draws:
         idx = np.linspace(0, len(thetas) - 1, max_draws).astype(int)
         thetas = [thetas[i] for i in idx]
@@ -418,7 +428,7 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
 
 
 def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str,
-              full_scale: bool = False) -> int:
+              full_scale: bool) -> int:
     where = f"study.{study_name}"
     scfg = _read(_read(cfg, "config", "study", _section, {}), "study",
                  study_name, _section)

@@ -58,30 +58,12 @@ class Dataset:
         return self.x.size
 
 
-@dataclass
-class BoundaryCondition:
-    """Artificial noiseless observations enforcing support constraints."""
-
-    kind: QuantityKind
-    x: np.ndarray
-    y: np.ndarray | None = None
-    z: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if self.y is None:
-            self.y = np.zeros_like(self.x)
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if self.z is not None:
-            self.z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        if self.y.shape != self.x.shape:
-            raise ValueError(f"boundary condition has {self.y.size} values "
-                             f"for {self.x.size} locations")
-        _check_finite(self, "x", "y", "z")
-
-    def as_dataset(self) -> Dataset:
-        return Dataset(kind=self.kind, x=self.x, y=self.y, z=self.z,
-                       sigma_n=0.0, learn_noise=False, label="__bc__")
+def BoundaryCondition(kind: QuantityKind, x, y=None, z=None) -> Dataset:
+    """Artificial noiseless observations enforcing a support constraint:
+    a zero-noise Dataset labelled ``__bc__``, its values 0 unless given."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return Dataset(kind=kind, x=x, y=np.zeros_like(x) if y is None else y,
+                   z=z, label="__bc__")
 
 
 def write_csv(path, header, rows) -> None:
@@ -141,10 +123,10 @@ def write_datasets_csv(path, datasets: list[Dataset]) -> None:
                for i, ds in enumerate(datasets) for j in range(len(ds))))
 
 
-def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
+def read_datasets_csv(path, span: float) -> list[Dataset]:
     """Parse a dataset CSV, grouping rows by dataset_id in file order.
 
-    With ``span``, the beam length L, a row whose x is off [0, L] is refused.
+    A row whose x is off [0, span], span the beam length L, is refused.
     """
     groups: dict[str, tuple] = {}   # dataset_id: (kind, rows)
 
@@ -159,7 +141,7 @@ def read_datasets_csv(path, span: float | None = None) -> list[Dataset]:
         x, value, *z = finite_floats(("x", "value", "z"),
                                      [xs, vs] + ([zs] if zs else []))
         z = z[0] if z else None
-        if span is not None and not 0.0 <= x <= span:
+        if not 0.0 <= x <= span:
             raise ValueError(f"dataset {ds_id!r}: x = {x!r} is off the "
                              f"span [0, {span!r}]")
         if kind is QuantityKind.STRAIN and z is None:

@@ -36,11 +36,10 @@ def worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def scenario_beam(r: float, L: float = 1.0, EI: float = 1.0,
-                  q0: float = 1.0, h: float = 0.1) -> BeamConfig:
-    """Simply supported scenario with the requested rigidity factor."""
-    kGA = 3.0 * EI / (L**2 * r)
-    return BeamConfig(L=L, EI_true=EI, kGA_true=kGA, q0=q0, h=h)
+def scenario_beam(r: float) -> BeamConfig:
+    """Simply supported unit scenario (L = EI = q0 = 1, h = 0.1) with the
+    rigidity factor r = 3 EI / (L^2 kGA)."""
+    return BeamConfig(L=1.0, EI_true=1.0, kGA_true=3.0 / r, q0=1.0, h=0.1)
 
 
 def deflection_bcs(beam: BeamConfig) -> list:
@@ -86,12 +85,10 @@ def sensor_set(beam: BeamConfig, kind: QuantityKind,
 
 
 def synth_identification_data(beam: BeamConfig, w_locs, phi_locs, snr: float,
-                              seed: int, ndp: int = 1,
-                              inform_load: bool = True) -> list:
+                              seed: int, ndp: int = 1) -> list:
     """Noisy deflection + rotation data with the informed load dataset."""
     datasets = []
-    seq = np.random.SeedSequence(seed)
-    sub = seq.generate_state(2)
+    sub = np.random.SeedSequence(seed).generate_state(2)
     if w_locs is not None and len(w_locs):
         locs = np.tile(np.asarray(w_locs, float), ndp)
         datasets.append(beam_mod.synthesize_dataset(
@@ -104,13 +101,11 @@ def synth_identification_data(beam: BeamConfig, w_locs, phi_locs, snr: float,
             beam, QuantityKind.ROTATION, locs,
             NoiseSpec(snr=snr, seed=int(sub[1])),
             label="phi", learn_noise=True))
-    if inform_load:
-        base = w_locs if w_locs is not None and len(w_locs) else phi_locs
-        q_locs = np.asarray(base, float)
-        datasets.append(Dataset(
-            kind=QuantityKind.LOAD, x=q_locs,
-            y=np.full(q_locs.size, beam.q0),
-            sigma_n=LOAD_NOISE_FACTOR * abs(beam.q0), label="q"))
+    base = w_locs if w_locs is not None and len(w_locs) else phi_locs
+    q_locs = np.asarray(base, float)
+    datasets.append(Dataset(
+        kind=QuantityKind.LOAD, x=q_locs, y=np.full(q_locs.size, beam.q0),
+        sigma_n=LOAD_NOISE_FACTOR * abs(beam.q0), label="q"))
     return datasets
 
 
@@ -168,12 +163,12 @@ def default_theta0(datasets, beam: BeamConfig, priors: dict) -> Theta:
 
 
 def identify(datasets, bcs, beam: BeamConfig, cfg: McmcConfig,
-             priors: dict | None = None,
-             theta0: Theta | None = None) -> mcmc.PosteriorChain:
-    """Run the stiffness-identification chain for one scenario."""
+             priors: dict | None = None) -> mcmc.PosteriorChain:
+    """Run the stiffness-identification chain for one scenario from
+    ``default_theta0``."""
     priors = priors if priors is not None else stiffness_priors(beam, {})
-    theta0 = theta0 or default_theta0(datasets, beam, priors)
-    return mcmc.run_chain(datasets, bcs, priors, cfg, theta0)
+    return mcmc.run_chain(datasets, bcs, priors, cfg,
+                          default_theta0(datasets, beam, priors))
 
 
 def replication_seed(root_seed: int, point: int, rep: int) -> int:

@@ -130,9 +130,7 @@ def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def order_entries(datasets, bcs) -> tuple:
     """Stack datasets then BCs, stably sorted into the fixed block order."""
-    entries = list(datasets) + [bc.as_dataset() for bc in (bcs or [])]
-    entries.sort(key=lambda e: BLOCK_INDEX[e.kind])
-    return tuple(entries)
+    return tuple(sorted([*datasets, *bcs], key=lambda e: BLOCK_INDEX[e.kind]))
 
 
 def _slices(entries) -> tuple:
@@ -214,7 +212,7 @@ class Layout:
     """The hyperparameter-free tables of one covariance matrix.
 
     ``rows`` and ``cols`` are lists of entries (anything with ``kind``,
-    ``x`` and ``z``: datasets, boundary conditions' datasets, ``Points``).
+    ``x`` and ``z``: datasets, boundary conditions included, ``Points``).
     Without ``cols`` the matrix is the symmetric covariance of ``rows``,
     and an element below the block diagonal is computed as its mirror
     element above it, as ``covariance`` has always filled it.
@@ -364,9 +362,9 @@ def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
         return np.add.reduce(stack, axis=0, initial=0.0)
 
 
-def covariance(rows, theta: Theta, cols=None) -> np.ndarray:
-    """Dense covariance between two lists of entries (see ``Layout``)."""
-    return evaluate(Layout(rows, cols), theta)
+def covariance(rows, theta: Theta) -> np.ndarray:
+    """Dense symmetric covariance of a list of entries (see ``Layout``)."""
+    return evaluate(Layout(rows), theta)
 
 
 def check_finite(K: np.ndarray) -> np.ndarray:

@@ -220,10 +220,10 @@ def log_posterior(layout: gp.Layout, theta: Theta, values, table,
     return lml + lp
 
 
-def random_walk_metropolis(log_target, x0, cfg: McmcConfig,
-                           scales=None):
+def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     """Generic symmetric-proposal MH core in unconstrained coordinates.
 
+    ``scales`` holds the proposal std of each coordinate of ``x0``.
     Returns (kept draws, acceptance rate, kept log-target values).  Proposal
     scales optionally adapt towards ~30% acceptance during burn-in and are
     frozen afterwards.
@@ -231,10 +231,7 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig,
     rng = np.random.default_rng(cfg.seed)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     d = x.size
-    if scales is None:
-        scales = np.full(d, float(cfg.proposal_scale)
-                         if np.isscalar(cfg.proposal_scale) else 0.1)
-    scales = np.broadcast_to(np.asarray(scales, float), (d,)).copy()
+    scales = np.asarray(scales, dtype=float)
 
     lt = log_target(x)
     if not np.isfinite(lt):
@@ -339,9 +336,8 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
                           target_counts=target_counts)
 
 
-def summarize(chain: PosteriorChain,
-              quantiles=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
-    """Per-parameter sample statistics of the posterior draws."""
+def summarize(chain: PosteriorChain) -> dict:
+    """Per-parameter mean, std and 5/25/50/75/95 % quantiles of the draws."""
     if len(chain) == 0:
         raise ValueError("chain is empty")
     out = {}
@@ -351,7 +347,7 @@ def summarize(chain: PosteriorChain,
             "mean": float(np.mean(col)),
             "std": float(np.std(col)),
             "quantiles": {f"q{int(100 * q):02d}": float(np.quantile(col, q))
-                          for q in quantiles},
+                          for q in (0.05, 0.25, 0.5, 0.75, 0.95)},
         }
     return out
 

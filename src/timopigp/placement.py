@@ -15,16 +15,17 @@ Every score is read from one prior covariance Sigma of the candidates:
 their covariance conditioned on the BCs (``Prior.conditioned``,
 Sigma = K_cc - K_cb K_bb^-1 K_bc) for the physics criterion, the SE base
 kernel for the baselines.  A candidate scores 0.5 ln(2 pi e C_jj), C_jj
-floored at 1e-12 of its prior variance; observing it conditions C, which
-starts at Sigma, by the rank-1 downdate C <- C - c c^T / (C_jj + delta).
-delta, the noise of a placed sensor, is 0 for physics and 1e-8 sigma_s^2
-for the baselines, whose dense-grid SE covariance is singular to working
-precision.  Mutual information (Krause, Singh & Guestrin, JMLR 2008)
-subtracts the entropy of 1/diag(P) - delta over U, the unselected set,
-P = (Sigma_UU + delta I)^-1: inverted once per problem, and each pick
-dropped from P by its Schur complement, the same rank-1 downdate.  MI
-scores within a relative 1e-6 of the best tie, and the lowest index
-wins; the others tie only when equal.  A joint entropy sums the physics
+floored at ``VARIANCE_FLOOR`` of its prior variance; observing it
+conditions C, which starts at Sigma, by the rank-1 downdate
+C <- C - c c^T / (C_jj + delta).  delta, the noise of a placed sensor,
+is 0 for physics and ``SENSOR_NOISE`` sigma_s^2 for the baselines, whose
+dense-grid SE covariance is singular to working precision.  Mutual
+information (Krause, Singh & Guestrin, JMLR 2008) subtracts the entropy
+of 1/diag(P) - delta over U, the unselected set, P = (Sigma_UU +
+delta I)^-1: inverted once per problem, and each pick dropped from P by
+its Schur complement, the same rank-1 downdate.  MI scores within a
+relative 1e-6 of the best tie, and the lowest index wins; the others tie
+only when equal.  A joint entropy sums the physics
 scores of a set in order, each given those before it: ``set_entropy``
 walks one set, a greedy its selection's sub-block of the candidates'
 physics Sigma, and the exhaustive map every subset of the candidates,
@@ -46,10 +47,13 @@ import numpy as np
 
 from timopigp import gp, kernels
 from timopigp.errors import EntropyOverflowError, EnumerationGuardError
-from timopigp.gp import JITTER_LADDER, Theta
+from timopigp.gp import Theta
 from timopigp.quantities import QuantityKind
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
+
+VARIANCE_FLOOR = 1e-12
+SENSOR_NOISE = 1e-8
 
 # Relative tolerance within which mutual-information scores tie.  An MI
 # score subtracts the entropy of 1 / P_ii - delta, P the precision of
@@ -115,7 +119,6 @@ class PlacementResult:
 
     selected: list            # (location, kind) in selection order
     step_entropies: list
-    criterion: PlacementCriterion
     set_entropy: float | None = None
 
 
@@ -197,8 +200,8 @@ def greedy_place(problem: PlacementProblem) -> PlacementResult:
         x = problem.candidates
         sigma = kernels.se_base(x[:, None], x[None, :], problem.params)
         prior = np.diag(sigma)
-        delta = JITTER_LADDER[2] * problem.params.sigma_s2
-    floor = JITTER_LADDER[0] * prior
+        delta = SENSOR_NOISE * problem.params.sigma_s2
+    floor = VARIANCE_FLOOR * prior
     mutual = problem.criterion is PlacementCriterion.MUTUAL_INFORMATION
     C = sigma.copy()
     if mutual:
@@ -226,9 +229,7 @@ def greedy_place(problem: PlacementProblem) -> PlacementResult:
             _observe(prec, j, 0.0, 0.0)
 
     selected = [sensors[i] for i in picks]
-    result = PlacementResult(selected=selected,
-                             step_entropies=step_entropies,
-                             criterion=problem.criterion)
+    result = PlacementResult(selected, step_entropies)
     if picks:
         _require_distinct(selected)
         result.set_entropy = float(_subset_entropies(
@@ -270,7 +271,7 @@ def _subset_entropies(pair, k):
     if k == 0:
         raise ValueError("selection must be non-empty")
     prior, sigma = pair
-    floor = JITTER_LADDER[0] * prior
+    floor = VARIANCE_FLOOR * prior
     n = prior.size
     if k == 1:
         return _entropy_from_var(np.maximum(np.diag(sigma), floor))
@@ -349,14 +350,13 @@ def _triples(m):
 
 
 def exhaustive_entropy_map(problem: PlacementProblem,
-                           max_combos: int = 300_000,
-                           full_scale: bool = False) -> list:
+                           max_combos: float = 300_000) -> list:
     """Rank every sensor subset by min-max normalized joint entropy.
 
     Rows are the subsets in lexicographic order, each with its
     ``set_entropy`` normalized over all rows.  Only single-domain
     problems are enumerable; the guard refuses counts above
-    ``max_combos`` unless ``full_scale`` lifts it.  A row of a 31 x 4 map
+    ``max_combos``, which ``math.inf`` lifts.  A row of a 31 x 4 map
     costs 0.28-0.33 us, Sigma and the row list included (2-vCPU VM, one
     BLAS thread), so a map at the guard takes about a tenth of a second;
     the C(31, 7) = 2.6 M rows walk in about 1.2 s.  The walk raises
@@ -367,7 +367,7 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     n_p = problem.candidates.size
     n_s = problem.n_sensors
     n_combos = math.comb(n_p, n_s)
-    if n_combos > max_combos and not full_scale:
+    if n_combos > max_combos:
         raise EnumerationGuardError(n_combos, max_combos)
     sensors = [(float(x), problem.kinds[0]) for x in problem.candidates]
     _require_distinct(sensors)

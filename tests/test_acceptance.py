@@ -484,10 +484,10 @@ def test_acceptance_8_mixture_moments():
 
 def test_acceptance_9_sampler_sanity():
     t0 = time.time()
-    cfg = McmcConfig(n_total=250000, n_b=2000, n_t=5, seed=42,
-                     proposal_scale=2.4)
+    cfg = McmcConfig(n_total=250000, n_b=2000, n_t=5, seed=42)
     draws, acc, _ = mcmc.random_walk_metropolis(
-        lambda x: -0.5 * float(x[0] ** 2), np.array([0.0]), cfg)
+        lambda x: -0.5 * float(x[0] ** 2), np.array([0.0]), cfg,
+        scales=[2.4])
     x = draws[:, 0]
     ess = mcmc.effective_sample_size(x)
     mean_ok = abs(np.mean(x)) < 0.05

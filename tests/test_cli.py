@@ -207,7 +207,9 @@ class TestExitCodes:
         ({"kind": "w", "locations": [0.0, 1.0], "values": [0.0, float("nan")]},
          "y must be finite"),
         ({"kind": "w", "locations": [0.0, 1.0], "values": [0.0]},
-         "1 values for 2 locations")])
+         "bcs[0]: x and y must be equal-length"),
+        ({"kind": "w", "locations": []},
+         "bcs[0]: x and y must be equal-length, non-empty vectors")])
     def test_bad_boundary_condition_named(self, tmp_path, capsys, bc,
                                           message):
         cfg = {"version": 1, "beam": BEAM, "seed": 0, "bcs": [bc],
@@ -961,6 +963,27 @@ class TestConfigFuzz:
         assert code == cli.EXIT_CONFIG, err
         assert err.startswith(f"config error: {where}: {path[-1]} must be ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,path,value,message", [
+        ("identify", ("mcmc", "n_t"), 0,
+         "mcmc: n_t must be a whole number >= 1, got 0"),
+        ("identify", ("mcmc", "n_b"), 30,
+         "mcmc: require 0 <= n_b < n_total"),
+        ("predict", ("predict", "max_draws"), 0,
+         "predict: max_draws must be a whole number >= 1, got 0"),
+        ("place", ("placement", "n_sensors"), 0,
+         "placement: n_sensors must be a whole number >= 1, got 0")],
+        ids=["n_t", "n_b", "max_draws", "n_sensors"])
+    def test_out_of_range_value_named(self, fuzz_dir, command, path, value,
+                                      message):
+        """Values of the right type that the model cannot take (a zero
+        stride, a burn-in as long as the chain, no draws, a map of no
+        sensors: FUZZ_PLACE asks for a map) name their section and key."""
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
+                              _switched(FUZZ_BASES[command], path, value),
+                              command)
+        assert code == cli.EXIT_CONFIG, err
+        assert err.startswith(f"config error: {message}"), err
 
     def test_kinds_string_is_not_read_per_character(self, fuzz_dir):
         cfg = _switched(FUZZ_PLACE, ("placement", "kinds"), "w")

@@ -38,9 +38,22 @@ class TestBoundaryCondition:
         bc = BoundaryCondition(kind=W, x=[0.0, 1.0])
         np.testing.assert_array_equal(bc.y, [0.0, 0.0])
 
+    def test_is_a_noiseless_dataset(self):
+        bc = BoundaryCondition(kind=EPS, x=[0.0, 1.0], y=[0.5, -0.5],
+                               z=0.05)
+        assert isinstance(bc, Dataset)
+        assert bc.sigma_n == 0.0 and not bc.learn_noise
+        assert bc.label == "__bc__"
+        np.testing.assert_array_equal(bc.y, [0.5, -0.5])
+        np.testing.assert_array_equal(bc.z, [0.05, 0.05])
+
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="3 values for 2 locations"):
+        with pytest.raises(ValueError, match="equal-length"):
             BoundaryCondition(kind=W, x=[0.0, 1.0], y=[0.0, 0.0, 0.0])
+
+    def test_empty_locations_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            BoundaryCondition(kind=W, x=[])
 
     @pytest.mark.parametrize("field,kw", [
         ("x", dict(x=[0.0, np.inf])),
@@ -57,7 +70,7 @@ class TestCsv:
               Dataset(kind=EPS, x=[0.3], y=[1e-4], z=[0.05], label="e")]
         path = tmp_path / "d.csv"
         write_datasets_csv(path, ds)
-        back = read_datasets_csv(path)
+        back = read_datasets_csv(path, 1.0)
         assert [d.label for d in back] == ["w", "e"]
         np.testing.assert_array_equal(back[0].y, ds[0].y)
         np.testing.assert_array_equal(back[1].z, ds[1].z)
@@ -72,7 +85,7 @@ class TestCsv:
                         "w,0.1,,0.0,w\n" + row + "\n")
         with pytest.raises(DataFormatError,
                            match=f"d.csv:3: {field} must be finite"):
-            read_datasets_csv(path)
+            read_datasets_csv(path, 1.0)
 
 
 def _reference_field(value) -> str:

@@ -227,6 +227,61 @@ def test_place_pinned(tmp_path, grid):
     assert written == PLACE_PINNED[grid]
 
 
+# The identify benchmark's scenario (r = 0.3, SNR 100, 7 physics-placed w
+# and phi sensors, an informed load at the w sites, w and M BCs at both
+# ends) with a short chain, and the sha256 of each prediction `predict`
+# writes from it.
+PREDICT_CONFIG = {
+    "version": 1, "seed": 23,
+    "beam": {"L": 1.0, "EI": 1.0, "kGA": 10.0, "q0": 1.0},
+    "bcs": [{"kind": "w", "locations": [0.0, 1.0]},
+            {"kind": "M", "locations": [0.0, 1.0]}],
+    "datasets": [
+        {"kind": "w", "label": "w", "snr": 100,
+         "placement": {"criterion": "physics", "n_sensors": 7, "kind": "w"}},
+        {"kind": "phi", "label": "phi", "snr": 100,
+         "placement": {"criterion": "physics", "n_sensors": 7,
+                       "kind": "phi"}},
+        {"kind": "q", "label": "q", "sigma_n": 1e-6,
+         "placement": {"criterion": "physics", "n_sensors": 7, "kind": "w"}}],
+    "priors": {"EI": {"lo_factor": 0.5, "hi_factor": 1.5},
+               "kGA": {"lo_factor": 0.5, "hi_factor": 1.5}},
+    "mcmc": {"n_total": 600, "n_b": 200, "n_t": 5},
+    "predict": {"max_draws": 20, "n_grid": 101, "kinds": ["w", "M", "V"]},
+}
+PREDICT_PINNED = {
+    "pred_w.csv": "fc4449833a23e5d1e8d22132be2e8c95"
+                  "3781792765c12282f286d7da27d014fb",
+    "pred_M.csv": "34dc9fb6efba5a07b56a3054c5a457e1"
+                  "85d1cf7657c0baf475cceea11759b786",
+    "pred_V.csv": "acc0916057f891d5c2f97a4588c27be8"
+                  "e75f2029c1205cb8bfbd6a41a7fa6660",
+}
+
+
+def test_predict_pinned(tmp_path):
+    """`simulate`, `identify` and `predict` in processes of their own on
+    one BLAS thread, as ``test_place_pinned`` runs `place`; the
+    predictions are pinned to their bytes, which, like the other pinned
+    digests, also depend on the numpy and BLAS builds."""
+    config = tmp_path / "identify.json"
+    config.write_text(json.dumps(PREDICT_CONFIG))
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    data = [str(out / f"data_{label}.csv") for label in ("w", "phi", "q")]
+    for args in (["simulate"], ["identify", "--data", *data],
+                 ["predict", "--chain", str(out / "chain.csv"),
+                  "--data", *data]):
+        subprocess.run([sys.executable, "-m", "timopigp.cli", *args,
+                        "--config", str(config), "--out", str(out)],
+                       env=env, check=True)
+    written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("pred_w.csv", "pred_M.csv", "pred_V.csv")}
+    assert written == PREDICT_PINNED
+
+
 class TestSweeps:
     def test_failed_replications_are_recorded(self, monkeypatch):
         """A replication whose identification raises is recorded with its

@@ -151,8 +151,8 @@ class TestFactorizeLapack:
                             [support_bc()], THETA)
         x = np.linspace(0.0, 1.0, 7)
         pred = gp.predict(model, QuantityKind.DEFLECTION, x)
-        ks = gp.covariance([gp.Points(QuantityKind.DEFLECTION, x)],
-                           THETA, model.entries)
+        ks = gp.evaluate(gp.Layout([gp.Points(QuantityKind.DEFLECTION, x)],
+                                   model.entries), THETA)
         v = scipy.linalg.solve_triangular(model.chol, ks.T, lower=True)
         k_diag = kernels.kernel(QuantityKind.DEFLECTION,
                                 QuantityKind.DEFLECTION, x, x, THETA)
@@ -546,7 +546,7 @@ class TestLayoutEngine:
     @given(rows=entry_lists(), cols=st.none() | entry_lists(),
            theta=thetas())
     def test_covariance_matches_block_loop(self, rows, cols, theta):
-        assert same_bits(gp.covariance(rows, theta, cols),
+        assert same_bits(gp.evaluate(gp.Layout(rows, cols), theta),
                          reference_covariance(rows, theta, cols))
 
     @settings(max_examples=100, deadline=None)
@@ -571,7 +571,7 @@ class TestLayoutEngine:
     @given(rows=entry_lists(), cols=st.none() | entry_lists(),
            theta=thetas(ell=log_uniform(-323.0, -30.0)))
     def test_tiny_length_scale_non_finite_pattern(self, rows, cols, theta):
-        got = gp.covariance(rows, theta, cols)
+        got = gp.evaluate(gp.Layout(rows, cols), theta)
         want = reference_covariance(rows, theta, cols)
         assert same_bits(got, want)
         n_bad = int(np.sum(~np.isfinite(want)))
@@ -605,7 +605,7 @@ class TestLayoutEngine:
         for c in (None, cols):
             want = reference_covariance(rows, theta, c)
             assert np.isnan(want).any()
-            assert same_bits(gp.covariance(rows, theta, c), want)
+            assert same_bits(gp.evaluate(gp.Layout(rows, c), theta), want)
 
     def test_layout_reused_across_thetas(self):
         datasets = [w_dataset(np.linspace(0.1, 0.9, 5), sigma=0.01),
@@ -624,7 +624,8 @@ class TestLayoutEngine:
         empty = [gp.Points(QuantityKind.ROTATION, np.zeros(0))]
         assert gp.covariance(empty, THETA).shape == (0, 0)
         model = gp.assemble([w_dataset([0.3, 0.6], sigma=0.01)], [], THETA)
-        assert gp.covariance(empty, THETA, model.entries).shape == (0, 2)
+        assert gp.evaluate(gp.Layout(empty, model.entries),
+                           THETA).shape == (0, 2)
         pred = gp.predict(model, QuantityKind.ROTATION, np.zeros(0))
         assert pred.mean.shape == pred.var.shape == (0,)
 

@@ -205,10 +205,10 @@ class TestThetaCodec:
 class TestRandomWalkMetropolis:
     def test_standard_gaussian_moments(self):
         """Long chain on log N(0,1) reproduces its first two moments."""
-        cfg = McmcConfig(n_total=250000, n_b=2000, n_t=5, seed=42,
-                         proposal_scale=2.4)
+        cfg = McmcConfig(n_total=250000, n_b=2000, n_t=5, seed=42)
         draws, acc, _ = random_walk_metropolis(
-            lambda x: -0.5 * float(x[0] ** 2), np.array([0.0]), cfg)
+            lambda x: -0.5 * float(x[0] ** 2), np.array([0.0]), cfg,
+            scales=[2.4])
         x = draws[:, 0]
         # Effective sample size should comfortably exceed 1e4 draws.
         rho1 = np.corrcoef(x[:-1], x[1:])[0, 1]
@@ -220,18 +220,18 @@ class TestRandomWalkMetropolis:
         assert 0.1 < acc < 0.9
 
     def test_small_steps_accept_almost_always(self):
-        cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=1,
-                         proposal_scale=1e-8, adapt=False)
+        cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=1, adapt=False)
         _, acc, _ = random_walk_metropolis(
-            lambda x: -0.5 * float(x[0] ** 2), np.array([0.3]), cfg)
+            lambda x: -0.5 * float(x[0] ** 2), np.array([0.3]), cfg,
+            scales=[1e-8])
         assert acc > 0.999
 
     def test_detailed_balance_two_halves(self):
         """Transitions A->B and B->A between the half-lines balance."""
-        cfg = McmcConfig(n_total=60000, n_b=0, n_t=1, seed=9,
-                         proposal_scale=1.5, adapt=False)
+        cfg = McmcConfig(n_total=60000, n_b=0, n_t=1, seed=9, adapt=False)
         draws, _, _ = random_walk_metropolis(
-            lambda x: -0.5 * float(x[0] ** 2), np.array([0.1]), cfg)
+            lambda x: -0.5 * float(x[0] ** 2), np.array([0.1]), cfg,
+            scales=[1.5])
         x = draws[:, 0]
         ab = np.sum((x[:-1] < 0) & (x[1:] >= 0))
         ba = np.sum((x[:-1] >= 0) & (x[1:] < 0))
@@ -240,8 +240,10 @@ class TestRandomWalkMetropolis:
     def test_reproducible_bitwise(self):
         cfg = McmcConfig(n_total=500, n_b=100, n_t=2, seed=7)
         target = lambda x: -0.5 * float(np.sum(x**2))
-        a, acc_a, la = random_walk_metropolis(target, np.zeros(2), cfg)
-        b, acc_b, lb = random_walk_metropolis(target, np.zeros(2), cfg)
+        a, acc_a, la = random_walk_metropolis(target, np.zeros(2), cfg,
+                                              scales=[0.1, 0.1])
+        b, acc_b, lb = random_walk_metropolis(target, np.zeros(2), cfg,
+                                              scales=[0.1, 0.1])
         np.testing.assert_array_equal(a, b)
         assert acc_a == acc_b
         np.testing.assert_array_equal(la, lb)
@@ -252,12 +254,14 @@ class TestRandomWalkMetropolis:
 
         cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=3, adapt=False)
         with pytest.raises(StuckChainError):
-            random_walk_metropolis(spike, np.array([0.0]), cfg)
+            random_walk_metropolis(spike, np.array([0.0]), cfg,
+                                   scales=[0.1])
 
     def test_bad_start_rejected(self):
         cfg = McmcConfig(n_total=100, n_b=0, n_t=1, seed=0)
         with pytest.raises(ValueError):
-            random_walk_metropolis(lambda x: -np.inf, np.array([0.0]), cfg)
+            random_walk_metropolis(lambda x: -np.inf, np.array([0.0]), cfg,
+                                   scales=[0.1])
 
     def test_zero_density_proposal_never_accepted(self, monkeypatch):
         # uniform() may return exactly 0, and log(0) <= -inf - lt holds.
@@ -272,7 +276,8 @@ class TestRandomWalkMetropolis:
                             lambda seed=None: ZeroUniform())
         cfg = McmcConfig(n_total=20, n_b=0, n_t=1, seed=0, adapt=False)
         draws, acc, lts = random_walk_metropolis(
-            lambda x: 0.0 if x[0] == 0.0 else -np.inf, np.array([0.0]), cfg)
+            lambda x: 0.0 if x[0] == 0.0 else -np.inf, np.array([0.0]), cfg,
+            scales=[0.1])
         assert acc == 0.0
         assert np.all(draws == 0.0) and np.all(lts == 0.0)
 
@@ -435,7 +440,7 @@ class TestLeanStep:
         seen = {}
         real = mcmc.random_walk_metropolis
 
-        def spy(log_target, x0, cfg, scales=None):
+        def spy(log_target, x0, cfg, scales):
             seen.update(x0=x0.copy(), scales=scales.copy())
             return real(log_target, x0, cfg, scales=scales)
 
