@@ -194,26 +194,45 @@ def bcs_from_config(cfg: dict, beam: BeamConfig) -> list:
     return out
 
 
+def _budget(p: dict, where: str, sensors=_count) -> tuple:
+    """(n_sensors, n_candidates) of a placement section: at least one
+    candidate, and no more sensors than candidates."""
+    n_sensors = _read(p, where, "n_sensors", sensors, 7)
+    n_candidates = _read(p, where, "n_candidates", _count, 31)
+    if n_candidates == 0:
+        raise ConfigError(f"{where}: n_candidates: placement needs at least "
+                          "one candidate")
+    if n_sensors > n_candidates:
+        raise ConfigError(f"{where}: n_sensors exceeds candidate count "
+                          f"({n_sensors} > {n_candidates})")
+    return n_sensors, n_candidates
+
+
 def resolve_locations(spec: dict, beam: BeamConfig, where: str,
                       kind: QuantityKind) -> np.ndarray:
-    """Dataset locations: explicit list, interior grid, or placement ref."""
+    """Dataset locations: explicit list, interior grid, or placement ref;
+    a ConfigError names the key that gives none."""
+    def some(key, locs):
+        if not len(locs):
+            raise ConfigError(f"{where}: {key}: locations must not be empty")
+        return np.asarray(locs)
+
     if "locations" in spec:
-        return np.asarray(_read(spec, where, "locations", _numbers))
+        return some("locations", _read(spec, where, "locations", _numbers))
     if "grid" in spec:
         n = _read(spec, where, "grid", _count)
         if _read(spec, where, "include_ends", _switch, False):
-            return np.linspace(0.0, beam.L, n)
-        return np.linspace(0.0, beam.L, n + 2)[1:-1]
+            return some("grid", np.linspace(0.0, beam.L, n))
+        return some("grid", np.linspace(0.0, beam.L, n + 2)[1:-1])
     if "placement" in spec:
         p = _read(spec, where, "placement", _section)
         where = f"{where}.placement"
-        return experiments.sensor_set(
+        return some("n_sensors", experiments.sensor_set(
             beam, _read(p, where, "kind", _kind, kind),
             _read(p, where, "criterion", _criterion, "physics"),
-            n_sensors=_read(p, where, "n_sensors", _count, 7),
-            n_candidates=_read(p, where, "n_candidates", _count, 31),
+            *_budget(p, where),
             ell=_read(p, where, "ell", _scale, None),
-            with_bcs=_read(p, where, "with_bcs", _switch, True))
+            with_bcs=_read(p, where, "with_bcs", _switch, True)))
     raise ConfigError(f"{where}: needs 'locations', 'grid' or 'placement'")
 
 
@@ -250,11 +269,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
 def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
     beam = beam_from_config(cfg)
     p = _read(cfg, "config", "placement", _section)
-    n_candidates = _read(p, "placement", "n_candidates", _count, 31)
     entropy_map = _read(p, "placement", "entropy_map", _switch, False)
     # A map ranks subsets of at least one sensor.
-    n_sensors = _read(p, "placement", "n_sensors",
-                      _repeats if entropy_map else _count, 7)
+    n_sensors, n_candidates = _budget(p, "placement",
+                                      _repeats if entropy_map else _count)
     params = experiments.placement_params(
         beam, ell=_read(p, "placement", "ell", _scale, None),
         sigma_s2=_read(p, "placement", "sigma_s2", _scale, 1.0))

@@ -35,7 +35,8 @@ and the solutions are theirs bit for bit, without the wrappers' second
 finiteness check of a K that ``check_finite`` has passed.  ``factorize``
 and ``log_marginal_likelihood``, which the sampler calls once per step,
 share one path from a data layout to L: evaluate, add the layout's noise
-plan, check, factorize.
+plan, check, factorize.  A data layout keeps that plan, -y/2 and
+n log(2 pi)/2 from their first use, so a step rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -293,17 +294,13 @@ class Layout:
         # numpy.polyval runs it: from 0, y = y u + c.  Before an entry's
         # polynomial begins its coefficients are 0, so y stays an exact 0
         # (u >= 0), or NaN where u is infinite, as its first step makes.
-        self.horner = terms.horner.take(code, axis=1)
+        self.horner = tuple(terms.horner.take(code, axis=1))
         self.z_factors = None
         if any(e.kind is QuantityKind.STRAIN for e in self.rows + cols):
             zi, zj = source("z", 1.0)
             self.z_factors = tuple(
                 np.where(power.take(column, axis=1) == 1, z, 1.0)
                 for power, z in zip(terms.z_powers, (zi, zj)))
-
-    @functools.cached_property
-    def row_slices(self) -> tuple:
-        return _slices(self.rows)
 
     @functools.cached_property
     def y(self) -> np.ndarray:
@@ -317,7 +314,7 @@ class Layout:
         entry whose noise is learned."""
         fixed = np.zeros(self.shape[0])
         learned = []
-        for sl, entry in zip(self.row_slices, self.rows):
+        for sl, entry in zip(_slices(self.rows), self.rows):
             if entry.learn_noise:
                 learned.append((sl, entry.label, entry.sigma_n))
             elif entry.sigma_n > 0:
@@ -325,11 +322,18 @@ class Layout:
         return fixed, tuple(learned)
 
     @functools.cached_property
+    def half_y(self) -> np.ndarray:
+        """-y / 2, the first factor of the log evidence's data fit."""
+        return -0.5 * self.y
+
+    @functools.cached_property
     def log_norm(self) -> float:
         """n log(2 pi) / 2 of the data rows."""
-        return 0.5 * self.shape[0] * np.log(2.0 * np.pi)
+        return float(0.5 * self.shape[0] * np.log(2.0 * np.pi))
 
 
+# Overflow shows up as inf/NaN entries, which the callers name.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
     """The covariance matrix of ``layout`` at ``theta``.
 
@@ -338,28 +342,27 @@ def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
     term carries them, summed over the terms in their order from 0.  A
     slot without a term adds an exact 0.
     """
-    ci, cj, scale = kernels.term_factors(theta).take(layout.entry_factors)
-    # Overflow shows up as inf/NaN entries, which the callers name.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = layout.lengths / theta.ell
-        table = np.zeros(u.size + 1)
-        hermite = table[1:]
-        for c in layout.horner:
-            hermite *= u
-            hermite += c
-        # (c_i c_j) ((scale He_k(u)) exp(-u u / 2)), each product of two
-        # operands as ``kernels.kernel`` takes it.
-        hermite *= scale
-        hermite *= np.exp(-0.5 * u * u)
-        ci *= cj
-        hermite *= ci
-        # Slot by slot from an exact 0, as ``kernels.kernel`` sums: a
-        # reduction over the leading axis adds the slots in order.
-        stack = table.take(layout.term_index)
-        if layout.z_factors is not None:
-            stack *= layout.z_factors[0]
-            stack *= layout.z_factors[1]
-        return np.add.reduce(stack, axis=0, initial=0.0)
+    factors = kernels.term_factors(theta).take(layout.entry_factors)
+    ci, cj, scale = factors[0], factors[1], factors[2]
+    u = layout.lengths / theta.ell
+    table = np.zeros(u.size + 1)
+    hermite = table[1:]
+    for c in layout.horner:
+        hermite *= u
+        hermite += c
+    # (c_i c_j) ((scale He_k(u)) exp(-u u / 2)), each product of two
+    # operands as ``kernels.kernel`` takes it.
+    hermite *= scale
+    hermite *= np.exp(-0.5 * u * u)
+    ci *= cj
+    hermite *= ci
+    # Slot by slot from an exact 0, as ``kernels.kernel`` sums: a
+    # reduction over the leading axis adds the slots in order.
+    stack = table.take(layout.term_index)
+    if layout.z_factors is not None:
+        stack *= layout.z_factors[0]
+        stack *= layout.z_factors[1]
+    return np.add.reduce(stack, axis=0, initial=0.0)
 
 
 def covariance(rows, theta: Theta) -> np.ndarray:
@@ -433,10 +436,9 @@ def log_marginal_likelihood(layout: Layout, theta: Theta) -> tuple:
     path without building the model; it raises as ``factorize`` does.
     """
     _, chol, level = _factor(layout, theta)
-    y = layout.y
-    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
-    return (float(-0.5 * y @ _solve(chol, y) - 0.5 * log_det
-                  - layout.log_norm), level)
+    log_det = 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
+    return (float(layout.half_y @ _solve(chol, layout.y)) - 0.5 * log_det
+            - layout.log_norm, level)
 
 
 def _query(kind: QuantityKind, x_star, z_star) -> Points:

@@ -107,7 +107,11 @@ def term_factors(params: Theta) -> np.ndarray:
     m, n is multiplied by c_i c_j and by the scale of k = m + n, negated
     for odd m: the floats ``kernel`` multiplies it by.
     """
-    scales = [_scale(0, k, params) for k in range(2 * MAX_ORDER + 1)]
+    s2, ell, orders = params.sigma_s2, params.ell, range(2 * MAX_ORDER + 1)
+    try:  # _scale's floats (s2 * 1.0 is exact) without a call per order
+        scales = [s2 * ell ** -k for k in orders]
+    except OverflowError:  # a tiny ell
+        scales = [_scale(0, k, params) for k in orders]
     # The odd-m scale is the even one negated: sign flips are exact.
     return np.array([*_coefficients(params), *scales,
                      *[-v for v in scales]])

@@ -74,10 +74,11 @@ class UniformBounded:
         if not -math.inf < self.lo < self.hi < math.inf:
             raise ValueError("UniformBounded requires finite lo < hi, got "
                              f"{self.lo!r}, {self.hi!r}")
+        object.__setattr__(self, "_inside", -float(np.log(self.hi - self.lo)))
 
     def log_density(self, value: float) -> float:
         if self.lo <= value <= self.hi:
-            return -np.log(self.hi - self.lo)
+            return self._inside
         return -np.inf
 
 
@@ -250,7 +251,7 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     for i in range(cfg.n_total):
         prop = x + scales * rng.standard_normal(d)
         lt_prop = log_target(prop)
-        a = rng.uniform()
+        a = rng.random()  # uniform() on [0, 1): the same draw, less overhead
         # A zero-density proposal is never taken, not even at a = 0.
         if math.isfinite(lt_prop) and np.log(a) <= lt_prop - lt:
             x, lt = prop, lt_prop
@@ -286,27 +287,25 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
 
     # Linear-space parameters get proposal steps relative to their start
     # value; log-space parameters step in log units directly.
-    base = float(cfg.proposal_scale) if np.isscalar(cfg.proposal_scale) \
-        else 0.1
-    scales = np.full(len(names), base)
-    if not np.isscalar(cfg.proposal_scale):
-        for i, name in enumerate(names):
-            scales[i] = cfg.proposal_scale.get(name, base)
+    ps = cfg.proposal_scale
+    scales = np.array([ps.get(name, 0.1) if isinstance(ps, dict) else ps
+                       for name in names], dtype=float)
     scales[~is_log] *= np.abs(x0[~is_log])
     layout = gp.data_layout(datasets, bcs)
     table = _prior_table(names, priors)
     log_index = np.flatnonzero(is_log)
+    log_positions = log_index.tolist()
     counts = Counter()
 
     def log_target(s):
         counts["evaluations"] += 1
         logs = s.take(log_index)
-        vec = s.copy()
-        vec[log_index] = np.exp(logs)
-        if vec.min() <= 0:
+        values = s.tolist()
+        for i, v in zip(log_positions, np.exp(logs).tolist()):
+            values[i] = v
+        if min(values) <= 0:
             counts["prior_support"] += 1
             return -np.inf
-        values = vec.tolist()
         try:
             theta = codec.theta(values)
         except ValueError:
@@ -316,7 +315,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
         if not math.isfinite(lp):
             return -np.inf
         # Jacobian of the log transform.
-        return lp + float(logs.sum())
+        return lp + float(np.add.reduce(logs))
 
     # exp overflows to inf past a log-scale value of ~709: Theta refuses
     # the inf, so the chain counts it without a warning.

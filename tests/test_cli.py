@@ -985,6 +985,35 @@ class TestConfigFuzz:
         assert code == cli.EXIT_CONFIG, err
         assert err.startswith(f"config error: {message}"), err
 
+    @pytest.mark.parametrize("command,path,value,message", [
+        ("place", ("placement", "n_candidates"), 0,
+         "placement: n_candidates: placement needs at least one candidate"),
+        ("place", ("placement", "n_sensors"), 7,
+         "placement: n_sensors exceeds candidate count (7 > 6)"),
+        ("simulate", ("datasets", 0, "grid"), 0,
+         "datasets[0]: grid: locations must not be empty"),
+        ("simulate", ("datasets", 1, "placement", "n_sensors"), 0,
+         "datasets[1].placement: n_sensors: locations must not be empty"),
+        ("simulate", ("datasets", 1, "placement", "n_candidates"), 0,
+         "datasets[1].placement: n_candidates: placement needs at least "
+         "one candidate"),
+        ("simulate", ("datasets", 1, "placement", "n_sensors"), 7,
+         "datasets[1].placement: n_sensors exceeds candidate count "
+         "(7 > 6)"),
+        ("simulate", ("datasets", 2, "locations"), [],
+         "datasets[2]: locations: locations must not be empty")],
+        ids=["n_candidates", "n_sensors", "grid", "placed_n_sensors",
+             "placed_n_candidates", "placed_budget", "locations"])
+    def test_no_location_or_candidate_named(self, fuzz_dir, command, path,
+                                            value, message):
+        """A grid without candidates, a budget above the grid and a
+        dataset without locations name their section and key."""
+        code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
+                              _switched(FUZZ_BASES[command], path, value),
+                              command)
+        assert code == cli.EXIT_CONFIG, err
+        assert err.startswith(f"config error: {message}"), err
+
     def test_kinds_string_is_not_read_per_character(self, fuzz_dir):
         cfg = _switched(FUZZ_PLACE, ("placement", "kinds"), "w")
         code, err = _fuzz_run(fuzz_dir, fuzz_rows(), cfg, "place")

@@ -9,11 +9,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timopigp import beam, gp, kernels
+from timopigp import beam, experiments, gp, kernels
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
 from timopigp.errors import IllConditionedModelError, NonFiniteCovarianceError
 from timopigp.gp import Theta
+from timopigp.placement import PlacementCriterion
 from timopigp.quantities import QuantityKind
 
 THETA = Theta(sigma_s2=1.0, ell=0.3, EI=1.0, kGA=3.0)
@@ -539,6 +540,20 @@ def data_and_bcs(draw):
     return datasets, bcs
 
 
+def identify_scenario():
+    """(datasets, BCs) of the identify benchmark: r = 0.3, SNR 100, 7 + 7
+    physics-placed w and phi sensors, the informed load at the w sites and
+    w and M BCs at both ends."""
+    beam_cfg = experiments.scenario_beam(0.3)
+    w_locs, phi_locs = (
+        experiments.sensor_set(beam_cfg, kind,
+                               PlacementCriterion.PHYSICS_INFORMED_ENTROPY)
+        for kind in (QuantityKind.DEFLECTION, QuantityKind.ROTATION))
+    datasets = experiments.synth_identification_data(
+        beam_cfg, w_locs, phi_locs, snr=100.0, seed=21)
+    return datasets, experiments.support_bcs(beam_cfg)
+
+
 class TestLayoutEngine:
     """K from the layout engine is bit for bit the block loop's K."""
 
@@ -606,6 +621,28 @@ class TestLayoutEngine:
             want = reference_covariance(rows, theta, c)
             assert np.isnan(want).any()
             assert same_bits(gp.evaluate(gp.Layout(rows, c), theta), want)
+
+    def test_identify_layout_matches_block_loop(self):
+        """The identify benchmark's n = 25 layout (w, phi and q sensors
+        physics-placed on a 31-point grid, w and M BCs at both ends: 556
+        table entries over 38 distances), bit for bit the block loop's
+        K at 200 thetas with ell in [1e-3, 1e3], and at 40 with a tiny ell,
+        inf and NaN entries with the reference's sign bits included."""
+        layout = gp.data_layout(*identify_scenario())
+        assert layout.shape == (25, 25)
+        rng = np.random.default_rng(15)
+        non_finite = {"inf": 0, "nan": 0}
+        for i in range(240):
+            ell = 10.0 ** (rng.uniform(-3.0, 3.0) if i < 200
+                           else rng.uniform(-300.0, -20.0))
+            theta = Theta(sigma_s2=10.0 ** rng.uniform(-3.0, 3.0), ell=ell,
+                          EI=10.0 ** rng.uniform(-2.0, 2.0),
+                          kGA=10.0 ** rng.uniform(-2.0, 2.0))
+            want = reference_covariance(list(layout.rows), theta)
+            assert same_bits(gp.evaluate(layout, theta), want), theta
+            non_finite["inf"] += int(np.isinf(want).sum())
+            non_finite["nan"] += int(np.isnan(want).sum())
+        assert non_finite["inf"] > 0 and non_finite["nan"] > 0
 
     def test_layout_reused_across_thetas(self):
         datasets = [w_dataset(np.linspace(0.1, 0.9, 5), sigma=0.01),

@@ -264,12 +264,12 @@ class TestRandomWalkMetropolis:
                                    scales=[0.1])
 
     def test_zero_density_proposal_never_accepted(self, monkeypatch):
-        # uniform() may return exactly 0, and log(0) <= -inf - lt holds.
+        # random() may return exactly 0, and log(0) <= -inf - lt holds.
         class ZeroUniform:
             def standard_normal(self, d):
                 return np.ones(d)
 
-            def uniform(self):
+            def random(self):
                 return 0.0
 
         monkeypatch.setattr(np.random, "default_rng",
@@ -465,6 +465,39 @@ class TestLeanStep:
                                  for level in got["jitter"]}
         for hit in hits:
             assert counts[hit] > 0, hit
+
+    @pytest.mark.parametrize("scales", [
+        0.1, {"ell": 40.0}, {"sigma_s2": 400.0}])
+    def test_chain_keeps_the_traced_names(self, monkeypatch, scales):
+        """The chain scores each theta through the functions the
+        benchmark's tracer wraps by name: ``mcmc.log_posterior`` once per
+        evaluation that reaches the prior table (one per Theta built that
+        Theta accepts), ``gp.log_marginal_likelihood`` once per evaluation
+        counted at a jitter level or as a K that cannot be factorized, and
+        ``gp.evaluate`` once per log marginal likelihood."""
+        calls = Counter()
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(mcmc, "log_posterior")
+        counted(gp, "log_marginal_likelihood")
+        counted(gp, "evaluate")
+        counted(ThetaCodec, "theta")
+        got = run_chain(*lean_scenario(scales)).target_counts
+        rejected = got["rejected"]
+        assert calls["log_marginal_likelihood"] == calls["evaluate"] == (
+            sum(got["jitter"].values()) + rejected["non_finite_covariance"]
+            + rejected["ill_conditioned"]) > 0
+        assert calls["log_posterior"] == \
+            calls["theta"] - rejected["invalid_theta"]
+        # Proposals off the stiffness box stop at the prior table.
+        assert calls["log_posterior"] > calls["log_marginal_likelihood"]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_proposal_is_silent(self):
