@@ -8,7 +8,6 @@ replication), so parallel execution order cannot change results.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -31,9 +30,10 @@ LOAD_NOISE_FACTOR = 1e-6  # effectively exact informed load, numerically safe
 
 def worker_count() -> int:
     env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    try:
+        return max(1, int(env or os.cpu_count() or 1))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} is not an integer: {env!r}") from None
 
 
 def scenario_beam(r: float) -> BeamConfig:
@@ -218,6 +218,7 @@ def run_sweep(tasks: list) -> list:
     """Execute replication tasks, on a process pool if there are workers."""
     n_workers = worker_count()
     if n_workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # sweeps only
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(_run_sweep_task, tasks))
     return [_run_sweep_task(t) for t in tasks]

@@ -5,7 +5,11 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +634,19 @@ class TestStudy:
         assert set(manifest["outputs"]) == {"study_noise.csv",
                                             "study_noise_failures.json"}
 
+    @pytest.mark.parametrize("value", ["two", "1.5", " "])
+    def test_threads_env_not_an_integer_named(self, tmp_path, monkeypatch,
+                                              capsys, value):
+        monkeypatch.setenv("TIMO_PIGP_THREADS", value)
+        cfg = {"version": 1, "beam": BEAM, "seed": 42,
+               "mcmc": {"n_total": 200, "n_b": 50, "n_t": 5},
+               "study": {"noise": {"snrs": [10, 50], "replications": 1}}}
+        assert run(["study", "--study", "noise", "--config",
+                    write_config(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"TIMO_PIGP_THREADS is not an integer: {value!r}" in err
+
     def test_ndp_study_ignores_rigidity(self, tmp_path, monkeypatch):
         # The ndp study runs at r = 1 whatever its config section says.
         monkeypatch.setenv("TIMO_PIGP_THREADS", "2")
@@ -645,6 +662,21 @@ class TestStudy:
                         "--out", out]) == 0
             outputs.append((out / "study_ndp.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_import_stays_light():
+    """A fresh ``import timopigp.cli`` loads neither scipy.linalg's package
+    nor the process pool: LAPACK comes from scipy's extension module, and
+    only a sweep imports its pool."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    heavy = ("scipy.linalg", "concurrent.futures.process", "multiprocessing")
+    code = ("import sys, timopigp.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for covariance assembly, marginal likelihood and prediction."""
 
+import importlib.machinery
 import itertools
+import os
+import re
 import warnings
 
 import numpy as np
@@ -159,6 +162,16 @@ class TestFactorizeLapack:
                                 QuantityKind.DEFLECTION, x, x, THETA)
         want = np.maximum(k_diag - np.sum(v * v, axis=0), 0.0)
         assert same_bits(pred.var, want)
+
+
+def test_lapack_loader_names_the_directory_searched(monkeypatch):
+    """Without scipy's ``_flapack`` extension the import fails by name:
+    there is no second path to LAPACK."""
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda *args: None)
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError, match=re.escape(where)):
+        gp._load_lapack()
 
 
 class TestLogMarginalLikelihood:
