@@ -161,16 +161,20 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
 
 def priors_from_config(cfg: dict, beam: BeamConfig) -> dict:
     """Bounded-uniform stiffness priors (``experiments.stiffness_priors``)
-    from each stiffness's own section of lo_factor and hi_factor."""
+    from each stiffness's own section of positive lo_factor < hi_factor."""
     pr = _read(cfg, "config", "priors", _section, {})
     factors = {}
     for name in ("EI", "kGA"):
         if name in pr:
+            where = f"priors.{name}"
             spec = _read(pr, "priors", name, _section)
-            factors[name] = tuple(
-                _read(spec, f"priors.{name}", key, _finite, default)
+            lo, hi = factors[name] = tuple(
+                _read(spec, where, key, _positive, default)
                 for key, default in zip(("lo_factor", "hi_factor"),
                                         experiments.PRIOR_FACTORS))
+            if not lo < hi:
+                raise ConfigError(f"{where}: lo_factor must be below "
+                                  f"hi_factor, got {lo!r} and {hi!r}")
     return experiments.stiffness_priors(beam, factors)
 
 
@@ -319,8 +323,8 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
                              for x, k in res.selected],
                 "step_entropies": res.step_entropies,
                 "set_entropy": res.set_entropy,
-                "params": {"sigma_s2": params.sigma_s2, "ell": params.ell,
-                           "EI": params.EI, "kGA": params.kGA},
+                "params": {name: getattr(params, name)
+                           for name in gp.Theta.FIELDS},
             })
 
     with open(out_dir / "placement.json", "w", encoding="utf-8") as fh:

@@ -115,7 +115,7 @@ PRIOR_FACTORS = (0.5, 1.5)
 
 def stiffness_priors(beam: BeamConfig, factors: dict) -> dict:
     """Bounded-uniform stiffness priors: ``factors[name]``, a (lo, hi)
-    pair, times the true EI and kGA; flat elsewhere.  EI's pair is
+    pair, times the true EI and kGA.  EI's pair is
     ``PRIOR_FACTORS`` unless given, and kGA's is EI's unless given."""
     ei = factors.get("EI", PRIOR_FACTORS)
     kga = factors.get("kGA", ei)
@@ -127,15 +127,10 @@ def stiffness_priors(beam: BeamConfig, factors: dict) -> dict:
 
 
 def default_theta0(datasets, beam: BeamConfig, priors: dict) -> Theta:
-    """Start point: prior midpoints for bounded params, data heuristics else."""
-    def midpoint(name, fallback):
-        spec = priors.get(name)
-        if isinstance(spec, UniformBounded):
-            return 0.5 * (spec.lo + spec.hi)
-        return fallback
-
-    EI0 = midpoint("EI", beam.EI_true)
-    kGA0 = midpoint("kGA", beam.kGA_true)
+    """Start point: the midpoints of the EI and kGA boxes, data
+    heuristics for the rest."""
+    EI0, kGA0 = (0.5 * (priors[name].lo + priors[name].hi)
+                 for name in ("EI", "kGA"))
     ell0 = beam.L / 4.0
 
     w_sets = [d for d in datasets if d.kind is QuantityKind.DEFLECTION]

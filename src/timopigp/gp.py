@@ -52,7 +52,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -83,10 +83,11 @@ NEGATIVE_VARIANCE_SLACK = 1e-10
 class Theta:
     """GP hyperparameters: kernel scales, stiffness and per-dataset noise.
 
-    The kernels read the first four fields.  ``sigma_n`` is left out of the
+    The kernels read the four ``FIELDS``.  ``sigma_n`` is left out of the
     hash, so a Theta can key a set or a dict.
     """
 
+    FIELDS: ClassVar[tuple] = ("sigma_s2", "ell", "EI", "kGA")
     sigma_s2: float
     ell: float
     EI: float
@@ -97,7 +98,7 @@ class Theta:
         inf = math.inf
         if not (0 < self.sigma_s2 < inf and 0 < self.ell < inf
                 and 0 < self.EI < inf and 0 < self.kGA < inf):
-            name = next(name for name in ("sigma_s2", "ell", "EI", "kGA")
+            name = next(name for name in self.FIELDS
                         if not 0 < getattr(self, name) < inf)
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {getattr(self, name)!r}")

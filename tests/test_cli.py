@@ -736,9 +736,9 @@ CONFIG_MUTATIONS = st.one_of(
               st.sampled_from(BAD_NUMBERS + [-1])),
     st.tuples(st.just(("mcmc", "proposal_scale")),
               st.sampled_from(["abc", [], float("nan"), float("inf"), 0.0,
-                               -0.1, {"ell": "abc"}])),
+                               -0.1, {"ell": "abc"}, {"EII": 0.2}])),
     st.tuples(st.just(("priors", "EI", "lo_factor")),
-              st.sampled_from(BAD_NUMBERS + [2.0])),
+              st.sampled_from(BAD_NUMBERS + [2.0, 0.0, -1.0])),
     st.tuples(st.just(("priors", "kGA", "hi_factor")),
               st.sampled_from(BAD_NUMBERS + [0.4])),
     st.tuples(st.sampled_from([("priors", "EI"), ("priors", "kGA")]),
@@ -1004,13 +1004,33 @@ class TestConfigFuzz:
         ("predict", ("predict", "max_draws"), 0,
          "predict: max_draws must be a whole number >= 1, got 0"),
         ("place", ("placement", "n_sensors"), 0,
-         "placement: n_sensors must be a whole number >= 1, got 0")],
-        ids=["n_t", "n_b", "max_draws", "n_sensors"])
+         "placement: n_sensors must be a whole number >= 1, got 0"),
+        ("identify", ("mcmc", "proposal_scale"), {"EII": 0.2},
+         "mcmc: proposal_scale key 'EII' is not a parameter"),
+        ("identify", ("mcmc", "proposal_scale"), {"sigma_n:w": 50.0},
+         "proposal_scale key 'sigma_n:w' names no learned noise level"),
+        ("identify", ("priors", "EI", "lo_factor"), 0.0,
+         "priors.EI: lo_factor must be a positive finite number, got 0.0"),
+        ("identify", ("priors", "EI", "lo_factor"), -1.0,
+         "priors.EI: lo_factor must be a positive finite number, got -1.0"),
+        ("identify", ("priors", "kGA", "hi_factor"), 0,
+         "priors.kGA: hi_factor must be a positive finite number, got 0"),
+        ("identify", ("priors", "EI"), {"lo_factor": -3, "hi_factor": 1},
+         "priors.EI: lo_factor must be a positive finite number, got -3"),
+        ("identify", ("priors", "EI"), {"lo_factor": 2.0},
+         "priors.EI: lo_factor must be below hi_factor, got 2.0 and 1.5"),
+        ("identify", ("priors", "kGA", "hi_factor"), 0.5,
+         "priors.kGA: lo_factor must be below hi_factor, got 0.5 and 0.5")],
+        ids=["n_t", "n_b", "max_draws", "n_sensors", "scale_key",
+             "scale_noise", "lo_zero", "lo_negative", "hi_zero",
+             "lo_negative_box", "lo_above_hi", "empty_box"])
     def test_out_of_range_value_named(self, fuzz_dir, command, path, value,
                                       message):
         """Values of the right type that the model cannot take (a zero
         stride, a burn-in as long as the chain, no draws, a map of no
-        sensors: FUZZ_PLACE asks for a map) name their section and key."""
+        sensors: FUZZ_PLACE asks for a map, a step for no parameter, a
+        stiffness box that is empty or reaches zero) name their section
+        and key."""
         code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
                               _switched(FUZZ_BASES[command], path, value),
                               command)

@@ -11,12 +11,13 @@ from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import BoundaryCondition, Dataset
 from timopigp.errors import StuckChainError
 from timopigp.gp import Theta
-from timopigp.mcmc import (Flat, LogFlat, McmcConfig, ThetaCodec,
+from timopigp.mcmc import (LogFlat, McmcConfig, ThetaCodec,
                            UniformBounded, log_posterior,
                            random_walk_metropolis, run_chain, summarize)
 from timopigp.quantities import QuantityKind
 
 CFG = BeamConfig(L=1.0, EI_true=1.0, kGA_true=3.0, q0=1.0)
+BOXES = {"EI": UniformBounded(0.5, 1.5), "kGA": UniformBounded(1.5, 4.5)}
 
 
 def tiny_problem(seed=0, sigma=0.05):
@@ -32,20 +33,17 @@ def tiny_problem(seed=0, sigma=0.05):
 
 
 def score(theta, datasets, bcs, priors, counts, layout=None):
-    """``log_posterior`` of theta, its vector and prior table built as a
-    chain builds them."""
+    """``log_posterior`` of theta, its vector and its priors' densities
+    built as a chain builds them: ``LogFlat`` where ``priors`` has none."""
     codec = ThetaCodec.of(theta)
     if layout is None:
         layout = gp.data_layout(datasets, bcs)
+    table = [priors.get(name, LogFlat()).log_density for name in codec.names]
     return log_posterior(layout, theta, ThetaCodec.vector(theta).tolist(),
-                         mcmc._prior_table(codec.names, priors), counts)
+                         table, counts)
 
 
 class TestPriors:
-    def test_flat(self):
-        assert Flat().log_density(2.0) == 0.0
-        assert Flat().log_density(-1.0) == -np.inf
-
     def test_log_flat(self):
         assert LogFlat().log_density(1.0) == pytest.approx(0.0)
         assert LogFlat().log_density(np.e) == pytest.approx(-1.0)
@@ -66,40 +64,36 @@ class TestPriors:
         with pytest.raises(ValueError):
             UniformBounded(2.0, 1.0)
 
-    def test_default_prior_assignment(self):
-        assert isinstance(mcmc.default_prior("sigma_s2"), LogFlat)
-        assert isinstance(mcmc.default_prior("ell"), LogFlat)
-        assert isinstance(mcmc.default_prior("sigma_n:w"), LogFlat)
-        assert isinstance(mcmc.default_prior("EI"), Flat)
-        assert isinstance(mcmc.default_prior("kGA"), Flat)
+    def test_each_prior_names_its_coordinate(self):
+        assert LogFlat().log_coordinate is True
+        assert UniformBounded(0.5, 1.5).log_coordinate is False
 
     def test_log_prior_sums(self):
+        """LogFlat's -log(value) for sigma_s2 and ell plus the boxes'."""
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=2.0, ell=0.5, EI=1.0, kGA=3.0)
-        priors = {"EI": UniformBounded(0.5, 1.5),
-                  "kGA": UniformBounded(1.5, 4.5),
-                  "sigma_s2": Flat(), "ell": Flat()}
-        want = -np.log(1.0) - np.log(3.0)
+        want = -np.log(2.0) - np.log(0.5) - np.log(1.0) - np.log(3.0)
         lml, _ = gp.log_marginal_likelihood(gp.data_layout(datasets, bcs),
                                             theta)
-        lp = score(theta, datasets, bcs, priors, Counter()) - lml
+        lp = score(theta, datasets, bcs, BOXES, Counter()) - lml
         assert lp == pytest.approx(want)
 
     def test_log_prior_outside_support(self):
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=1.0, ell=0.5, EI=2.0, kGA=3.0)
-        priors = {"EI": UniformBounded(0.5, 1.5)}
         counts = Counter()
-        assert score(theta, datasets, bcs, priors, counts) == -np.inf
+        assert score(theta, datasets, bcs, BOXES, counts) == -np.inf
         assert counts == {"prior_support": 1}
 
 
 class TestLogPosterior:
     def test_flat_priors_reduce_to_marginal_likelihood(self):
+        """Each prior is flat in its own coordinate: at sigma_s2 = ell = 1
+        LogFlat's density is 1, and so is that of boxes one unit wide."""
         datasets, bcs = tiny_problem()
-        theta = Theta(sigma_s2=0.01, ell=0.3, EI=1.0, kGA=3.0)
-        priors = {"sigma_s2": Flat(), "ell": Flat(),
-                  "EI": Flat(), "kGA": Flat()}
+        theta = Theta(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=3.0)
+        priors = {"EI": UniformBounded(0.5, 1.5),
+                  "kGA": UniformBounded(2.5, 3.5)}
         model = gp.assemble(datasets, bcs, theta)
         want, level = gp.log_marginal_likelihood(
             gp.data_layout(datasets, bcs), theta)
@@ -114,14 +108,13 @@ class TestLogPosterior:
         theta = Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0,
                       sigma_n={})
         counts = Counter()
-        assert score(theta, datasets, bcs, {}, counts) == -np.inf
+        assert score(theta, datasets, bcs, BOXES, counts) == -np.inf
         assert counts == {"non_finite_covariance": 1}
 
     def test_outside_prior_support(self):
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=0.01, ell=0.3, EI=3.0, kGA=3.0)
-        priors = {"EI": UniformBounded(0.5, 1.5)}
-        assert score(theta, datasets, bcs, priors, Counter()) == -np.inf
+        assert score(theta, datasets, bcs, BOXES, Counter()) == -np.inf
 
     def test_prebuilt_layout_gives_the_same_value(self):
         """One layout scores many thetas as a fresh one scores each."""
@@ -129,8 +122,8 @@ class TestLogPosterior:
         layout = gp.data_layout(datasets, bcs)
         for theta in (Theta(sigma_s2=0.01, ell=0.3, EI=1.0, kGA=3.0),
                       Theta(sigma_s2=1.0, ell=1e-200, EI=1.0, kGA=3.0)):
-            assert score(theta, datasets, bcs, {}, Counter(), layout) == \
-                score(theta, datasets, bcs, {}, Counter())
+            assert score(theta, datasets, bcs, BOXES, Counter(), layout) == \
+                score(theta, datasets, bcs, BOXES, Counter())
 
 
 def chain_of(draws, names):
@@ -165,8 +158,6 @@ class TestThetaCodec:
         assert codec.theta([1.2, 0.02, 0.3, 3.1, 0.6, 0.05]) == theta
         assert codec.theta([1.2, 0.02, 0.3, 3.1, 0.6, 0.05]).sigma_n == \
             theta.sigma_n
-        assert codec.is_log.tolist() == [False, True, True, False, True,
-                                         True]
 
     def test_of_a_theta_lists_fields_then_noise(self):
         theta = Theta(sigma_s2=0.6, ell=0.3, EI=1.2, kGA=3.1,
@@ -186,11 +177,6 @@ class TestThetaCodec:
     def test_bad_names_are_named(self, names, message):
         with pytest.raises(ValueError, match=message):
             ThetaCodec(names)
-
-    def test_default_prior_follows_the_log_space_rule(self):
-        for name in ("sigma_s2", "ell", "EI", "kGA", "sigma_n:w"):
-            assert isinstance(mcmc.default_prior(name), LogFlat) == \
-                ThetaCodec.log_space(name)
 
     def test_chain_thetas_are_its_draws(self):
         names = ["sigma_n:w", "EI", "sigma_s2", "kGA", "ell"]
@@ -332,10 +318,20 @@ class TestRunChain:
         # Theta itself enforces positivity, so drive the failure through a
         # zero learned-noise start instead.
         datasets[0].learn_noise = True
-        theta0 = Theta(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=1.0,
+        theta0 = Theta(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=3.0,
                        sigma_n={"w": 0.0})
-        with pytest.raises(ValueError):
-            run_chain(datasets, bcs, {}, cfg, theta0)
+        with pytest.raises(ValueError, match="must start positive"):
+            run_chain(datasets, bcs, BOXES, cfg, theta0)
+
+    @pytest.mark.parametrize("missing", ["EI", "kGA"])
+    def test_missing_box_is_named(self, missing):
+        datasets, bcs = tiny_problem()
+        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0)
+        cfg = McmcConfig(n_total=100, n_b=10, n_t=1, seed=0)
+        priors = {name: box for name, box in BOXES.items()
+                  if name != missing}
+        with pytest.raises(ValueError, match=f"no prior box for {missing}$"):
+            run_chain(datasets, bcs, priors, cfg, theta0)
 
 
 def slow_target(datasets, bcs, priors, names, counts):
@@ -347,7 +343,7 @@ def slow_target(datasets, bcs, priors, names, counts):
     """
     entries = gp.order_entries(datasets, bcs)
     y = np.concatenate([e.y for e in entries])
-    is_log = np.array([n in mcmc.LOG_PARAMS or n.startswith("sigma_n:")
+    is_log = np.array([n in ("sigma_s2", "ell") or n.startswith("sigma_n:")
                        for n in names])
 
     def target(s):
@@ -372,7 +368,7 @@ def slow_target(datasets, bcs, priors, names, counts):
             return -np.inf
         lp = 0.0
         for name, value in zip(names, vec):
-            lp += priors.get(name, mcmc.default_prior(name)).log_density(value)
+            lp += priors.get(name, LogFlat()).log_density(value)
         if not np.isfinite(lp):
             counts["prior_support"] += 1
             return -np.inf
@@ -561,3 +557,10 @@ class TestMcmcConfig:
         with pytest.raises(ValueError):
             McmcConfig(n_total=100, n_b=10, n_t=0)
         McmcConfig(n_total=100, n_b=0, n_t=1)
+
+    def test_proposal_scale_keys_name_parameters(self):
+        McmcConfig(proposal_scale={"ell": 0.2, "EI": 0.05, "sigma_n:w": 0.3})
+        for key in ("EII", "sigma_n", "noise:w"):
+            with pytest.raises(ValueError,
+                               match=f"key '{key}' is not a parameter"):
+                McmcConfig(proposal_scale={key: 0.2})
