@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import shutil
 import sys
 from pathlib import Path
 
@@ -22,7 +21,8 @@ from timopigp import beam as beam_mod
 from timopigp import experiments, gp, mcmc, placement
 from timopigp.beam import BeamConfig, NoiseSpec
 from timopigp.data import (BoundaryCondition, finite_floats, read_csv,
-                           read_datasets_csv, write_csv, write_datasets_csv)
+                           read_datasets_csv, write_csv, write_datasets_csv,
+                           write_map_csv)
 from timopigp.errors import (DataFormatError, EntropyOverflowError,
                              EnumerationGuardError, IllConditionedModelError,
                              NonFiniteCovarianceError, StuckChainError)
@@ -297,17 +297,12 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
                              n_sensors=n_sensors, prior=prior),
             max_combos=math.inf if full_scale else max_combos)
             for kind in kinds}
-        for kind, entropy_map in maps.items():
+        for kind, values in maps.items():
             # The map does not depend on the criterion: its rows are
-            # formatted once and the file copied for each criterion.
+            # formatted once and written to each criterion's file.
             paths = [out_dir / f"entropy_map_{crit.value}_{kind.code}.csv"
                      for crit in criteria]
-            if paths:
-                write_csv(paths[0], ["subset", "normalized_entropy"],
-                          (("|".join(map(str, subset)), h)
-                           for subset, h in entropy_map))
-            for path in paths[1:]:
-                shutil.copyfile(paths[0], path)
+            write_map_csv(paths, n_candidates, n_sensors, values)
             outputs.update((path.name, {"seed": seed}) for path in paths)
 
     results = []
@@ -480,6 +475,11 @@ def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str,
                    for failure in agg["failures"]], fh, indent=2)
     _write_manifest(out_dir, cfg, seed, {name: {"seed": seed},
                                          failures: {"seed": seed}})
+    n_failed = sum(agg["n_failed"] for agg in points.values())
+    if n_failed and not any(agg["n_reps"] for agg in points.values()):
+        print(f"numerical failure: no replication succeeded ({n_failed} "
+              f"failed); see {failures}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

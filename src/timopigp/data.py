@@ -7,7 +7,9 @@ of {w, phi, eps, M, V, q}; z is empty unless quantity = eps.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,10 @@ from timopigp.errors import DataFormatError
 from timopigp.quantities import QuantityKind
 
 CSV_HEADER = ["quantity", "x", "z", "value", "dataset_id"]
+
+# Rows of an entropy map formatted at a time, which bounds the text held:
+# about 0.5 MB at 31 candidates, whatever the map's size.
+MAP_CHUNK_ROWS = 1 << 14
 
 
 def _check_finite(owner, *names) -> None:
@@ -74,6 +80,34 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_map_csv(paths, n_candidates: int, n_sensors: int, values) -> None:
+    """Write an entropy map to each of ``paths``: the bytes ``write_csv``
+    gives for the rows ``("|".join(map(str, subset)), value)`` of the
+    subsets ``itertools.combinations(range(n_candidates), n_sensors)``, in
+    order, one per float value (written by ``float.__repr__``: a numpy
+    float64's own repr differs under numpy 2).  Each chunk of
+    ``MAP_CHUNK_ROWS`` rows is formatted once, for every file.
+    """
+    if len(values) != math.comb(n_candidates, n_sensors):
+        raise ValueError(f"{len(values)} values for the "
+                         f"C({n_candidates}, {n_sensors}) subsets")
+    if not paths:
+        return
+    names = [str(i) for i in range(n_candidates)]
+    labels = map("|".join, itertools.combinations(names, n_sensors))
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write(b"subset,normalized_entropy\r\n")
+        for start in range(0, len(values), MAP_CHUNK_ROWS):
+            chunk = values[start:start + MAP_CHUNK_ROWS]
+            text = "\r\n".join(map(",".join, zip(
+                itertools.islice(labels, len(chunk)),
+                map(float.__repr__, chunk)))).encode() + b"\r\n"
+            for fh in files:
+                fh.write(text)
 
 
 def read_csv(path, row_parser, empty="empty file"):

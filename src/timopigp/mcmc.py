@@ -264,10 +264,15 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     """Sample the hyperparameter posterior; deterministic under fixed seed.
 
     ``priors`` holds the box of EI and of kGA; every parameter it leaves
-    out gets ``LogFlat``.  Each is sampled in its prior's coordinate.
+    out gets ``LogFlat``, and a key that names no parameter of the chain
+    is refused.  Each is sampled in its prior's coordinate.
     """
     codec = ThetaCodec.of(theta0)
     names = codec.names
+    for key in priors:
+        if key not in names:
+            raise ValueError(f"priors key {key!r} names no parameter of "
+                             "the chain")
     for name in ("EI", "kGA"):
         if name not in priors:
             raise ValueError(f"no prior box for {name}")

@@ -353,20 +353,22 @@ def exhaustive_entropy_map(problem: PlacementProblem,
                            max_combos: float = 300_000) -> list:
     """Rank every sensor subset by min-max normalized joint entropy.
 
-    Rows are the subsets in lexicographic order, each with its
-    ``set_entropy`` normalized over all rows.  Only single-domain
-    problems are enumerable; the guard refuses counts above
-    ``max_combos``, which ``math.inf`` lifts.  A row of a 31 x 4 map
-    costs 0.28-0.33 us, Sigma and the row list included (2-vCPU VM, one
-    BLAS thread), so a map at the guard takes about a tenth of a second;
-    the C(31, 7) = 2.6 M rows walk in about 1.2 s.  The walk raises
-    EntropyOverflowError where conditioning a subset overflows.
+    Returns one Python float per subset, the subsets
+    ``itertools.combinations(range(n), k)`` of the n candidates in that
+    lexicographic order: each subset's ``set_entropy`` normalized over
+    all of them (``data.write_map_csv`` writes them with their subsets).
+    Only single-domain problems are enumerable; the guard refuses counts
+    above ``max_combos``, which ``math.inf`` lifts.  A row of a 31 x 5
+    map costs about 0.11 us, Sigma and the list included, and the
+    C(31, 7) = 2.6 M rows take about 0.9 s (2-vCPU VM, one BLAS thread);
+    writing a row costs about 0.75 us more, most of it its float's repr.
+    The walk raises EntropyOverflowError where conditioning a subset
+    overflows.
     """
     if len(set(problem.kinds)) != 1:
         raise ValueError("exhaustive maps require a single-domain problem")
-    n_p = problem.candidates.size
     n_s = problem.n_sensors
-    n_combos = math.comb(n_p, n_s)
+    n_combos = math.comb(problem.candidates.size, n_s)
     if n_combos > max_combos:
         raise EnumerationGuardError(n_combos, max_combos)
     sensors = [(float(x), problem.kinds[0]) for x in problem.candidates]
@@ -374,5 +376,4 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     raw = _subset_entropies(problem.prior.conditioned(sensors), n_s)
     lo, hi = raw.min(), raw.max()
     span = hi - lo if hi > lo else 1.0
-    return list(zip(itertools.combinations(range(n_p), n_s),
-                    ((raw - lo) / span).tolist()))
+    return ((raw - lo) / span).tolist()

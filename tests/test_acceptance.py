@@ -7,6 +7,7 @@ frozen seeds and are fully deterministic.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -428,7 +429,8 @@ def test_acceptance_7_placement():
     problem, res = place(QuantityKind.DEFLECTION,
                          PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                          n_sensors=3, n_candidates=10)
-    rows = placement.exhaustive_entropy_map(problem)
+    rows = list(zip(itertools.combinations(range(10), 3),
+                    placement.exhaustive_entropy_map(problem)))
     best = max(v for _, v in rows)
     picked = frozenset(int(round(x * 9)) for x, _ in res.selected)
     by_subset = {frozenset(s): v for s, v in rows}

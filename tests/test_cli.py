@@ -314,17 +314,18 @@ class TestPlace:
         assert vals.max() == pytest.approx(1.0)
 
     def test_entropy_map_once_per_kind(self, tmp_path, monkeypatch):
-        """One map per kind, formatted once and copied per criterion, and
-        one K_bb factorization for the whole command."""
+        """One map per kind, formatted once and written to every
+        criterion's file, and one K_bb factorization for the whole
+        command."""
         calls, writes, factorized = [], [], []
         real = placement.exhaustive_entropy_map
         monkeypatch.setattr(placement, "exhaustive_entropy_map",
                             lambda p, **kw: calls.append(p.kinds[0])
                             or real(p, **kw))
-        real_write = cli.write_csv
-        monkeypatch.setattr(cli, "write_csv",
-                            lambda path, *a: writes.append(path)
-                            or real_write(path, *a))
+        real_write = cli.write_map_csv
+        monkeypatch.setattr(cli, "write_map_csv",
+                            lambda paths, *a: writes.append(paths)
+                            or real_write(paths, *a))
         real_assemble = gp.assemble
         monkeypatch.setattr(gp, "assemble",
                             lambda *a: factorized.append(a[1])
@@ -630,6 +631,31 @@ class TestStudy:
                              "error": repr(StuckChainError(7))}]
         assert [int(r["n_failed"]) for r in
                 read_rows(out / "study_noise.csv")] == [1, 0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {"study_noise.csv",
+                                            "study_noise_failures.json"}
+
+    def test_no_replication_succeeded_exits_4(self, tmp_path, monkeypatch,
+                                              capsys):
+        """A step for a noise level that the sweep does not learn fails
+        every replication: the CSV and the failures file are written as
+        ever, and the command exits 4 with the count and the file."""
+        monkeypatch.setenv("TIMO_PIGP_THREADS", "1")
+        cfg = {"version": 1, "beam": BEAM, "seed": 42,
+               "mcmc": {"n_total": 200, "n_b": 50, "n_t": 5,
+                        "proposal_scale": {"sigma_n:x": 50.0}},
+               "study": {"noise": {"snrs": [20], "replications": 1}}}
+        out = tmp_path / "out"
+        assert run(["study", "--study", "noise", "--config",
+                    write_config(tmp_path, cfg), "--out", out]) == \
+            cli.EXIT_NUMERICAL
+        assert ("no replication succeeded (1 failed); see "
+                "study_noise_failures.json") in capsys.readouterr().err
+        assert [(int(r["n_reps"]), int(r["n_failed"])) for r in
+                read_rows(out / "study_noise.csv")] == [(0, 1)]
+        [failure] = json.loads(
+            (out / "study_noise_failures.json").read_text())
+        assert "sigma_n:x" in failure["error"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"study_noise.csv",
                                             "study_noise_failures.json"}

@@ -1,14 +1,17 @@
 """Tests for the observation containers and the dataset CSV reader."""
 
 import csv
+import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from timopigp.data import (BoundaryCondition, Dataset, read_datasets_csv,
-                           write_csv, write_datasets_csv)
+from timopigp.data import (MAP_CHUNK_ROWS, BoundaryCondition, Dataset,
+                           read_datasets_csv, write_csv, write_datasets_csv,
+                           write_map_csv)
 from timopigp.errors import DataFormatError
 from timopigp.quantities import QuantityKind
 
@@ -115,3 +118,61 @@ def test_write_csv_matches_reference_fields(tmp_path_factory, rows):
         writer.writerow(["h"])
         writer.writerows([_reference_field(v) for v in row] for row in rows)
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def _reference_map(path, n, k, values):
+    """An entropy map as ``csv.writer`` writes it, field by field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subset", "normalized_entropy"])
+        writer.writerows(("|".join(map(str, subset)), value) for subset, value
+                         in zip(itertools.combinations(range(n), k), values))
+    return path.read_bytes()
+
+
+MAP_VALUES = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-16, math.nan]))
+
+
+@st.composite
+def entropy_maps(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    size = math.comb(n, k)
+    return n, k, draw(st.lists(MAP_VALUES, min_size=size, max_size=size))
+
+
+@given(entropy_map=entropy_maps(), n_files=st.integers(1, 3))
+@example(entropy_map=(5, 1, [0.0, 1.0, 5e-324, 1e-16, math.nan]),
+         n_files=2)
+@example(entropy_map=(4, 4, [0.5]), n_files=1)
+@example(entropy_map=(12, 12, [1.0]), n_files=3)
+def test_map_writer_matches_csv_writer(tmp_path_factory, entropy_map,
+                                       n_files):
+    """Every file the map writer writes holds the bytes of ``csv.writer``
+    fed the subsets' labels and the values field by field."""
+    n, k, values = entropy_map
+    d = tmp_path_factory.mktemp("map")
+    paths = [d / f"got{i}.csv" for i in range(n_files)]
+    write_map_csv(paths, n, k, values)
+    want = _reference_map(d / "want.csv", n, k, values)
+    assert [path.read_bytes() for path in paths] == [want] * n_files
+
+
+def test_map_larger_than_a_chunk(tmp_path):
+    """A map of several chunks is written whole, in subset order."""
+    n, k = 50, 3
+    assert MAP_CHUNK_ROWS < math.comb(n, k) < 2 * MAP_CHUNK_ROWS
+    values = np.random.default_rng(0).random(math.comb(n, k)).tolist()
+    values[::997] = [0.0, 1.0, 5e-324, 1e-16, math.nan] * 4
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_map_csv(paths, n, k, values)
+    want = _reference_map(tmp_path / "want.csv", n, k, values)
+    assert paths[0].read_bytes() == paths[1].read_bytes() == want
+
+
+def test_map_of_the_wrong_size_refused(tmp_path):
+    with pytest.raises(ValueError, match="5 values for the C\\(4, 2\\)"):
+        write_map_csv([tmp_path / "m.csv"], 4, 2, [0.0] * 5)
+    assert not (tmp_path / "m.csv").exists()

@@ -333,6 +333,26 @@ class TestRunChain:
         with pytest.raises(ValueError, match=f"no prior box for {missing}$"):
             run_chain(datasets, bcs, priors, cfg, theta0)
 
+    def test_prior_key_naming_no_parameter_is_refused(self):
+        """A prior for a name the chain does not sample is an error that
+        names it; a chain that learns w's noise takes its prior."""
+        datasets, bcs = tiny_problem()
+        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0)
+        cfg = McmcConfig(n_total=100, n_b=10, n_t=1, seed=0)
+        for key in ("EII", "sigma_n:w"):
+            priors = dict(BOXES, **{key: UniformBounded(5.0, 6.0)})
+            with pytest.raises(ValueError,
+                               match=f"priors key '{key}' names no parameter"):
+                run_chain(datasets, bcs, priors, cfg, theta0)
+        datasets[0].learn_noise = True
+        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0,
+                       sigma_n={"w": 0.01})
+        chain = run_chain(datasets, bcs, dict(BOXES, **{"sigma_n:w":
+                                                        LogFlat()}),
+                          cfg, theta0)
+        assert chain.draws.tobytes() == \
+            run_chain(datasets, bcs, BOXES, cfg, theta0).draws.tobytes()
+
 
 def slow_target(datasets, bcs, priors, names, counts):
     """The chain's log target spelled out, one name and one step at a time.

@@ -321,19 +321,19 @@ class TestExhaustiveEntropyMap:
         p = problem(QuantityKind.DEFLECTION,
                     PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                     n_sensors=5, n_candidates=5)
-        rows = exhaustive_entropy_map(p)
-        assert len(rows) == 1
+        values = exhaustive_entropy_map(p)
+        assert len(values) == 1
         # A single subset spans a zero range; it normalizes to 0 by the
         # min-max convention with unit span fallback.
-        assert rows[0][1] == pytest.approx(0.0)
+        assert values[0] == pytest.approx(0.0)
 
     def test_all_subsets_enumerated_and_normalized(self):
         p = problem(QuantityKind.DEFLECTION,
                     PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                     n_sensors=2, n_candidates=6)
-        rows = exhaustive_entropy_map(p)
-        assert len(rows) == math.comb(6, 2)
-        vals = np.array([v for _, v in rows])
+        values = exhaustive_entropy_map(p)
+        assert len(values) == math.comb(6, 2)
+        vals = np.array(values)
         assert vals.min() == pytest.approx(0.0)
         assert vals.max() == pytest.approx(1.0)
 
@@ -341,8 +341,7 @@ class TestExhaustiveEntropyMap:
         p = problem(QuantityKind.DEFLECTION,
                     PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                     n_sensors=1, n_candidates=6, bcs=support_bcs())
-        rows = exhaustive_entropy_map(p)
-        h_map = np.array([v for _, v in rows])
+        h_map = np.array(exhaustive_entropy_map(p))
         h_cond = np.array([
             conditional_entropy(x, QuantityKind.DEFLECTION, [],
                                 support_bcs(), PARAMS)
@@ -388,7 +387,11 @@ class TestExhaustiveEntropyMap:
         for n_sensors in (1, 2, 3, 4, 6, 9):
             p = problem(kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                         n_sensors=n_sensors, n_candidates=9, bcs=bc_list)
-            rows = exhaustive_entropy_map(p)
+            values = exhaustive_entropy_map(p)
+            assert len(values) == math.comb(9, n_sensors)
+            assert all(type(v) is float for v in values)
+            rows = list(zip(itertools.combinations(range(9), n_sensors),
+                            values))
             assert [s for s, _ in rows] == \
                 list(itertools.combinations(range(9), n_sensors))
             sets = [[(float(p.candidates[i]), kind) for i in subset]
@@ -426,7 +429,8 @@ class TestExhaustiveEntropyMap:
         p = problem(QuantityKind.DEFLECTION,
                     PlacementCriterion.PHYSICS_INFORMED_ENTROPY,
                     n_sensors=3, n_candidates=10, bcs=support_bcs())
-        rows = exhaustive_entropy_map(p)
+        rows = list(zip(itertools.combinations(range(10), 3),
+                        exhaustive_entropy_map(p)))
         best = max(v for _, v in rows)
         res = greedy_place(p)
         picked = frozenset(int(round(x * 9)) for x, _ in res.selected)
