@@ -212,6 +212,15 @@ def _budget(p: dict, where: str, sensors=_count) -> tuple:
     return n_sensors, n_candidates
 
 
+def _entries(spec: dict, where: str, key: str, parse, default) -> list:
+    """A list of distinct values, at least one: each names an output."""
+    values = _read(spec, where, key, parse, default)
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"{where}: {key}: needs at least one entry and "
+                          f"no repeats, got {spec.get(key)!r}")
+    return values
+
+
 def resolve_locations(spec: dict, beam: BeamConfig, where: str,
                       kind: QuantityKind) -> np.ndarray:
     """Dataset locations: explicit list, interior grid, or placement ref;
@@ -282,8 +291,8 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
         sigma_s2=_read(p, "placement", "sigma_s2", _scale, 1.0))
     bcs = bcs_from_config(cfg, beam)
     candidates = np.linspace(0.0, beam.L, n_candidates)
-    kinds = _read(p, "placement", "kinds", _kinds, ["w"])
-    criteria = _read(p, "placement", "criteria", _criteria, ["physics"])
+    kinds = _entries(p, "placement", "kinds", _kinds, ["w"])
+    criteria = _entries(p, "placement", "criteria", _criteria, ["physics"])
 
     # One prior for every problem: K_bb is factorized once, and each
     # kind's candidate Sigma built once for its map and its greedies.
@@ -420,7 +429,7 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
     x_star = np.linspace(0.0, beam.L,
                          _read(pcfg, "predict", "n_grid", _count, 101))
     queries = []
-    for kind in _read(pcfg, "predict", "kinds", _kinds, ["w"]):
+    for kind in _entries(pcfg, "predict", "kinds", _kinds, ["w"]):
         if kind is QuantityKind.STRAIN:
             sg = _read(pcfg, "predict", "strain_grid", _section, {})
             where = "predict.strain_grid"

@@ -56,8 +56,9 @@ class EntropyOverflowError(ArithmeticError):
         super().__init__(
             f"joint entropies of {k} of {n_sensors} sensors overflowed: "
             "conditioning a subset in order grew its covariance past the "
-            "float range, as nearly collinear candidates do; use fewer "
-            "candidates or sensors, or a shorter length scale"
+            "float range, as nearly collinear candidates or a large signal "
+            "variance sigma_s2 do; use fewer candidates or sensors, a "
+            "shorter length scale or a smaller sigma_s2"
         )
 
 

@@ -25,7 +25,12 @@ of 1/diag(P) - delta over U, the unselected set, P = (Sigma_UU +
 delta I)^-1: inverted once per problem, and each pick dropped from P by
 its Schur complement, the same rank-1 downdate.  MI scores within a
 relative 1e-6 of the best tie, and the lowest index wins; the others tie
-only when equal.  A joint entropy sums the physics
+only when equal.  The greedy keeps only diag(C), diag(P) and the picked
+columns (``_Downdated``, the left-looking form of pivoted Cholesky):
+the t-th pick's column costs O(t n), a greedy O(k^2 n) in place of the
+dense downdate's O(k n^2), with the same floats.  The baselines ignore
+the kinds, so a ``Prior`` runs each once per candidate grid and budget
+and every kind reuses its picks.  A joint entropy sums the physics
 scores of a set in order, each given those before it: ``set_entropy``
 walks one set, a greedy its selection's sub-block of the candidates'
 physics Sigma, and the exhaustive map every subset of the candidates,
@@ -138,12 +143,16 @@ class Prior:
     pair is built once and kept, read-only, for the Prior's lifetime: one
     Prior per command shares them across its kinds, criteria and map.
     Repeated sensors give a singular Sigma, which the downdates tolerate.
+    ``baseline`` runs a domain-blind greedy once per (criterion, candidate
+    grid, budget) and keeps its picks and step entropies, which every
+    kind's problem on that grid shares.
     """
 
     def __init__(self, bcs, theta: Theta):
         self.bcs = bcs
         self.theta = theta
         self._conditioned = {}
+        self._baselines = {}
 
     @functools.cached_property
     def bc_model(self) -> gp.CovarianceModel:
@@ -157,6 +166,18 @@ class Prior:
                 a.flags.writeable = False
             self._conditioned[key] = pair
         return self._conditioned[key]
+
+    def baseline(self, criterion, candidates, n_sensors) -> tuple:
+        """(picks, step entropies) of the SE-kernel greedy of ``criterion``
+        on the ``candidates`` grid, whatever their kinds."""
+        key = (criterion, candidates.tobytes(), n_sensors)
+        if key not in self._baselines:
+            sigma = kernels.se_base(candidates[:, None], candidates[None, :],
+                                    self.theta)
+            self._baselines[key] = _greedy(
+                sigma, np.diag(sigma), SENSOR_NOISE * self.theta.sigma_s2,
+                criterion is PlacementCriterion.MUTUAL_INFORMATION, n_sensors)
+        return self._baselines[key]
 
     def _condition(self, sensors) -> tuple:
         entries = [gp.Points(kind, np.array([x for x, _ in run], float))
@@ -194,48 +215,108 @@ def greedy_place(problem: PlacementProblem) -> PlacementResult:
                for x, kind in zip(problem.candidates, problem.kinds)]
     physics = problem.prior.conditioned(sensors)
     if problem.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
-        prior, sigma = physics
-        delta = 0.0
+        picks, step_entropies = _greedy(physics[1], physics[0], 0.0, False,
+                                        problem.n_sensors)
     else:
-        x = problem.candidates
-        sigma = kernels.se_base(x[:, None], x[None, :], problem.params)
-        prior = np.diag(sigma)
-        delta = SENSOR_NOISE * problem.params.sigma_s2
-    floor = VARIANCE_FLOOR * prior
-    mutual = problem.criterion is PlacementCriterion.MUTUAL_INFORMATION
-    C = sigma.copy()
-    if mutual:
-        # The precision of the unselected set U, which starts as all
-        # candidates.
-        prec = np.linalg.inv(sigma + delta * np.eye(len(sensors)))
-    free = np.ones(len(sensors), bool)
-    picks, step_entropies = [], []
-    for _ in range(problem.n_sensors):
-        scores = _entropy_from_var(np.maximum(np.diag(C), floor))
-        if mutual:
-            # var(y_i | the rest of U) = 1 / P_ii - delta.
-            u = np.flatnonzero(free)
-            scores[u] -= _entropy_from_var(
-                np.maximum(1.0 / np.diag(prec)[u] - delta, floor[u]))
-        scores[~free] = -np.inf
-        j = _pick(scores, _MI_TIE if mutual else 0.0)
-        picks.append(j)
-        step_entropies.append(float(scores[j]))
-        free[j] = False
-        _observe(C, j, delta, floor[j])
-        if mutual:
-            # Dropping j from U is its Schur complement in the precision,
-            # P <- P - p p^T / P_jj: the same rank-1 downdate, O(n^2).
-            _observe(prec, j, 0.0, 0.0)
-
+        picks, step_entropies = problem.prior.baseline(
+            problem.criterion, problem.candidates, problem.n_sensors)
+    picks = list(picks)
     selected = [sensors[i] for i in picks]
-    result = PlacementResult(selected, step_entropies)
+    result = PlacementResult(selected, list(step_entropies))
     if picks:
         _require_distinct(selected)
         result.set_entropy = float(_subset_entropies(
             (physics[0][picks], physics[1][np.ix_(picks, picks)]),
             len(picks))[0])
     return result
+
+
+class _Downdated:
+    """M conditioned by rank-1 downdates on picked columns, held as its
+    diagonal and the picked columns: the left-looking form of diagonally
+    pivoted Cholesky (Harbrecht, Peters & Schneider, Appl. Numer. Math.
+    2012).
+
+    ``observe(j, d)`` is ``_observe``'s M <- M - c c^T / d with c column j
+    of the current M.  That column is M[:, j] minus the terms
+    (c_s c_s[j]) / d_s of the columns picked before, subtracted in pick
+    order, row by row, so it holds the floats the dense downdate holds, in
+    O(t n) at the t-th pick.  It holds up to k picks.
+    """
+
+    def __init__(self, m, k):
+        self.m = m
+        self.diag = np.diag(m).copy()
+        self.cols = np.empty((k, m.shape[0]))
+        self.terms = np.empty_like(self.cols)
+        self.pivots = np.empty(k)
+        self.t = 0
+
+    def observe(self, j, d):
+        t = self.t
+        h, terms = self.cols[:t], self.terms[:t + 1]
+        terms[0] = self.m[:, j]
+        np.multiply(h, h[:, j, None], out=terms[1:])
+        np.divide(terms[1:], self.pivots[:t, None], out=terms[1:])
+        c = np.subtract.reduce(terms, axis=0, out=self.cols[t])
+        self.pivots[t] = d
+        self.diag -= c * c / d
+        self.t = t + 1
+
+
+def _precision(sigma, delta, u):
+    """(Sigma_UU + delta I)^-1 over the candidates u, zero elsewhere."""
+    prec = np.zeros_like(sigma)
+    prec[np.ix_(u, u)] = np.linalg.inv(sigma[np.ix_(u, u)]
+                                       + delta * np.eye(u.size))
+    return prec
+
+
+def _greedy(sigma, prior, delta, mutual, k):
+    """The picks and step entropies of k greedy steps over Sigma, each
+    pick observed with noise delta; MI scores if ``mutual``.
+
+    C and MI's precision P are ``_Downdated``: a step costs O(t n) and a
+    greedy O(k^2 n) after P's O(n^3) inverse.  No downdate follows the
+    final pick.  Rounding can leave P indefinite as U shrinks (a 31 x 31
+    grid at ell = L/8 does so with five candidates left); a free
+    non-positive P_ii, which would become a zero pivot, has P inverted
+    afresh over U.  Downdates run with overflow raising, which is
+    EntropyOverflowError.
+    """
+    n = prior.size
+    floor = VARIANCE_FLOOR * prior
+    free = np.ones(n, bool)
+    C = _Downdated(sigma, k)
+    if mutual:
+        P = _Downdated(np.linalg.inv(sigma + delta * np.eye(n)), k)
+    picks, step_entropies = [], []
+    with np.errstate(over="raise"):
+        try:
+            for t in range(k):
+                scores = _entropy_from_var(np.maximum(C.diag, floor))
+                if mutual:
+                    u = np.flatnonzero(free)
+                    if not (P.diag[u] > 0.0).all():
+                        P = _Downdated(_precision(sigma, delta, u), k)
+                    # var(y_i | the rest of U) = 1 / P_ii - delta.
+                    scores[u] -= _entropy_from_var(
+                        np.maximum(1.0 / P.diag[u] - delta, floor[u]))
+                scores[~free] = -np.inf
+                j = _pick(scores, _MI_TIE if mutual else 0.0)
+                picks.append(j)
+                step_entropies.append(float(scores[j]))
+                free[j] = False
+                if t == k - 1:
+                    break
+                C.observe(j, max(C.diag[j] + delta, floor[j]))
+                if mutual:
+                    # Dropping j from U is its Schur complement in the
+                    # precision, P <- P - p p^T / P_jj, P_jj > 0.
+                    P.observe(j, P.diag[j])
+        except FloatingPointError:
+            raise EntropyOverflowError(n, k) from None
+    return tuple(picks), tuple(step_entropies)
 
 
 def _pick(scores, tie):

@@ -281,6 +281,27 @@ class TestExitCodes:
                     if issubclass(w.category, RuntimeWarning)]
         assert not list((tmp_path / "o").glob("entropy_map_*.csv"))
 
+    def test_overflowing_greedy_names_signal_variance(self, tmp_path,
+                                                      capsys):
+        """At sigma_s2 = 1e160 the greedy's first downdate overflows:
+        exit 4 with one line on stderr that names sigma_s2, and no
+        RuntimeWarning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["place", "--config",
+                        self.place_config(
+                            tmp_path, n_candidates=12, n_sensors=3,
+                            sigma_s2=1e160,
+                            criteria=["physics", "entropy", "mi"]),
+                        "--out", tmp_path / "o"])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sigma_s2" in err
+        assert err.startswith("numerical failure: joint entropies of 3 of "
+                              "12 sensors overflowed")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
 
 class TestPlace:
     def test_zero_sensors_succeeds(self, tmp_path):
@@ -1091,6 +1112,24 @@ class TestConfigFuzz:
                               command)
         assert code == cli.EXIT_CONFIG, err
         assert err.startswith(f"config error: {message}"), err
+
+    @pytest.mark.parametrize("command,path,entry", [
+        ("place", ("placement", "kinds"), "w"),
+        ("place", ("placement", "criteria"), "mi"),
+        ("predict", ("predict", "kinds"), "w")],
+        ids=["place-kinds", "place-criteria", "predict-kinds"])
+    def test_empty_or_repeated_list_named(self, fuzz_dir, command, path,
+                                          entry):
+        """Each entry of a kinds or criteria list names an output: an
+        empty list would write none, FUZZ_PLACE's map included, and a
+        repeat would write one twice.  Both name their section and key."""
+        for value in ([], [entry, entry]):
+            code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
+                                  _switched(FUZZ_BASES[command], path, value),
+                                  command)
+            assert code == cli.EXIT_CONFIG, (value, err)
+            assert err == (f"config error: {path[0]}: {path[1]}: needs at "
+                           f"least one entry and no repeats, got {value!r}\n")
 
     def test_kinds_string_is_not_read_per_character(self, fuzz_dir):
         cfg = _switched(FUZZ_PLACE, ("placement", "kinds"), "w")

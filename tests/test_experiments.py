@@ -174,6 +174,16 @@ def test_chain_pinned():
         "0b688f0a402e9c1ee2b8672e8094cb293becb5260e901405ecbfdfbacc3227f2")
 
 
+def _cli(*args):
+    """The command line in a process of its own on one BLAS thread, with
+    a RuntimeWarning an error, as it is in this suite's own process."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                    "timopigp.cli", *map(str, args)], env=env, check=True)
+
+
 # The place benchmark's grids, (candidates, sensors, entropy map), and the
 # sha256 of each file `place` writes on them at the benchmark's prior of
 # seed 17: every criterion and kind, w BCs at both ends.
@@ -217,14 +227,30 @@ def test_place_pinned(tmp_path, grid):
     config = tmp_path / "place.json"
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    subprocess.run([sys.executable, "-m", "timopigp.cli", "place", "--config",
-                    str(config), "--out", str(out)], env=env, check=True)
+    _cli("place", "--config", config, "--out", out)
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir() if path.name != "manifest.json"}
     assert written == PLACE_PINNED[grid]
+
+
+@pytest.mark.parametrize("n", [31, 121])
+def test_place_mi_full_budget(tmp_path, n):
+    """`place` with every candidate placed by MI, where rounding leaves
+    the downdated precision indefinite before the last picks: exit 0
+    without a RuntimeWarning, every candidate placed once and every step
+    entropy finite."""
+    cfg = {"version": 1, "seed": 1,
+           "beam": {"L": 1.0, "EI": 1.0, "kGA": 3.0, "q0": 1.0},
+           "bcs": [{"kind": "w", "locations": [0.0, 1.0]}],
+           "placement": {"n_candidates": n, "n_sensors": n,
+                         "kinds": ["w"], "criteria": ["mi"]}}
+    config = tmp_path / "place.json"
+    config.write_text(json.dumps(cfg))
+    _cli("place", "--config", config, "--out", tmp_path / "out")
+    [result] = json.loads((tmp_path / "out" / "placement.json").read_text())
+    assert sorted(s["x"] for s in result["selected"]) == \
+        np.linspace(0.0, 1.0, n).tolist()
+    assert np.all(np.isfinite(result["step_entropies"]))
 
 
 # The identify benchmark's scenario (r = 0.3, SNR 100, 7 physics-placed w
@@ -267,16 +293,10 @@ def test_predict_pinned(tmp_path):
     config = tmp_path / "identify.json"
     config.write_text(json.dumps(PREDICT_CONFIG))
     out = tmp_path / "out"
-    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    data = [str(out / f"data_{label}.csv") for label in ("w", "phi", "q")]
+    data = [out / f"data_{label}.csv" for label in ("w", "phi", "q")]
     for args in (["simulate"], ["identify", "--data", *data],
-                 ["predict", "--chain", str(out / "chain.csv"),
-                  "--data", *data]):
-        subprocess.run([sys.executable, "-m", "timopigp.cli", *args,
-                        "--config", str(config), "--out", str(out)],
-                       env=env, check=True)
+                 ["predict", "--chain", out / "chain.csv", "--data", *data]):
+        _cli(*args, "--config", config, "--out", out)
     written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("pred_w.csv", "pred_M.csv", "pred_V.csv")}
     assert written == PREDICT_PINNED

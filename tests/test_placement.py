@@ -448,10 +448,11 @@ BC_SETS = {
 }
 
 
-def pool_problem(pool, criterion, bcs, candidates=None, n_sensors=7):
+def pool_problem(pool, criterion, bcs, candidates=None, n_sensors=7,
+                 params=PARAMS):
     """A single-kind pool, or w and phi candidates under one budget."""
     x = np.linspace(0.0, 1.0, 31) if candidates is None else candidates
-    prior = placement.Prior(bcs, PARAMS)
+    prior = placement.Prior(bcs, params)
     if pool == "w+phi":
         return PlacementProblem(candidates=np.concatenate([x, x]),
                                 kinds=[W] * x.size + [PHI] * x.size,
@@ -776,3 +777,154 @@ def test_set_entropy_reads_the_greedy_pool(monkeypatch, extra):
                               BC_SETS["w"],
                               candidates=np.linspace(0.0, 1.0, n)))
     assert built == [n]
+
+
+def _dense_greedy(problem):
+    """The greedy with C, and MI's precision P, downdated whole by
+    ``_observe`` after every pick but the last, P inverted afresh over
+    the free candidates when a free P_ii is not positive: the picks, step
+    entropies and the set's entropy from the pool's physics Sigma, None
+    where conditioning the set in pick order overflows."""
+    x, params = problem.candidates, problem.params
+    physics = problem.prior.conditioned(
+        [(float(x_), kind) for x_, kind in zip(x, problem.kinds)])
+    if problem.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
+        prior, sigma = physics
+        delta = 0.0
+    else:
+        sigma = kernels.se_base(x[:, None], x[None, :], params)
+        prior = np.diag(sigma)
+        delta = 1e-8 * params.sigma_s2
+    mutual = problem.criterion is PlacementCriterion.MUTUAL_INFORMATION
+    floor = 1e-12 * prior
+    n, k = x.size, problem.n_sensors
+    C = sigma.copy()
+    if mutual:
+        prec = np.linalg.inv(sigma + delta * np.eye(n))
+    free = np.ones(n, bool)
+    picks, steps = [], []
+    for t in range(k):
+        scores = placement._entropy_from_var(np.maximum(np.diag(C), floor))
+        if mutual:
+            u = np.flatnonzero(free)
+            if not (np.diag(prec)[u] > 0.0).all():
+                prec = np.zeros_like(sigma)
+                prec[np.ix_(u, u)] = np.linalg.inv(
+                    sigma[np.ix_(u, u)] + delta * np.eye(u.size))
+            scores[u] -= placement._entropy_from_var(
+                np.maximum(1.0 / np.diag(prec)[u] - delta, floor[u]))
+        scores[~free] = -np.inf
+        j = placement._pick(scores, placement._MI_TIE if mutual else 0.0)
+        picks.append(j)
+        steps.append(float(scores[j]))
+        free[j] = False
+        if t < k - 1:
+            placement._observe(C, j, delta, floor[j])
+            if mutual:
+                placement._observe(prec, j, 0.0, 0.0)
+    try:
+        h = float(placement._subset_entropies(
+            (physics[0][picks], physics[1][np.ix_(picks, picks)]), k)[0])
+    except EntropyOverflowError:
+        h = None
+    return picks, steps, h
+
+
+def _assert_same_greedy(result, picks, steps, h, problem):
+    assert result.selected == [(float(problem.candidates[i]),
+                                problem.kinds[i]) for i in picks]
+    assert [s.hex() for s in result.step_entropies] == \
+        [s.hex() for s in steps]
+    assert result.set_entropy.hex() == h.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pool=st.sampled_from(["w", "phi", "w+phi"]),
+       bcs=st.sampled_from(sorted(BC_SETS)),
+       crit=st.sampled_from(list(PlacementCriterion)),
+       ell=st.floats(0.05, 1.0), sigma_s2=st.floats(0.1, 10.0))
+def test_column_greedy_is_the_dense_greedy(data, pool, bcs, crit, ell,
+                                           sigma_s2):
+    """The greedy that keeps only the picked columns picks, scores and
+    sums what the dense downdate does, bit for bit, on up to 250
+    candidates with any budget up to all of them."""
+    m = data.draw(st.integers(1, 125 if pool == "w+phi" else 250),
+                  label="m")
+    n = 2 * m if pool == "w+phi" else m
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="k")
+    p = pool_problem(pool, crit, BC_SETS[bcs],
+                     candidates=np.linspace(0.0, 1.0, m), n_sensors=k,
+                     params=Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0,
+                                  kGA=3.0))
+    picks, steps, h = _dense_greedy(p)
+    if p.criterion is PlacementCriterion.PHYSICS_INFORMED_ENTROPY:
+        prior, sigma = p.prior.conditioned(
+            [(float(x), kind) for x, kind in zip(p.candidates, p.kinds)])
+        got = placement._greedy(sigma, prior, 0.0, False, k)
+    else:
+        got = p.prior.baseline(p.criterion, p.candidates, k)
+    assert list(got[0]) == picks
+    assert [s.hex() for s in got[1]] == [s.hex() for s in steps]
+    if h is None:
+        # A set picked without the physics pivots, as an MI set of most
+        # of a fine grid, can overflow its chain-rule entropy.
+        with pytest.raises(EntropyOverflowError):
+            greedy_place(p)
+    else:
+        _assert_same_greedy(greedy_place(p), picks, steps, h, p)
+
+
+@pytest.mark.parametrize("n", [31, 60, 121])
+def test_mi_full_budget_refreshes_the_precision(monkeypatch, n):
+    """Placing every candidate by MI at ell = L/8, rounding leaves the
+    downdated precision with a non-positive free P_ii a few picks before
+    the end; P is inverted afresh over the free candidates, every score
+    stays finite, no RuntimeWarning is raised, and the picks are the
+    dense greedy's."""
+    built = []
+    real = placement._precision
+    monkeypatch.setattr(placement, "_precision",
+                        lambda sigma, delta, u: built.append(u.size)
+                        or real(sigma, delta, u))
+    x = np.linspace(0.0, 1.0, n)
+    p = _mi_problem(x, PARAMS, n_sensors=n)
+    res = greedy_place(p)
+    assert built and max(built) <= 10
+    assert np.all(np.isfinite(res.step_entropies))
+    _assert_same_greedy(res, *_dense_greedy(p), p)
+
+
+def test_baselines_run_once_per_prior(monkeypatch):
+    """One Prior runs the entropy and MI greedies once for a grid and
+    budget, whatever the kind; each kind's result is a fresh Prior's,
+    bit for bit, its set entropy read from that kind's physics Sigma."""
+    runs = []
+    real = placement._greedy
+    monkeypatch.setattr(placement, "_greedy",
+                        lambda *a: runs.append(a[3]) or real(*a))
+    x = np.linspace(0.0, 1.0, 31)
+    shared = placement.Prior(BC_SETS["w"], PARAMS)
+    got = {(crit, kind): greedy_place(PlacementProblem(
+        candidates=x, kinds=kind, n_sensors=7, prior=shared, criterion=crit))
+        for crit in PlacementCriterion for kind in (W, PHI)}
+    # The physics greedy once per kind, the entropy and MI greedies once.
+    assert runs == [False, False, False, True]
+    for (crit, kind), res in got.items():
+        want = greedy_place(pool_problem(kind.code, crit, BC_SETS["w"]))
+        assert res.selected == want.selected
+        assert [h.hex() for h in res.step_entropies] == \
+            [h.hex() for h in want.step_entropies]
+        assert res.set_entropy.hex() == want.set_entropy.hex()
+
+
+@pytest.mark.parametrize("crit", list(PlacementCriterion),
+                         ids=lambda c: c.value)
+def test_greedy_overflow_named(crit):
+    """A signal variance of 1e160 overflows the first downdate: the
+    greedy raises EntropyOverflowError, not a RuntimeWarning."""
+    p = pool_problem("w", crit, BC_SETS["w"],
+                     candidates=np.linspace(0.0, 1.0, 12), n_sensors=3,
+                     params=Theta(sigma_s2=1e160, ell=0.125, EI=1.0,
+                                  kGA=3.0))
+    with pytest.raises(EntropyOverflowError, match="sigma_s2"):
+        greedy_place(p)
