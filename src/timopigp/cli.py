@@ -144,7 +144,7 @@ def beam_from_config(cfg: dict) -> BeamConfig:
                       EI_true=_read(b, "beam", "EI", _positive),
                       kGA_true=_read(b, "beam", "kGA", _positive),
                       q0=_read(b, "beam", "q0", _finite),
-                      h=_read(b, "beam", "h", _positive, 0.1))
+                      h=_read(b, "beam", "h", _positive, BeamConfig.h))
 
 
 def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
@@ -300,7 +300,8 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
     prior = placement.Prior(bcs, params)
     outputs = {}
     if entropy_map:
-        max_combos = _read(p, "placement", "max_combos", _count, 300_000)
+        max_combos = _read(p, "placement", "max_combos", _count,
+                           placement.MAX_COMBOS)
         maps = {kind: placement.exhaustive_entropy_map(
             PlacementProblem(candidates=candidates, kinds=kind,
                              n_sensors=n_sensors, prior=prior),
@@ -320,6 +321,10 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
             res = greedy_place(PlacementProblem(
                 candidates=candidates, kinds=kind, n_sensors=n_sensors,
                 prior=prior, criterion=crit))
+            if res.selected and res.set_entropy is None:
+                print(f"warning: placement {crit.value} {kind.code}: the "
+                      "set's entropy overflowed; set_entropy is null",
+                      file=sys.stderr)
             results.append({
                 "criterion": crit.value,
                 "kind": kind.code,

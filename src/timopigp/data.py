@@ -87,14 +87,14 @@ def write_map_csv(paths, n_candidates: int, n_sensors: int, values) -> None:
     gives for the rows ``("|".join(map(str, subset)), value)`` of the
     subsets ``itertools.combinations(range(n_candidates), n_sensors)``, in
     order, one per float value (written by ``float.__repr__``: a numpy
-    float64's own repr differs under numpy 2).  Each chunk of
-    ``MAP_CHUNK_ROWS`` rows is formatted once, for every file.
+    float64's own repr differs under numpy 2).  ``values`` is a float64
+    array or a list; each chunk of ``MAP_CHUNK_ROWS`` rows is made Python
+    floats and formatted once, for every file.
     """
+    values = np.asarray(values, dtype=float)
     if len(values) != math.comb(n_candidates, n_sensors):
         raise ValueError(f"{len(values)} values for the "
                          f"C({n_candidates}, {n_sensors}) subsets")
-    if not paths:
-        return
     names = [str(i) for i in range(n_candidates)]
     labels = map("|".join, itertools.combinations(names, n_sensors))
     with ExitStack() as stack:
@@ -102,7 +102,7 @@ def write_map_csv(paths, n_candidates: int, n_sensors: int, values) -> None:
         for fh in files:
             fh.write(b"subset,normalized_entropy\r\n")
         for start in range(0, len(values), MAP_CHUNK_ROWS):
-            chunk = values[start:start + MAP_CHUNK_ROWS]
+            chunk = values[start:start + MAP_CHUNK_ROWS].tolist()
             text = "\r\n".join(map(",".join, zip(
                 itertools.islice(labels, len(chunk)),
                 map(float.__repr__, chunk)))).encode() + b"\r\n"

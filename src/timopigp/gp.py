@@ -18,7 +18,9 @@ element's terms in one reduction, running per element the arithmetic
 that ``kernels.kernel`` runs per block: K is bit for bit the block
 values, with the lower block triangle taken from the upper one.  The
 sampler builds its layout once per chain and ``predict_mixture`` once
-per call; ``covariance`` and ``assemble`` build and evaluate one in a
+per call, with each query's two layouts: its cross-covariance, and its
+prior variances at one point per distinct depth (one point, depth 0,
+without z); ``covariance`` and ``assemble`` build and evaluate one in a
 call.
 
 Datasets and boundary conditions are stacked in the fixed block order
@@ -461,28 +463,11 @@ def log_marginal_likelihood(layout: Layout, theta: Theta) -> tuple:
             - layout.log_norm, level)
 
 
-def _query(kind: QuantityKind, x_star, z_star) -> Points:
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    if kind is QuantityKind.STRAIN:
-        if z_star is None:
-            raise ValueError("strain predictions require depths z_star")
-        z_star = np.broadcast_to(np.asarray(z_star, float),
-                                 x_star.shape).copy()
-    return Points(kind, x_star, z_star)
-
-
-@functools.cache
-def _zero_layout(kind: QuantityKind) -> Layout:
-    return Layout([Points(kind, np.zeros(1))])
-
-
 class _Plan(NamedTuple):
-    """The layouts of one query against a data layout's entries.
-
-    ``prior`` is the zero-difference layout of the query's prior
-    variances k(x, x), and ``at`` each point's entry on its diagonal: one
-    point, or one per distinct depth, as only a strain query's z changes
-    k(x, x).
+    """The layouts of one query against a data layout's entries:
+    ``prior`` holds the query's prior variances k(x, x) at one point per
+    distinct depth (only a strain query's z changes k(x, x); a query
+    without z has depth 0), ``at`` each point's entry on its diagonal.
     """
 
     query: Points
@@ -491,13 +476,18 @@ class _Plan(NamedTuple):
     at: np.ndarray
 
 
-def _plan(query: Points, entries) -> _Plan:
-    if query.z is None:
-        prior = _zero_layout(query.kind)
-        at = np.zeros(query.x.shape, np.intp)
-    else:
-        depths, at = np.unique(query.z, return_inverse=True)
-        prior = Layout([Points(query.kind, np.zeros(depths.size), depths)])
+def _plan(kind: QuantityKind, x_star, z_star, entries) -> _Plan:
+    """The checked query and its layouts against ``entries``."""
+    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+    if kind is QuantityKind.STRAIN:
+        if z_star is None:
+            raise ValueError("strain predictions require depths z_star")
+        z_star = np.broadcast_to(np.asarray(z_star, float),
+                                 x_star.shape).copy()
+    query = Points(kind, x_star, z_star)
+    depths, at = np.unique(np.zeros(x_star.shape) if z_star is None
+                           else z_star, return_inverse=True)
+    prior = Layout([Points(kind, np.zeros(depths.size), depths)])
     return _Plan(query, Layout([query], entries), prior, at)
 
 
@@ -511,7 +501,7 @@ def predict(model: CovarianceModel, kind: QuantityKind, x_star,
     many models of one data layout.
     """
     if plan is None:
-        plan = _plan(_query(kind, x_star, z_star), model.entries)
+        plan = _plan(kind, x_star, z_star, model.entries)
     if alpha is None:
         alpha = model.solve(model.y)
     kind, x_star, z_star = plan.query
@@ -545,7 +535,7 @@ def predict_mixture(datasets, bcs, thetas, queries) -> list:
     if not thetas:
         raise ValueError("posterior chain must be non-empty")
     layout = data_layout(datasets, bcs)
-    plans = [_plan(_query(*q), layout.rows) for q in queries]
+    plans = [_plan(*q, layout.rows) for q in queries]
     per_query = [[] for _ in plans]
     for theta in thetas:
         model = factorize(layout, theta)

@@ -22,7 +22,7 @@ is 0 for physics and ``SENSOR_NOISE`` sigma_s^2 for the baselines, whose
 dense-grid SE covariance is singular to working precision.  Mutual
 information (Krause, Singh & Guestrin, JMLR 2008) subtracts the entropy
 of 1/diag(P) - delta over U, the unselected set, P = (Sigma_UU +
-delta I)^-1: inverted once per problem, and each pick dropped from P by
+delta I)^-1: inverted at the first step, and each pick dropped from P by
 its Schur complement, the same rank-1 downdate.  MI scores within a
 relative 1e-6 of the best tie, and the lowest index wins; the others tie
 only when equal.  The greedy keeps only diag(C), diag(P) and the picked
@@ -33,11 +33,12 @@ the kinds, so a ``Prior`` runs each once per candidate grid and budget
 and every kind reuses its picks.  A joint entropy sums the physics
 scores of a set in order, each given those before it: ``set_entropy``
 walks one set, a greedy its selection's sub-block of the candidates'
-physics Sigma, and the exhaustive map every subset of the candidates,
-depth first, scoring the last three picks of each prefix in one
-vectorized step.  A ``Prior`` holds the BCs' K_bb factorized once and
-each sensor list's Sigma built once, so one ``place`` command shares
-them across kinds, criteria and the map.
+physics Sigma (None where that overflows), and the exhaustive map every
+subset of the candidates, depth first, scoring the last picks of each
+prefix, up to three, by one rule in one vectorized step.  A ``Prior``
+holds the BCs' K_bb factorized once and each sensor list's Sigma built
+once, so one ``place`` command shares them across kinds, criteria and
+the map.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
 VARIANCE_FLOOR = 1e-12
 SENSOR_NOISE = 1e-8
+# The most subsets an entropy map enumerates unless told otherwise.
+MAX_COMBOS = 300_000
 
 # Relative tolerance within which mutual-information scores tie.  An MI
 # score subtracts the entropy of 1 / P_ii - delta, P the precision of
@@ -210,7 +213,9 @@ def greedy_place(problem: PlacementProblem) -> PlacementResult:
     """Iterative argmax placement of ``n_sensors`` among all candidates,
     of whatever kinds; ties break on the lowest candidate index, MI
     scores tying within ``_MI_TIE`` of the best.  The set's entropy is
-    read from its sub-block of the candidates' physics Sigma."""
+    read from its sub-block of the candidates' physics Sigma; it is None
+    where conditioning the set in pick order overflows, as it can for a
+    baseline's set, picked without the physics pivots."""
     sensors = [(float(x), kind)
                for x, kind in zip(problem.candidates, problem.kinds)]
     physics = problem.prior.conditioned(sensors)
@@ -225,9 +230,12 @@ def greedy_place(problem: PlacementProblem) -> PlacementResult:
     result = PlacementResult(selected, list(step_entropies))
     if picks:
         _require_distinct(selected)
-        result.set_entropy = float(_subset_entropies(
-            (physics[0][picks], physics[1][np.ix_(picks, picks)]),
-            len(picks))[0])
+        try:
+            result.set_entropy = float(_subset_entropies(
+                (physics[0][picks], physics[1][np.ix_(picks, picks)]),
+                len(picks))[0])
+        except EntropyOverflowError:
+            pass
     return result
 
 
@@ -278,18 +286,17 @@ def _greedy(sigma, prior, delta, mutual, k):
 
     C and MI's precision P are ``_Downdated``: a step costs O(t n) and a
     greedy O(k^2 n) after P's O(n^3) inverse.  No downdate follows the
-    final pick.  Rounding can leave P indefinite as U shrinks (a 31 x 31
-    grid at ell = L/8 does so with five candidates left); a free
-    non-positive P_ii, which would become a zero pivot, has P inverted
-    afresh over U.  Downdates run with overflow raising, which is
+    final pick.  ``_precision`` inverts P over the free candidates U: at
+    the first MI step, when U is all of them, and again where a free P_ii
+    is not positive, which would become a zero pivot (rounding can leave
+    P indefinite as U shrinks: a 31 x 31 grid at ell = L/8 does so with
+    five candidates left).  Downdates run with overflow raising, which is
     EntropyOverflowError.
     """
     n = prior.size
     floor = VARIANCE_FLOOR * prior
     free = np.ones(n, bool)
-    C = _Downdated(sigma, k)
-    if mutual:
-        P = _Downdated(np.linalg.inv(sigma + delta * np.eye(n)), k)
+    C, P = _Downdated(sigma, k), None
     picks, step_entropies = [], []
     with np.errstate(over="raise"):
         try:
@@ -297,7 +304,7 @@ def _greedy(sigma, prior, delta, mutual, k):
                 scores = _entropy_from_var(np.maximum(C.diag, floor))
                 if mutual:
                     u = np.flatnonzero(free)
-                    if not (P.diag[u] > 0.0).all():
+                    if P is None or not (P.diag[u] > 0.0).all():
                         P = _Downdated(_precision(sigma, delta, u), k)
                     # var(y_i | the rest of U) = 1 / P_ii - delta.
                     scores[u] -= _entropy_from_var(
@@ -343,19 +350,16 @@ def _subset_entropies(pair, k):
     the prefix, the prefix's entropy, the picks it needs and the positions
     left to pick, last first, so rows fill ``raw`` from its end.  A final
     pick replaces its frame, which bounds memory as k nears n.  The last
-    three picks of a prefix score at once (``_last_three``); the last two
-    do so only at the root of a k = 2 map, from the block's triangle.  The
-    walk runs with overflow raising: a set conditioned in order, without
-    pivoting, can grow past the float range, and its rows would be
-    meaningless.
+    picks of a prefix, three or all k if fewer, score at once
+    (``_last_picks``).  The walk runs with overflow raising: a set
+    conditioned in order, without pivoting, can grow past the float
+    range, and its rows would be meaningless.
     """
     if k == 0:
         raise ValueError("selection must be non-empty")
     prior, sigma = pair
     floor = VARIANCE_FLOOR * prior
     n = prior.size
-    if k == 1:
-        return _entropy_from_var(np.maximum(np.diag(sigma), floor))
     raw = np.empty(math.comb(n, k))
     end = raw.size
     frames = [(0, sigma, 0.0, k, iter(range(n - k, -1, -1)))]
@@ -365,8 +369,7 @@ def _subset_entropies(pair, k):
                 start, C, h, need, picks = frames[-1]
                 var = np.maximum(np.diag(C), floor[start:])
                 if need <= 3:
-                    last = _last_three if need == 3 else _last_two
-                    rows = last(C, var, floor[start:], h)
+                    rows = _last_picks(C, var, floor[start:], h, need)
                     raw[end - rows.size:end] = rows
                     end -= rows.size
                     frames.pop()
@@ -384,30 +387,29 @@ def _subset_entropies(pair, k):
     return raw
 
 
-def _last_two(C, var, floor, h):
-    """Rows of the pairs t < a of the whole pool, lexicographic."""
-    t, a = np.triu_indices(var.size, 1)
-    c = C[a, t]
-    return (h + _entropy_from_var(var)[t]) + \
-        _entropy_from_var(np.maximum(var[a] - c * c / var[t], floor[a]))
+def _last_picks(C, var, floor, h, need):
+    """Rows of a prefix's last ``need`` <= 3 picks from its block C,
+    lexicographic, each case built on the one before.
 
-
-def _last_three(C, var, floor, h):
-    """Rows of a prefix's triples t < a < b of its block C, lexicographic.
-
-    Each row is ``_observe``'s arithmetic on t and then a, in its order,
-    read from C's lower triangle:
-    ((h + H(var_t)) + H(v_a)) + H(max(v_b - c c / v_a, floor_b)), where
-    v_x = max(C_xx - C_xt C_xt / var_t, floor_x) and
-    c = C_ba - C_bt C_at / var_t.
+    Each row is ``_observe``'s arithmetic on the picks in their order,
+    read from C's lower triangle: a single t scores h + H(var_t); a pair
+    t < x adds H(v_x), v_x = max(C_xx - C_xt C_xt / var_t, floor_x); a
+    triple t < a < b adds H(max(v_b - c c / v_a, floor_b)) to its pair
+    (t, a), c = C_ba - C_bt C_at / var_t.
     """
-    t, x, ta, tb, ab = _triples(var.size)
+    h_t = h + _entropy_from_var(var)
+    if need == 1:
+        return h_t
+    tables = np.triu_indices(var.size, 1) if need == 2 else \
+        _triples(var.size)
+    t, x = tables[:2]
     c_xt = C[x, t]
     var_t = var.take(t)
-    # Per pair (t, x): x's variance given t, and the prefix's entropy
-    # with t and then x.
     v = np.maximum(np.diag(C).take(x) - c_xt * c_xt / var_t, floor.take(x))
-    h_tx = (h + _entropy_from_var(var).take(t)) + _entropy_from_var(v)
+    h_tx = h_t.take(t) + _entropy_from_var(v)
+    if need == 2:
+        return h_tx
+    _, _, ta, tb, ab = tables
     c = c_xt.take(ab) - c_xt.take(tb) * c_xt.take(ta) / var_t.take(ta)
     v_b = v.take(tb) - c * c / v.take(ta)
     return h_tx.take(ta) + _entropy_from_var(
@@ -431,20 +433,20 @@ def _triples(m):
 
 
 def exhaustive_entropy_map(problem: PlacementProblem,
-                           max_combos: float = 300_000) -> list:
+                           max_combos: float = MAX_COMBOS) -> np.ndarray:
     """Rank every sensor subset by min-max normalized joint entropy.
 
-    Returns one Python float per subset, the subsets
+    Returns one float64 per subset, the subsets
     ``itertools.combinations(range(n), k)`` of the n candidates in that
     lexicographic order: each subset's ``set_entropy`` normalized over
     all of them (``data.write_map_csv`` writes them with their subsets).
-    Only single-domain problems are enumerable; the guard refuses counts
+    The walk's array is normalized in place, 8 bytes a row.  Only
+    single-domain problems are enumerable; the guard refuses counts
     above ``max_combos``, which ``math.inf`` lifts.  A row of a 31 x 5
-    map costs about 0.11 us, Sigma and the list included, and the
-    C(31, 7) = 2.6 M rows take about 0.9 s (2-vCPU VM, one BLAS thread);
-    writing a row costs about 0.75 us more, most of it its float's repr.
-    The walk raises EntropyOverflowError where conditioning a subset
-    overflows.
+    map costs about 0.11 us, Sigma included, and the C(31, 7) = 2.6 M
+    rows take about 0.9 s (2-vCPU VM, one BLAS thread); writing a row
+    costs about 0.75 us more, most of it its float's repr.  The walk
+    raises EntropyOverflowError where conditioning a subset overflows.
     """
     if len(set(problem.kinds)) != 1:
         raise ValueError("exhaustive maps require a single-domain problem")
@@ -456,5 +458,6 @@ def exhaustive_entropy_map(problem: PlacementProblem,
     _require_distinct(sensors)
     raw = _subset_entropies(problem.prior.conditioned(sensors), n_s)
     lo, hi = raw.min(), raw.max()
-    span = hi - lo if hi > lo else 1.0
-    return ((raw - lo) / span).tolist()
+    raw -= lo
+    raw /= hi - lo if hi > lo else 1.0
+    return raw

@@ -143,19 +143,21 @@ def entropy_maps(draw):
     return n, k, draw(st.lists(MAP_VALUES, min_size=size, max_size=size))
 
 
-@given(entropy_map=entropy_maps(), n_files=st.integers(1, 3))
+@given(entropy_map=entropy_maps(), n_files=st.integers(1, 3),
+       as_array=st.booleans())
 @example(entropy_map=(5, 1, [0.0, 1.0, 5e-324, 1e-16, math.nan]),
-         n_files=2)
-@example(entropy_map=(4, 4, [0.5]), n_files=1)
-@example(entropy_map=(12, 12, [1.0]), n_files=3)
+         n_files=2, as_array=True)
+@example(entropy_map=(4, 4, [0.5]), n_files=1, as_array=False)
+@example(entropy_map=(12, 12, [1.0]), n_files=3, as_array=True)
 def test_map_writer_matches_csv_writer(tmp_path_factory, entropy_map,
-                                       n_files):
-    """Every file the map writer writes holds the bytes of ``csv.writer``
-    fed the subsets' labels and the values field by field."""
+                                       n_files, as_array):
+    """Every file the map writer writes, from a list or from the float64
+    array a map is, holds the bytes of ``csv.writer`` fed the subsets'
+    labels and the values field by field."""
     n, k, values = entropy_map
     d = tmp_path_factory.mktemp("map")
     paths = [d / f"got{i}.csv" for i in range(n_files)]
-    write_map_csv(paths, n, k, values)
+    write_map_csv(paths, n, k, np.array(values) if as_array else values)
     want = _reference_map(d / "want.csv", n, k, values)
     assert [path.read_bytes() for path in paths] == [want] * n_files
 

@@ -176,12 +176,16 @@ def test_chain_pinned():
 
 def _cli(*args):
     """The command line in a process of its own on one BLAS thread, with
-    a RuntimeWarning an error, as it is in this suite's own process."""
+    a RuntimeWarning an error, as it is in this suite's own process: its
+    stderr, after an exit 0, which is asserted."""
     path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
-                    "timopigp.cli", *map(str, args)], env=env, check=True)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "timopigp.cli", *map(str, args)], env=env,
+                          stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr
 
 
 # The place benchmark's grids, (candidates, sensors, entropy map), and the
@@ -251,6 +255,31 @@ def test_place_mi_full_budget(tmp_path, n):
     assert sorted(s["x"] for s in result["selected"]) == \
         np.linspace(0.0, 1.0, n).tolist()
     assert np.all(np.isfinite(result["step_entropies"]))
+
+
+def test_place_set_entropy_overflow_is_null(tmp_path):
+    """`place` of all 230 w candidates at ell = 0.1 without BCs: the MI
+    set, conditioned in pick order without the physics pivots, overflows
+    its chain-rule entropy.  Every criterion's picks and step entropies
+    are written, MI's set entropy as null with one stderr line naming the
+    criterion and the kind, and the command exits 0."""
+    cfg = {"version": 1, "seed": 1,
+           "beam": {"L": 1.0, "EI": 1.0, "kGA": 3.0, "q0": 1.0},
+           "placement": {"n_candidates": 230, "n_sensors": 230, "ell": 0.1,
+                         "kinds": ["w"],
+                         "criteria": ["physics", "entropy", "mi"]}}
+    config = tmp_path / "place.json"
+    config.write_text(json.dumps(cfg))
+    stderr = _cli("place", "--config", config, "--out", tmp_path / "out")
+    results = json.loads((tmp_path / "out" / "placement.json").read_text())
+    assert [(r["criterion"], r["set_entropy"] is None) for r in results] \
+        == [("physics", False), ("entropy", False), ("mi", True)]
+    for r in results:
+        assert len(r["selected"]) == 230
+        assert np.all(np.isfinite(r["step_entropies"]))
+    assert stderr.splitlines() == [
+        "warning: placement mi w: the set's entropy overflowed; "
+        "set_entropy is null"]
 
 
 # The identify benchmark's scenario (r = 0.3, SNR 100, 7 physics-placed w

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timopigp import gp, kernels, placement
@@ -389,7 +389,7 @@ class TestExhaustiveEntropyMap:
                         n_sensors=n_sensors, n_candidates=9, bcs=bc_list)
             values = exhaustive_entropy_map(p)
             assert len(values) == math.comb(9, n_sensors)
-            assert all(type(v) is float for v in values)
+            assert values.dtype == np.float64
             rows = list(zip(itertools.combinations(range(9), n_sensors),
                             values))
             assert [s for s, _ in rows] == \
@@ -599,14 +599,19 @@ def _reference_subset_entropies(pair, k):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 14),
+@given(nk=st.integers(1, 14).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
        kind=st.sampled_from([W, PHI]), bcs=st.sampled_from(sorted(BC_SETS)),
        ell=st.floats(0.05, 1.0), sigma_s2=st.floats(0.1, 10.0))
-def test_walk_matches_frame_by_frame_reference(data, n, kind, bcs, ell,
-                                               sigma_s2):
+# Each depth of the last picks' rule on a larger pool, its pinned ends
+# scored at the floor.
+@example(nk=(40, 1), kind=W, bcs="w", ell=0.125, sigma_s2=1.0)
+@example(nk=(40, 2), kind=W, bcs="w", ell=0.125, sigma_s2=1.0)
+@example(nk=(40, 3), kind=W, bcs="w", ell=0.125, sigma_s2=1.0)
+def test_walk_matches_frame_by_frame_reference(nk, kind, bcs, ell, sigma_s2):
     """The walk's rows are the frame-by-frame walk's bit for bit, and it
     raises EntropyOverflowError exactly where that walk overflows."""
-    k = data.draw(st.integers(1, n), label="k")
+    n, k = nk
     params = Theta(sigma_s2=sigma_s2, ell=ell, EI=1.0, kGA=3.0)
     _check_walk(kind, n, k, params, BC_SETS[bcs])
 
@@ -835,7 +840,10 @@ def _assert_same_greedy(result, picks, steps, h, problem):
                                 problem.kinds[i]) for i in picks]
     assert [s.hex() for s in result.step_entropies] == \
         [s.hex() for s in steps]
-    assert result.set_entropy.hex() == h.hex()
+    if h is None:
+        assert result.set_entropy is None
+    else:
+        assert result.set_entropy.hex() == h.hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -865,22 +873,18 @@ def test_column_greedy_is_the_dense_greedy(data, pool, bcs, crit, ell,
         got = p.prior.baseline(p.criterion, p.candidates, k)
     assert list(got[0]) == picks
     assert [s.hex() for s in got[1]] == [s.hex() for s in steps]
-    if h is None:
-        # A set picked without the physics pivots, as an MI set of most
-        # of a fine grid, can overflow its chain-rule entropy.
-        with pytest.raises(EntropyOverflowError):
-            greedy_place(p)
-    else:
-        _assert_same_greedy(greedy_place(p), picks, steps, h, p)
+    # A set picked without the physics pivots, as an MI set of most of a
+    # fine grid, can overflow its chain-rule entropy: h is then None.
+    _assert_same_greedy(greedy_place(p), picks, steps, h, p)
 
 
 @pytest.mark.parametrize("n", [31, 60, 121])
 def test_mi_full_budget_refreshes_the_precision(monkeypatch, n):
     """Placing every candidate by MI at ell = L/8, rounding leaves the
     downdated precision with a non-positive free P_ii a few picks before
-    the end; P is inverted afresh over the free candidates, every score
-    stays finite, no RuntimeWarning is raised, and the picks are the
-    dense greedy's."""
+    the end; P, first inverted over all n candidates, is inverted afresh
+    over the free ones, every score stays finite, no RuntimeWarning is
+    raised, and the picks are the dense greedy's."""
     built = []
     real = placement._precision
     monkeypatch.setattr(placement, "_precision",
@@ -889,7 +893,8 @@ def test_mi_full_budget_refreshes_the_precision(monkeypatch, n):
     x = np.linspace(0.0, 1.0, n)
     p = _mi_problem(x, PARAMS, n_sensors=n)
     res = greedy_place(p)
-    assert built and max(built) <= 10
+    assert built[0] == n
+    assert built[1:] and max(built[1:]) <= 10
     assert np.all(np.isfinite(res.step_entropies))
     _assert_same_greedy(res, *_dense_greedy(p), p)
 
