@@ -44,6 +44,7 @@ class ConfigError(Exception):
 
 
 def load_config(path) -> dict:
+    """The JSON object at ``path``: version 1, each key in CONFIG_KEYS."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -55,6 +56,7 @@ def load_config(path) -> dict:
     if not _real(version) or version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}; "
                           f"expected {CONFIG_VERSION}")
+    _check_keys(cfg, CONFIG_KEYS, "config")
     return cfg
 
 
@@ -138,6 +140,55 @@ _criteria = _list(_criterion, "a list of placement criteria")
 _sections = _list(_section, "a list of objects")
 
 
+# The mcmc section's keys, McmcConfig's fields but the seed, and parsers.
+_MCMC = {"n_total": _count, "n_b": _count, "n_t": _repeats,
+         "proposal_scale": _scales, "adapt": _switch}
+
+
+def _keys(*values, **sections) -> dict:
+    """A section's accepted keys: None marks a value, a table a section
+    and a one-table list a list of sections."""
+    return dict(dict.fromkeys(values), **sections)
+
+
+# Every key that a reader below reads, by section.  A dataset takes what
+# simulate reads and the noise treatment that identify and predict read;
+# a study's section takes its swept list, replications and its settings.
+CONFIG_KEYS = _keys(
+    "version", "seed",
+    beam=_keys("L", "EI", "kGA", "q0", "h"),
+    bcs=[_keys("kind", "locations", "values")],
+    datasets=[_keys("kind", "label", "locations", "grid", "include_ends",
+                    "ndp", "sigma_n", "snr", "z", "learn_noise",
+                    placement=_keys("kind", "criterion", "n_sensors",
+                                    "n_candidates", "ell", "with_bcs"))],
+    priors=_keys(EI=_keys("lo_factor", "hi_factor"),
+                 kGA=_keys("lo_factor", "hi_factor")),
+    mcmc=_keys(*_MCMC),
+    predict=_keys("max_draws", "n_grid", "kinds",
+                  strain_grid=_keys("nx", "nz")),
+    placement=_keys("n_candidates", "n_sensors", "kinds", "criteria", "ell",
+                    "sigma_s2", "entropy_map"),
+    study=_keys(**{name: _keys(study.config_key, "replications",
+                               *study.settings)
+                   for name, study in experiments.STUDIES.items()}))
+
+
+def _check_keys(spec, table, where: str):
+    """Refuse a key of ``spec`` that ``table`` does not declare, at every
+    depth, as "<where>: unknown key".  A value of another type than its
+    table's is left to the reader that parses it."""
+    if isinstance(table, list):
+        for i, item in enumerate(spec if isinstance(spec, list) else ()):
+            _check_keys(item, table[0], f"{where}[{i}]")
+    elif isinstance(table, dict) and isinstance(spec, dict):
+        for key, value in spec.items():
+            if key not in table:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            _check_keys(value, table[key],
+                        key if where == "config" else f"{where}.{key}")
+
+
 def beam_from_config(cfg: dict) -> BeamConfig:
     b = _read(cfg, "config", "beam", _section)
     return BeamConfig(L=_read(b, "beam", "L", _positive),
@@ -152,9 +203,7 @@ def mcmc_from_config(cfg: dict, seed: int) -> McmcConfig:
     try:
         return McmcConfig(seed=seed, **{
             key: _read(m, "mcmc", key, parse, getattr(McmcConfig, key))
-            for key, parse in (("n_total", _count), ("n_b", _count),
-                               ("n_t", _repeats), ("proposal_scale", _scales),
-                               ("adapt", _switch))})
+            for key, parse in _MCMC.items()})
     except ValueError as exc:   # n_b against n_total
         raise ConfigError(f"mcmc: {exc}") from None
 
@@ -271,8 +320,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
             else NoiseSpec(sigma_n=sigma_n or 0.0, seed=ds_seed)
         ds = beam_mod.synthesize_dataset(
             beam, kind, locs, noise, z=_read(spec, where, "z", _depths, None),
-            label=_read(spec, where, "label", _text, f"ds{i}"),
-            learn_noise=_read(spec, where, "learn_noise", _switch, False))
+            label=_read(spec, where, "label", _text, f"ds{i}"))
         outputs[f"data_{ds.label}.csv"] = {"seed": ds_seed}
         write_datasets_csv(out_dir / f"data_{ds.label}.csv", [ds])
     _write_manifest(out_dir, cfg, seed, outputs)
@@ -300,12 +348,10 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
     prior = placement.Prior(bcs, params)
     outputs = {}
     if entropy_map:
-        max_combos = _read(p, "placement", "max_combos", _count,
-                           placement.MAX_COMBOS)
         maps = {kind: placement.exhaustive_entropy_map(
             PlacementProblem(candidates=candidates, kinds=kind,
                              n_sensors=n_sensors, prior=prior),
-            max_combos=math.inf if full_scale else max_combos)
+            max_combos=math.inf if full_scale else placement.MAX_COMBOS)
             for kind in kinds}
         for kind, values in maps.items():
             # The map does not depend on the criterion: its rows are
@@ -360,8 +406,7 @@ def _apply_dataset_config(datasets: list, cfg: dict):
                 max(float(np.max(np.abs(ds.y))), 1e-300)
             ds.learn_noise = False
         else:
-            ds.sigma_n = _read(spec, where, "sigma_n_init", _level, 0.0) \
-                or 0.05 * float(np.std(ds.y))
+            ds.sigma_n = 0.05 * float(np.std(ds.y))
             ds.learn_noise = _read(spec, where, "learn_noise", _switch, True)
 
 
@@ -432,15 +477,15 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
         thetas = [thetas[i] for i in idx]
 
     x_star = np.linspace(0.0, beam.L,
-                         _read(pcfg, "predict", "n_grid", _count, 101))
+                         _read(pcfg, "predict", "n_grid", _repeats, 101))
     queries = []
     for kind in _entries(pcfg, "predict", "kinds", _kinds, ["w"]):
         if kind is QuantityKind.STRAIN:
             sg = _read(pcfg, "predict", "strain_grid", _section, {})
             where = "predict.strain_grid"
-            xs = np.linspace(0.0, beam.L, _read(sg, where, "nx", _count, 31))
+            xs = np.linspace(0.0, beam.L, _read(sg, where, "nx", _repeats, 31))
             zs = np.linspace(-beam.h / 2.0, beam.h / 2.0,
-                             _read(sg, where, "nz", _count, 11))
+                             _read(sg, where, "nz", _repeats, 11))
             xx, zz = np.meshgrid(xs, zs, indexing="ij")
             queries.append((kind, xx.ravel(), zz.ravel()))
         else:
@@ -458,15 +503,12 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
     return EXIT_OK
 
 
-def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str,
-              full_scale: bool) -> int:
+def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str) -> int:
     where = f"study.{study_name}"
     scfg = _read(_read(cfg, "config", "study", _section, {}), "study",
                  study_name, _section)
     mcfg = mcmc_from_config(cfg, seed)
-    reps = _read(scfg, where, "replications", _count, 50)
-    if full_scale:
-        reps = _read(scfg, where, "full_replications", _count, 1000)
+    reps = _read(scfg, where, "replications", _repeats, 50)
 
     study = experiments.STUDIES[study_name]
     settings = {k: _read(scfg, where, k, _positive)
@@ -503,19 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Physics-informed GP toolkit for static Timoshenko beams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, full_scale=False):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="root seed (overrides config)")
-        if full_scale:
-            p.add_argument("--full-scale", action="store_true",
-                           help="lift enumeration and replication guards")
         return p
 
     command("simulate", "synthesize noisy datasets")
-    command("place", "run sensor placement criteria", full_scale=True)
+    p = command("place", "run sensor placement criteria")
+    p.add_argument("--full-scale", action="store_true",
+                   help="lift the entropy map's enumeration guard")
     p = command("identify", "MH stiffness identification")
     p.add_argument("--data", nargs="+", required=True,
                    help="dataset CSV files")
@@ -525,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True, help="chain CSV from identify")
     p.add_argument("--data", nargs="+", required=True,
                    help="dataset CSV files used in training")
-    p = command("study", "replicated sweep studies", full_scale=True)
+    p = command("study", "replicated sweep studies")
     p.add_argument("--study", required=True,
                    choices=list(experiments.STUDIES))
     return parser
@@ -555,8 +596,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, out_dir, seed, args.chain, args.data)
         if args.command == "study":
-            return cmd_study(cfg, out_dir, seed, args.study,
-                             full_scale=args.full_scale)
+            return cmd_study(cfg, out_dir, seed, args.study)
     except (ConfigError, EnumerationGuardError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

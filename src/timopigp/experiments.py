@@ -29,9 +29,14 @@ LOAD_NOISE_FACTOR = 1e-6  # effectively exact informed load, numerically safe
 
 
 def worker_count() -> int:
+    """``TIMO_PIGP_THREADS``, else the CPUs this process may run on: its
+    affinity mask, which ``taskset`` and cgroup cpusets narrow, where the
+    platform has one."""
     env = os.environ.get(THREADS_ENV)
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
-        return max(1, int(env or os.cpu_count() or 1))
+        return max(1, int(env or cpus or 1))
     except ValueError:
         raise ValueError(f"{THREADS_ENV} is not an integer: {env!r}") from None
 

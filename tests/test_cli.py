@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import contextlib
 import copy
 import csv
@@ -224,14 +225,17 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_enumeration_guard_mentions_flag(self, tmp_path, capsys):
+        """C(31, 6) = 736 281 subsets exceed placement.MAX_COMBOS: the map
+        is refused before any entropy is computed, and nothing written."""
         cfg = {"version": 1, "beam": BEAM, "seed": 0,
-               "placement": {"n_candidates": 31, "n_sensors": 7,
+               "placement": {"n_candidates": 31, "n_sensors": 6,
                              "kinds": ["w"], "criteria": ["physics"],
-                             "entropy_map": True, "max_combos": 100}}
+                             "entropy_map": True}}
         code = run(["place", "--config", write_config(tmp_path, cfg),
                     "--out", tmp_path / "o"])
         assert code == cli.EXIT_CONFIG
         assert "--full-scale" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "placement.json").exists()
 
     @staticmethod
     def place_config(tmp_path, **placement_kw):
@@ -694,22 +698,6 @@ class TestStudy:
         err = capsys.readouterr().err
         assert f"TIMO_PIGP_THREADS is not an integer: {value!r}" in err
 
-    def test_ndp_study_ignores_rigidity(self, tmp_path, monkeypatch):
-        # The ndp study runs at r = 1 whatever its config section says.
-        monkeypatch.setenv("TIMO_PIGP_THREADS", "2")
-        outputs = []
-        for tag, extra in (("plain", {}), ("with_r", {"r": 0.3})):
-            cfg = {"version": 1, "beam": BEAM, "seed": 42,
-                   "mcmc": {"n_total": 400, "n_b": 150, "n_t": 5},
-                   "study": {"ndp": dict({"values": [1, 2],
-                                          "replications": 1}, **extra)}}
-            out = tmp_path / tag
-            assert run(["study", "--study", "ndp", "--config",
-                        write_config(tmp_path, cfg, f"{tag}.json"),
-                        "--out", out]) == 0
-            outputs.append((out / "study_ndp.csv").read_bytes())
-        assert outputs[0] == outputs[1]
-
 
 def test_import_stays_light():
     """A fresh ``import timopigp.cli`` loads neither scipy.linalg's package
@@ -810,9 +798,9 @@ SWITCHES = [
     ("identify", FUZZ_CONFIG, ("datasets", 0, "learn_noise"), "dataset 'w'"),
     ("identify", dict(FUZZ_CONFIG, datasets=[{"label": "w"}]),
      ("datasets", 0, "learn_noise"), "dataset 'w'"),
+    ("predict", dict(FUZZ_CONFIG, datasets=[{"label": "w"}]),
+     ("datasets", 0, "learn_noise"), "dataset 'w'"),
     ("simulate", SIMULATE_CONFIG, ("datasets", 0, "include_ends"),
-     "datasets[0]"),
-    ("simulate", SIMULATE_CONFIG, ("datasets", 0, "learn_noise"),
      "datasets[0]"),
     ("simulate", dict(SIMULATE_CONFIG, datasets=[
         {"kind": "w", "sigma_n": 0.0, "label": "w",
@@ -935,7 +923,7 @@ FUZZ_PLACE = {"version": 1, "beam": BEAM, "seed": 0,
               "placement": {"n_candidates": 6, "n_sensors": 2,
                             "kinds": ["w"], "criteria": ["physics"],
                             "sigma_s2": 1.0, "ell": 0.2,
-                            "entropy_map": True, "max_combos": 100}}
+                            "entropy_map": True}}
 FUZZ_PREDICT = dict(FUZZ_CONFIG, predict={
     "kinds": ["w", "eps"], "n_grid": 5, "max_draws": 2,
     "strain_grid": {"nx": 3, "nz": 3}})
@@ -969,7 +957,6 @@ FUZZ_FIELDS = [
     ("place", ("placement",), "config", "object"),
     ("place", ("placement", "n_candidates"), "placement", "count"),
     ("place", ("placement", "n_sensors"), "placement", "count"),
-    ("place", ("placement", "max_combos"), "placement", "count"),
     ("place", ("placement", "sigma_s2"), "placement", "number"),
     ("place", ("placement", "ell"), "placement", "number"),
     ("place", ("placement", "kinds"), "placement", "list"),
@@ -996,13 +983,77 @@ TRACEBACK_CASES = [
     ("place", ("placement", "n_sensors"), [4], "placement"),
     ("place", ("placement", "sigma_s2"), "abc", "placement"),
     ("place", ("placement", "n_candidates"), float("inf"), "placement"),
-    ("place", ("placement", "max_combos"), None, "placement"),
     ("place", ("seed",), [1], "config"),
     ("simulate", ("datasets", 0, "grid"), [3], "datasets[0]"),
     ("simulate", ("datasets", 0, "snr"), [1], "datasets[0]"),
     ("simulate", ("datasets", 0, "ndp"), float("inf"), "datasets[0]"),
     ("study", ("study", "noise", "snrs"), 5, "study.noise"),
     ("study", ("study", "noise", "r"), [1], "study.noise")]
+
+# One misspelled key per section: (command, path to the key, its value,
+# the message).  Every key is checked as the config loads, whichever
+# command runs and whether or not it reads the section.
+MISSPELLED_KEYS = [
+    ("simulate", ("sead",), 3, "config: unknown key 'sead'"),
+    ("simulate", ("beam", "EJ"), 1.0, "beam: unknown key 'EJ'"),
+    ("place", ("bcs", 0, "location"), [0.0, 1.0],
+     "bcs[0]: unknown key 'location'"),
+    ("simulate", ("datasets", 0, "sigma"), 0.0,
+     "datasets[0]: unknown key 'sigma'"),
+    ("simulate", ("datasets", 1, "placement", "n_candidate"), 6,
+     "datasets[1].placement: unknown key 'n_candidate'"),
+    ("identify", ("datasets", 0, "sigma_n_int"), 1e-4,
+     "datasets[0]: unknown key 'sigma_n_int'"),
+    ("identify", ("priors", "Ei"), {"lo_factor": 0.5},
+     "priors: unknown key 'Ei'"),
+    ("identify", ("priors", "EI", "lo"), 0.5, "priors.EI: unknown key 'lo'"),
+    ("identify", ("mcmc", "n_burn"), 10, "mcmc: unknown key 'n_burn'"),
+    ("predict", ("predict", "ngrid"), 5, "predict: unknown key 'ngrid'"),
+    ("predict", ("predict", "strain_grid", "ny"), 3,
+     "predict.strain_grid: unknown key 'ny'"),
+    ("place", ("placement", "critera"), ["mi"],
+     "placement: unknown key 'critera'"),
+    ("study", ("study", "nosie"), {}, "study: unknown key 'nosie'"),
+    ("study", ("study", "noise", "snr"), 20.0,
+     "study.noise: unknown key 'snr'"),
+    ("study", ("study", "rigidity"), {"r_values": [1.0], "r": 1.0},
+     "study.rigidity: unknown key 'r'"),
+    # The ndp study runs at r = 1, so its section declares no r.
+    ("study", ("study", "ndp"), {"values": [1], "r": 1.0},
+     "study.ndp: unknown key 'r'")]
+
+# The knobs that gave a setting a second way in, each with its one knob:
+# a dataset's sigma_n (with learn_noise), a study's replications and
+# placement.MAX_COMBOS, which place --full-scale lifts.
+REMOVED_KNOBS = [
+    ("identify", ("datasets", 0, "sigma_n_init"), 1e-3,
+     "datasets[0]: unknown key 'sigma_n_init'"),
+    ("study", ("study", "noise", "full_replications"), 5,
+     "study.noise: unknown key 'full_replications'"),
+    ("place", ("placement", "max_combos"), 100,
+     "placement: unknown key 'max_combos'")]
+
+
+def _every_declared_key(table):
+    """A config holding every key of ``table``, each value a placeholder."""
+    if isinstance(table, list):
+        return [_every_declared_key(table[0])]
+    return {key: 1 if sub is None else _every_declared_key(sub)
+            for key, sub in table.items()}
+
+
+def _declared_keys(table):
+    """(value keys, section keys) that ``table`` declares at every depth."""
+    if isinstance(table, list):
+        return _declared_keys(table[0])
+    values = {key for key, sub in table.items() if sub is None}
+    sections = set(table) - values
+    for sub in table.values():
+        if sub is not None:
+            sub_values, sub_sections = _declared_keys(sub)
+            values |= sub_values
+            sections |= sub_sections
+    return values, sections
 
 
 class TestConfigFuzz:
@@ -1067,17 +1118,26 @@ class TestConfigFuzz:
         ("identify", ("priors", "EI"), {"lo_factor": 2.0},
          "priors.EI: lo_factor must be below hi_factor, got 2.0 and 1.5"),
         ("identify", ("priors", "kGA", "hi_factor"), 0.5,
-         "priors.kGA: lo_factor must be below hi_factor, got 0.5 and 0.5")],
+         "priors.kGA: lo_factor must be below hi_factor, got 0.5 and 0.5"),
+        ("predict", ("predict", "n_grid"), 0,
+         "predict: n_grid must be a whole number >= 1, got 0"),
+        ("predict", ("predict", "strain_grid", "nx"), 0,
+         "predict.strain_grid: nx must be a whole number >= 1, got 0"),
+        ("predict", ("predict", "strain_grid", "nz"), 0,
+         "predict.strain_grid: nz must be a whole number >= 1, got 0"),
+        ("study", ("study", "noise", "replications"), 0,
+         "study.noise: replications must be a whole number >= 1, got 0")],
         ids=["n_t", "n_b", "max_draws", "n_sensors", "scale_key",
              "scale_noise", "lo_zero", "lo_negative", "hi_zero",
-             "lo_negative_box", "lo_above_hi", "empty_box"])
+             "lo_negative_box", "lo_above_hi", "empty_box", "n_grid", "nx",
+             "nz", "replications"])
     def test_out_of_range_value_named(self, fuzz_dir, command, path, value,
                                       message):
         """Values of the right type that the model cannot take (a zero
         stride, a burn-in as long as the chain, no draws, a map of no
         sensors: FUZZ_PLACE asks for a map, a step for no parameter, a
-        stiffness box that is empty or reaches zero) name their section
-        and key."""
+        stiffness box that is empty or reaches zero, a count that would
+        size an output of no rows) name their section and key."""
         code, err = _fuzz_run(fuzz_dir, fuzz_rows(),
                               _switched(FUZZ_BASES[command], path, value),
                               command)
@@ -1137,3 +1197,45 @@ class TestConfigFuzz:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: placement: kinds must be a list "
                               "of quantity codes, got 'w'"), err
+
+    @pytest.mark.parametrize("case", MISSPELLED_KEYS + REMOVED_KNOBS,
+                             ids=lambda c: f"{c[0]}-{c[1][-1]}")
+    def test_unknown_key_named_by_section(self, tmp_path, case):
+        """Refused as the config loads: no output directory is made."""
+        command, path, value, message = case
+        code, err = _fuzz_run(tmp_path, fuzz_rows(),
+                              _switched(FUZZ_BASES[command], path, value),
+                              command)
+        assert code == cli.EXIT_CONFIG, err
+        assert err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_study_full_scale_flag_is_gone(self, fuzz_dir, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["study", "--study", "noise", "--config", "c.json",
+                 "--out", fuzz_dir / "out", "--full-scale"])
+        assert exc_info.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --full-scale" in \
+            capsys.readouterr().err
+
+    def test_config_of_every_declared_key_loads(self, tmp_path):
+        cfg = dict(_every_declared_key(cli.CONFIG_KEYS), version=1)
+        assert cli.load_config(write_config(tmp_path, cfg)) == cfg
+
+    def test_every_key_read_is_declared(self):
+        """Each key literal of a _read or _entries call in cli.py is in
+        CONFIG_KEYS, a section where the call parses an object or a list
+        of them and a value elsewhere, so a key the readers take is never
+        refused."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        reads = {(node.args[2].value,
+                  getattr(node.args[3], "id", "") in ("_section", "_sections"))
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in ("_read", "_entries")
+                 and isinstance(node.args[2], ast.Constant)}
+        values, sections = _declared_keys(cli.CONFIG_KEYS)
+        assert len(reads) > 30
+        assert not {key for key, section in reads
+                    if key not in (sections if section else values)}

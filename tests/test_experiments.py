@@ -360,6 +360,21 @@ class TestSweeps:
         monkeypatch.setenv(experiments.THREADS_ENV, "0")
         assert experiments.worker_count() == 1
 
+    def test_worker_count_follows_affinity(self, monkeypatch):
+        """One allowed CPU of eight (taskset -c 0, a cpuset) is one
+        worker; the environment still overrides it, and without an
+        affinity call the CPU count sizes the pool."""
+        monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert experiments.worker_count() == 1
+        monkeypatch.setenv(experiments.THREADS_ENV, "3")
+        assert experiments.worker_count() == 3
+        monkeypatch.delenv(experiments.THREADS_ENV)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiments.worker_count() == 8
+
 
 class TestEffectiveSampleSize:
     def test_iid_near_n(self):
