@@ -38,10 +38,6 @@ class BeamConfig:
         if not math.isfinite(self.q0):
             raise ValueError(f"q0 must be finite, got {self.q0!r}")
 
-    @property
-    def rigidity(self) -> float:
-        return rigidity_factor(self.EI_true, self.L, self.kGA_true)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -62,13 +58,6 @@ class NoiseSpec:
             raise ValueError("snr must be positive")
         if self.sigma_n is not None and self.sigma_n < 0:
             raise ValueError("sigma_n must be non-negative")
-
-
-def rigidity_factor(EI: float, L: float, kGA: float) -> float:
-    """Rigidity factor r = 3 EI / (L^2 kGA) governing the shear contribution."""
-    if not (EI > 0 and L > 0 and kGA > 0):
-        raise ValueError("EI, L and kGA must all be positive")
-    return 3.0 * EI / (L**2 * kGA)
 
 
 def _check_x(cfg: BeamConfig, x: np.ndarray) -> np.ndarray:
@@ -119,14 +108,6 @@ def analytic_field(cfg: BeamConfig, quantity: QuantityKind, x, z=None):
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     return out if out.ndim else float(out)
-
-
-def shear_fraction(cfg: BeamConfig) -> float:
-    """Fraction of the midspan deflection contributed by shear, in [0, 1]."""
-    mid = cfg.L / 2.0
-    ws = float(shear_deflection(cfg, mid))
-    w = float(bending_deflection(cfg, mid)) + ws
-    return ws / w
 
 
 def field_max(cfg: BeamConfig, quantity: QuantityKind, z=None) -> float:

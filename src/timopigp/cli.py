@@ -109,7 +109,7 @@ def _list(parse, what: str):
 
 
 _switch = _parser("true or false", lambda v: isinstance(v, bool))
-_text = _parser("a string", lambda v: isinstance(v, str))
+_label = _parser("a non-empty string", lambda v: isinstance(v, str) and v)
 _section = _parser("an object", lambda v: isinstance(v, dict))
 # Not finite: the entries that check a value's finiteness name it.
 _number = _parser("a number", lambda v: _real(v) or isinstance(v, float),
@@ -298,6 +298,19 @@ def resolve_locations(spec: dict, beam: BeamConfig, where: str,
     raise ConfigError(f"{where}: needs 'locations', 'grid' or 'placement'")
 
 
+def _dataset_specs(cfg: dict) -> dict:
+    """The config's datasets as {name: (i, entry)}, in order: entry i is
+    named by its ``label``, else ``ds<i>``, and no two share a name."""
+    specs = {}
+    for i, spec in enumerate(_read(cfg, "config", "datasets", _sections, [])):
+        label = _read(spec, f"datasets[{i}]", "label", _label, f"ds{i}")
+        if label in specs:
+            raise ConfigError(f"datasets[{i}]: label {label!r} is also "
+                              f"datasets[{specs[label][0]}]'s")
+        specs[label] = (i, spec)
+    return specs
+
+
 def _write_manifest(out_dir: Path, cfg: dict, seed: int, outputs: dict):
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump({"config_sha256": config_hash(cfg), "root_seed": seed,
@@ -307,7 +320,7 @@ def _write_manifest(out_dir: Path, cfg: dict, seed: int, outputs: dict):
 def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
     beam = beam_from_config(cfg)
     outputs = {}
-    for i, spec in enumerate(_read(cfg, "config", "datasets", _sections, [])):
+    for label, (i, spec) in _dataset_specs(cfg).items():
         where = f"datasets[{i}]"
         kind = _read(spec, where, "kind", _kind)
         locs = resolve_locations(spec, beam, where, kind)
@@ -320,7 +333,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
             else NoiseSpec(sigma_n=sigma_n or 0.0, seed=ds_seed)
         ds = beam_mod.synthesize_dataset(
             beam, kind, locs, noise, z=_read(spec, where, "z", _depths, None),
-            label=_read(spec, where, "label", _text, f"ds{i}"))
+            label=label)
         outputs[f"data_{ds.label}.csv"] = {"seed": ds_seed}
         write_datasets_csv(out_dir / f"data_{ds.label}.csv", [ds])
     _write_manifest(out_dir, cfg, seed, outputs)
@@ -390,12 +403,18 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
 
 
 def _apply_dataset_config(datasets: list, cfg: dict):
-    """Attach noise treatment from the config to CSV-loaded datasets."""
-    specs = _read(cfg, "config", "datasets", _sections, [])
-    by_label = {_read(spec, f"datasets[{i}]", "label", _text, None): spec
-                for i, spec in enumerate(specs)}
+    """Attach noise treatment from the config to CSV-loaded datasets, each
+    from the entry of its name; an entry with noise keys must name one."""
+    specs = _dataset_specs(cfg)
+    loaded = dict.fromkeys(ds.label for ds in datasets)
+    for label, (i, spec) in specs.items():
+        if label not in loaded and (spec.get("sigma_n") is not None
+                                    or spec.get("learn_noise") is not None):
+            raise ConfigError(f"datasets[{i}]: label {label!r} sets a noise "
+                              "key but names no dataset of --data (loaded: "
+                              f"{', '.join(map(repr, loaded))})")
     for ds in datasets:
-        spec = by_label.get(ds.label, {})
+        spec = specs.get(ds.label, (None, {}))[1]
         where = f"dataset {ds.label!r}"
         sigma_n = _read(spec, where, "sigma_n", _level, None)
         if sigma_n is not None:

@@ -29,11 +29,9 @@ class StuckChainError(RuntimeError):
     """The sampler rejected every proposal for an excessive number of steps."""
 
     def __init__(self, n_steps: int, diagnostics: dict | None = None):
-        self.n_steps = n_steps
-        self.diagnostics = diagnostics or {}
         super().__init__(
             f"no proposal accepted in {n_steps} steps; "
-            f"diagnostics: {self.diagnostics}"
+            f"diagnostics: {diagnostics or {}}"
         )
 
 
@@ -41,8 +39,6 @@ class EnumerationGuardError(RuntimeError):
     """Exhaustive subset enumeration would exceed the configured guard."""
 
     def __init__(self, n_combos: int, max_combos: int):
-        self.n_combos = n_combos
-        self.max_combos = max_combos
         super().__init__(
             f"{n_combos} subsets exceed the guard of {max_combos}; "
             "re-run with --full-scale to lift the limit"
@@ -66,6 +62,4 @@ class DataFormatError(ValueError):
     """A CSV input file could not be parsed."""
 
     def __init__(self, path, line_no: int, message: str):
-        self.path = path
-        self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")

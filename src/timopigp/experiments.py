@@ -210,7 +210,6 @@ def _run_sweep_task(task: SweepTask) -> dict:
         "EI_std": stats["EI"]["std"] / beam.EI_true,
         "kGA_mean": stats["kGA"]["mean"] / beam.kGA_true,
         "kGA_std": stats["kGA"]["std"] / beam.kGA_true,
-        "acceptance": chain.acceptance_rate,
     }
 
 

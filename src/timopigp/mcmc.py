@@ -164,7 +164,6 @@ class PosteriorChain:
     param_names: list
     draws: np.ndarray
     acceptance_rate: float
-    log_posterior_trace: np.ndarray
     target_counts: dict = field(default_factory=dict)
 
     @property
@@ -210,9 +209,9 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     """Generic symmetric-proposal MH core in unconstrained coordinates.
 
     ``scales`` holds the proposal std of each coordinate of ``x0``.
-    Returns (kept draws, acceptance rate, kept log-target values).  Proposal
-    scales optionally adapt towards ~30% acceptance during burn-in and are
-    frozen afterwards.
+    Returns (kept draws, acceptance rate).  Proposal scales optionally
+    adapt towards ~30% acceptance during burn-in and are frozen
+    afterwards.
     """
     rng = np.random.default_rng(cfg.seed)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -223,7 +222,7 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     if not np.isfinite(lt):
         raise ValueError("initial point has zero posterior density")
 
-    kept, kept_lt = [], []
+    kept = []
     accepts = 0
     window_accepts = 0
     window = 50
@@ -254,9 +253,7 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
             window_accepts = 0
         if i >= cfg.n_b and (i - cfg.n_b) % cfg.n_t == 0:
             kept.append(x.copy())
-            kept_lt.append(lt)
-    return (np.asarray(kept), accepts / cfg.n_total,
-            np.asarray(kept_lt))
+    return np.asarray(kept), accepts / cfg.n_total
 
 
 def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
@@ -324,8 +321,8 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     # exp overflows to inf past a log-scale value of ~709: Theta refuses
     # the inf, so the chain counts it without a warning.
     with np.errstate(over="ignore"):
-        draws_s, acc, lts = random_walk_metropolis(log_target, s0, cfg,
-                                                   scales=scales)
+        draws_s, acc = random_walk_metropolis(log_target, s0, cfg,
+                                              scales=scales)
     draws = draws_s.copy()
     draws[:, log_mask] = np.exp(draws_s[:, log_mask])
     target_counts = {
@@ -335,8 +332,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
                    for level in (0.0,) + gp.JITTER_LADDER},
     }
     return PosteriorChain(param_names=names, draws=draws,
-                          acceptance_rate=acc, log_posterior_trace=lts,
-                          target_counts=target_counts)
+                          acceptance_rate=acc, target_counts=target_counts)
 
 
 def summarize(chain: PosteriorChain) -> dict:

@@ -16,25 +16,45 @@ def make_cfg(L=1.0, EI=1.0, kGA=3.0, q0=1.0, h=0.1):
     return BeamConfig(L=L, EI_true=EI, kGA_true=kGA, q0=q0, h=h)
 
 
+def rigidity(cfg):
+    """The rigidity factor r = 3 EI / (L^2 kGA), which governs the shear
+    contribution."""
+    return 3.0 * cfg.EI_true / (cfg.L**2 * cfg.kGA_true)
+
+
+def shear_fraction(cfg):
+    """Fraction of the midspan deflection contributed by shear, in [0, 1]."""
+    mid = cfg.L / 2.0
+    ws = float(beam.shear_deflection(cfg, mid))
+    w = float(beam.bending_deflection(cfg, mid)) + ws
+    return ws / w
+
+
 class TestRigidityFactor:
+    """r sets the shear share of the midspan deflection, 3.2 r / (1 +
+    3.2 r), whatever the span and stiffnesses."""
+
+    @staticmethod
+    def check(cfg, r):
+        assert rigidity(cfg) == pytest.approx(r)
+        assert shear_fraction(cfg) == pytest.approx(3.2 * r / (1 + 3.2 * r))
+
     def test_unit_case(self):
-        assert beam.rigidity_factor(1.0, 1.0, 3.0) == pytest.approx(1.0)
+        self.check(make_cfg(EI=1.0, L=1.0, kGA=3.0), 1.0)
 
     def test_stiff_shear(self):
         # r = 3*2.5 / (4^2 * 1.5) = 0.3125
-        assert beam.rigidity_factor(2.5, 4.0, 1.5) == pytest.approx(0.3125)
+        self.check(make_cfg(EI=2.5, L=4.0, kGA=1.5), 0.3125)
 
     def test_soft_shear(self):
-        assert beam.rigidity_factor(1.0, 1.0, 1.0) == pytest.approx(3.0)
+        self.check(make_cfg(EI=1.0, L=1.0, kGA=1.0), 3.0)
 
     @pytest.mark.parametrize("EI,L,kGA", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
                                           (1.0, 1.0, 0.0), (-2.0, 1.0, 1.0)])
     def test_domain_error(self, EI, L, kGA):
+        """A beam whose r would not be positive is refused."""
         with pytest.raises(ValueError):
-            beam.rigidity_factor(EI, L, kGA)
-
-    def test_config_property(self):
-        assert CFG.rigidity == pytest.approx(1.0)
+            make_cfg(EI=EI, L=L, kGA=kGA)
 
 
 class TestAnalyticField:
@@ -88,7 +108,7 @@ class TestAnalyticField:
 
 class TestShearFraction:
     def test_vanishes_for_rigid_shear(self):
-        fracs = [beam.shear_fraction(make_cfg(kGA=kga))
+        fracs = [shear_fraction(make_cfg(kGA=kga))
                  for kga in (1e2, 1e4, 1e6)]
         assert fracs[0] > fracs[1] > fracs[2]
         assert fracs[2] < 1e-4
@@ -97,18 +117,18 @@ class TestShearFraction:
         # fraction = 3.2 r / (1 + 3.2 r)
         for kGA in (0.5, 3.0, 30.0):
             cfg = make_cfg(kGA=kGA)
-            r = cfg.rigidity
-            assert beam.shear_fraction(cfg) == \
+            r = rigidity(cfg)
+            assert shear_fraction(cfg) == \
                 pytest.approx(3.2 * r / (1.0 + 3.2 * r), rel=1e-12)
 
     def test_half_at_balanced_rigidity(self):
         # 3.2 r = 1  =>  r = 0.3125
         cfg = make_cfg(kGA=3.0 / 0.3125)
-        assert beam.shear_fraction(cfg) == pytest.approx(0.5, rel=1e-12)
+        assert shear_fraction(cfg) == pytest.approx(0.5, rel=1e-12)
 
     def test_ten_elevenths_at_large_rigidity(self):
         cfg = make_cfg(kGA=3.0 / 3.125)  # r = 3.125, 3.2 r = 10
-        assert beam.shear_fraction(cfg) == pytest.approx(10.0 / 11.0,
+        assert shear_fraction(cfg) == pytest.approx(10.0 / 11.0,
                                                          rel=1e-12)
 
 

@@ -587,6 +587,84 @@ class TestIdentifyPredict:
         assert "pred_w.csv" in m_pred["outputs"]
 
 
+class TestDatasetLabels:
+    """Config entry i names the dataset of its label, else ds<i>, in
+    simulate and in the noise treatment of identify and predict."""
+
+    SHORT = {"n_total": 40, "n_b": 10, "n_t": 2}
+
+    def test_unlabelled_entry_is_ds_i(self, tmp_path):
+        """The entry of simulate's ds0 holds ds0's noise in identify."""
+        cfg = {"version": 1, "beam": BEAM, "seed": 3, "mcmc": self.SHORT,
+               "datasets": [{"kind": "w", "grid": 7, "snr": 50,
+                             "learn_noise": False}]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", path, "--out", out]) == 0
+        assert run(["identify", "--config", path, "--out", out,
+                    "--data", out / "data_ds0.csv"]) == 0
+        header = (out / "chain.csv").read_text().splitlines()[0]
+        assert header == "sigma_s2,ell,EI,kGA"
+
+    @pytest.mark.parametrize("command", ["identify", "predict"])
+    @pytest.mark.parametrize("noise", [{"sigma_n": 1e-4},
+                                       {"learn_noise": False}],
+                             ids=lambda d: next(iter(d)))
+    def test_noise_entry_of_no_loaded_dataset_named(self, workflow, capsys,
+                                                    command, noise):
+        tmp_path, out_id, _ = workflow
+        cfg = {"version": 1, "beam": BEAM, "mcmc": self.SHORT,
+               "datasets": [{"label": "W", **noise}]}
+        out = tmp_path / f"unmatched_{command}_{next(iter(noise))}"
+        args = [command, "--config", write_config(tmp_path, cfg, "W.json"),
+                "--out", out, "--data", tmp_path / "sim" / "data_w.csv"]
+        if command == "predict":
+            args += ["--chain", out_id / "chain.csv"]
+        assert run(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            "config error: datasets[0]: label 'W' sets a noise key but "
+            "names no dataset of --data (loaded: 'w')")
+        assert list(out.iterdir()) == []
+
+    def test_entry_without_noise_keys_may_name_no_dataset(self, workflow):
+        """A simulate-only entry does not need its data loaded."""
+        tmp_path, _, _ = workflow
+        cfg = {"version": 1, "beam": BEAM, "mcmc": self.SHORT,
+               "datasets": [{"kind": "phi", "grid": 7, "snr": 50,
+                             "label": "phi"}]}
+        assert run(["identify", "--config",
+                    write_config(tmp_path, cfg, "phi.json"), "--out",
+                    tmp_path / "phi_unloaded", "--data",
+                    tmp_path / "sim" / "data_w.csv"]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    def test_repeated_label_named(self, workflow, capsys, command):
+        tmp_path, _, _ = workflow
+        cfg = {"version": 1, "beam": BEAM, "mcmc": self.SHORT,
+               "datasets": [{"kind": "q", "grid": 7, "sigma_n": 0.0,
+                             "label": "q"},
+                            {"kind": "q", "grid": 7, "sigma_n": 1.0,
+                             "label": "q"}]}
+        out = tmp_path / f"repeated_{command}"
+        args = [command, "--config", write_config(tmp_path, cfg, "qq.json"),
+                "--out", out]
+        if command == "identify":
+            args += ["--data", tmp_path / "sim" / "data_q.csv"]
+        assert run(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            "config error: datasets[1]: label 'q' is also datasets[0]'s")
+        assert list(out.iterdir()) == []
+
+    def test_empty_label_named(self, tmp_path, capsys):
+        cfg = {"version": 1, "beam": BEAM,
+               "datasets": [{"kind": "w", "grid": 3, "label": ""}]}
+        assert run(["simulate", "--config", write_config(tmp_path, cfg),
+                    "--out", tmp_path / "out"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            "config error: datasets[0]: label must be a non-empty string, "
+            "got ''")
+
+
 @pytest.mark.parametrize("cfg", [{}, {"mcmc": {}}], ids=["absent", "empty"])
 def test_mcmc_defaults_are_mcmc_config_defaults(cfg):
     assert cli.mcmc_from_config(cfg, 7) == mcmc.McmcConfig(seed=7)

@@ -25,7 +25,9 @@ from timopigp.quantities import QuantityKind
 class TestScenarioBeam:
     @pytest.mark.parametrize("r", [1e-3, 0.1, 1.0, 100.0])
     def test_requested_rigidity(self, r):
-        assert scenario_beam(r).rigidity == pytest.approx(r, rel=1e-12)
+        beam = scenario_beam(r)
+        assert 3.0 * beam.EI_true / (beam.L**2 * beam.kGA_true) == \
+            pytest.approx(r, rel=1e-12)
 
     def test_boundary_conditions(self):
         beam = scenario_beam(1.0)
@@ -346,8 +348,7 @@ class TestSweeps:
 
     def test_aggregate_handles_failures(self):
         agg = experiments._aggregate([
-            {"EI_mean": 1.0, "EI_std": 0.1, "kGA_mean": 1.0, "kGA_std": 0.2,
-             "acceptance": 0.3},
+            {"EI_mean": 1.0, "EI_std": 0.1, "kGA_mean": 1.0, "kGA_std": 0.2},
             {"error": "boom"}])
         assert agg["n_reps"] == 1
         assert agg["n_failed"] == 1

@@ -128,8 +128,7 @@ class TestLogPosterior:
 
 def chain_of(draws, names):
     return mcmc.PosteriorChain(param_names=names, draws=np.asarray(draws),
-                               acceptance_rate=0.3,
-                               log_posterior_trace=np.zeros(len(draws)))
+                               acceptance_rate=0.3)
 
 
 class TestThetasFromDraws:
@@ -192,7 +191,7 @@ class TestRandomWalkMetropolis:
     def test_standard_gaussian_moments(self):
         """Long chain on log N(0,1) reproduces its first two moments."""
         cfg = McmcConfig(n_total=250000, n_b=2000, n_t=5, seed=42)
-        draws, acc, _ = random_walk_metropolis(
+        draws, acc = random_walk_metropolis(
             lambda x: -0.5 * float(x[0] ** 2), np.array([0.0]), cfg,
             scales=[2.4])
         x = draws[:, 0]
@@ -207,7 +206,7 @@ class TestRandomWalkMetropolis:
 
     def test_small_steps_accept_almost_always(self):
         cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=1, adapt=False)
-        _, acc, _ = random_walk_metropolis(
+        _, acc = random_walk_metropolis(
             lambda x: -0.5 * float(x[0] ** 2), np.array([0.3]), cfg,
             scales=[1e-8])
         assert acc > 0.999
@@ -215,7 +214,7 @@ class TestRandomWalkMetropolis:
     def test_detailed_balance_two_halves(self):
         """Transitions A->B and B->A between the half-lines balance."""
         cfg = McmcConfig(n_total=60000, n_b=0, n_t=1, seed=9, adapt=False)
-        draws, _, _ = random_walk_metropolis(
+        draws, _ = random_walk_metropolis(
             lambda x: -0.5 * float(x[0] ** 2), np.array([0.1]), cfg,
             scales=[1.5])
         x = draws[:, 0]
@@ -226,13 +225,12 @@ class TestRandomWalkMetropolis:
     def test_reproducible_bitwise(self):
         cfg = McmcConfig(n_total=500, n_b=100, n_t=2, seed=7)
         target = lambda x: -0.5 * float(np.sum(x**2))
-        a, acc_a, la = random_walk_metropolis(target, np.zeros(2), cfg,
-                                              scales=[0.1, 0.1])
-        b, acc_b, lb = random_walk_metropolis(target, np.zeros(2), cfg,
-                                              scales=[0.1, 0.1])
+        a, acc_a = random_walk_metropolis(target, np.zeros(2), cfg,
+                                          scales=[0.1, 0.1])
+        b, acc_b = random_walk_metropolis(target, np.zeros(2), cfg,
+                                          scales=[0.1, 0.1])
         np.testing.assert_array_equal(a, b)
         assert acc_a == acc_b
-        np.testing.assert_array_equal(la, lb)
 
     def test_stuck_chain_raises(self):
         def spike(x):
@@ -261,11 +259,11 @@ class TestRandomWalkMetropolis:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed=None: ZeroUniform())
         cfg = McmcConfig(n_total=20, n_b=0, n_t=1, seed=0, adapt=False)
-        draws, acc, lts = random_walk_metropolis(
+        draws, acc = random_walk_metropolis(
             lambda x: 0.0 if x[0] == 0.0 else -np.inf, np.array([0.0]), cfg,
             scales=[0.1])
         assert acc == 0.0
-        assert np.all(draws == 0.0) and np.all(lts == 0.0)
+        assert np.all(draws == 0.0)
 
 
 class TestRunChain:
@@ -285,7 +283,6 @@ class TestRunChain:
         kga = chain.draws[:, names.index("kGA")]
         assert np.all((0.5 <= ei) & (ei <= 1.5))
         assert np.all((1.5 <= kga) & (kga <= 4.5))
-        assert np.all(np.isfinite(chain.log_posterior_trace))
 
     def test_learned_noise_parameter_present(self):
         datasets, bcs = tiny_problem()
@@ -466,13 +463,11 @@ class TestLeanStep:
         counts = Counter()
         target, is_log = slow_target(datasets, bcs, priors,
                                      chain.param_names, counts)
-        draws_s, acc, lts = real(target, seen["x0"], cfg,
-                                 scales=seen["scales"])
+        draws_s, acc = real(target, seen["x0"], cfg, scales=seen["scales"])
         draws = draws_s.copy()
         draws[:, is_log] = np.exp(draws_s[:, is_log])
         assert chain.acceptance_rate == acc > 0.0
         assert chain.draws.tobytes() == draws.tobytes()
-        assert chain.log_posterior_trace.tobytes() == lts.tobytes()
 
         got = chain.target_counts
         assert got["evaluations"] == counts["evaluations"]
@@ -542,8 +537,7 @@ class TestSummarize:
     def _chain(self, draws, names=("EI",)):
         draws = np.asarray(draws, float)
         return mcmc.PosteriorChain(param_names=list(names), draws=draws,
-                                   acceptance_rate=0.3,
-                                   log_posterior_trace=np.zeros(len(draws)))
+                                   acceptance_rate=0.3)
 
     def test_constant_chain(self):
         s = summarize(self._chain([[2.0]] * 10))
