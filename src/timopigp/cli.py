@@ -1,8 +1,9 @@
 """Command-line front end: simulate | place | identify | predict | study.
 
-Configs are versioned JSON; all tabular output is CSV.  Every run writes a
-manifest listing the produced files with their generating seed and the
-config hash, and all randomness flows from a single root seed expanded
+Configs are versioned JSON; all tabular output is CSV.  A command takes
+every output path from its run's ``Run``, which records the file with its
+generating seed; ``main`` writes that record and the config hash as
+manifest.json.  All randomness flows from a single root seed expanded
 per (sweep point, replication).
 """
 
@@ -47,7 +48,7 @@ def load_config(path) -> dict:
     """The JSON object at ``path``: version 1, each key in CONFIG_KEYS."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -58,6 +59,15 @@ def load_config(path) -> dict:
                           f"expected {CONFIG_VERSION}")
     _check_keys(cfg, CONFIG_KEYS, "config")
     return cfg
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object of ``pairs``; a key given twice is a ConfigError."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+    return dict(pairs)
 
 
 def config_hash(cfg: dict) -> str:
@@ -109,7 +119,8 @@ def _list(parse, what: str):
 
 
 _switch = _parser("true or false", lambda v: isinstance(v, bool))
-_label = _parser("a non-empty string", lambda v: isinstance(v, str) and v)
+_label = _parser("a non-empty string without / or \\", lambda v: (
+    isinstance(v, str) and v and not set(v) & set("/\\")))
 _section = _parser("an object", lambda v: isinstance(v, dict))
 # Not finite: the entries that check a value's finiteness name it.
 _number = _parser("a number", lambda v: _real(v) or isinstance(v, float),
@@ -272,30 +283,34 @@ def _entries(spec: dict, where: str, key: str, parse, default) -> list:
 
 def resolve_locations(spec: dict, beam: BeamConfig, where: str,
                       kind: QuantityKind) -> np.ndarray:
-    """Dataset locations: explicit list, interior grid, or placement ref;
-    a ConfigError names the key that gives none."""
-    def some(key, locs):
-        if not len(locs):
-            raise ConfigError(f"{where}: {key}: locations must not be empty")
-        return np.asarray(locs)
-
-    if "locations" in spec:
-        return some("locations", _read(spec, where, "locations", _numbers))
-    if "grid" in spec:
+    """Dataset locations from exactly one of an explicit list, an interior
+    grid and a placement reference."""
+    given = [key for key in ("locations", "grid", "placement") if key in spec]
+    if len(given) != 1:
+        raise ConfigError(f"{where}: needs one of 'locations', 'grid' or "
+                          f"'placement', got {given or 'none'}")
+    if "include_ends" in spec and given != ["grid"]:
+        raise ConfigError(f"{where}: include_ends needs grid")
+    (key,) = given
+    if key == "locations":
+        locs = _read(spec, where, "locations", _numbers)
+    elif key == "grid":
         n = _read(spec, where, "grid", _count)
-        if _read(spec, where, "include_ends", _switch, False):
-            return some("grid", np.linspace(0.0, beam.L, n))
-        return some("grid", np.linspace(0.0, beam.L, n + 2)[1:-1])
-    if "placement" in spec:
+        locs = np.linspace(0.0, beam.L, n) \
+            if _read(spec, where, "include_ends", _switch, False) \
+            else np.linspace(0.0, beam.L, n + 2)[1:-1]
+    else:
         p = _read(spec, where, "placement", _section)
-        where = f"{where}.placement"
-        return some("n_sensors", experiments.sensor_set(
+        where, key = f"{where}.placement", "n_sensors"
+        locs = experiments.sensor_set(
             beam, _read(p, where, "kind", _kind, kind),
             _read(p, where, "criterion", _criterion, "physics"),
             *_budget(p, where),
             ell=_read(p, where, "ell", _scale, None),
-            with_bcs=_read(p, where, "with_bcs", _switch, True)))
-    raise ConfigError(f"{where}: needs 'locations', 'grid' or 'placement'")
+            with_bcs=_read(p, where, "with_bcs", _switch, True))
+    if not len(locs):
+        raise ConfigError(f"{where}: {key}: locations must not be empty")
+    return np.asarray(locs)
 
 
 def _dataset_specs(cfg: dict) -> dict:
@@ -311,36 +326,48 @@ def _dataset_specs(cfg: dict) -> dict:
     return specs
 
 
-def _write_manifest(out_dir: Path, cfg: dict, seed: int, outputs: dict):
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump({"config_sha256": config_hash(cfg), "root_seed": seed,
-                   "outputs": outputs}, fh, indent=2, sort_keys=True)
+class Run:
+    """One command run's writer: it makes the output directory, and every
+    output path comes from ``path``, which records the file's seed."""
+
+    def __init__(self, out_dir, seed: int):
+        self.out_dir, self.seed, self.outputs = Path(out_dir), seed, {}
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str, seed: int | None = None) -> Path:
+        self.outputs[name] = {"seed": self.seed if seed is None else seed}
+        return self.out_dir / name
 
 
-def cmd_simulate(cfg: dict, out_dir: Path, seed: int) -> int:
+def _write_json(path: Path, value, sort_keys: bool = False):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=sort_keys)
+
+
+def cmd_simulate(cfg: dict, run: Run, args) -> int:
     beam = beam_from_config(cfg)
-    outputs = {}
     for label, (i, spec) in _dataset_specs(cfg).items():
         where = f"datasets[{i}]"
         kind = _read(spec, where, "kind", _kind)
+        if spec.get("z") is not None and kind is not QuantityKind.STRAIN:
+            raise ConfigError(f"{where}: z needs kind eps, got {kind.code!r}")
         locs = resolve_locations(spec, beam, where, kind)
         locs = np.tile(locs, _read(spec, where, "ndp", _repeats, 1))
-        ds_seed = experiments.replication_seed(seed, i, 0)
+        ds_seed = experiments.replication_seed(run.seed, i, 0)
         sigma_n = _read(spec, where, "sigma_n", _level, None)
         snr = _read(spec, where, "snr", _positive, None)
-        noise = NoiseSpec(snr=snr, seed=ds_seed) \
-            if sigma_n is None and snr is not None \
+        if sigma_n is not None and snr is not None:
+            raise ConfigError(f"{where}: sigma_n and snr exclude each other")
+        noise = NoiseSpec(snr=snr, seed=ds_seed) if snr is not None \
             else NoiseSpec(sigma_n=sigma_n or 0.0, seed=ds_seed)
         ds = beam_mod.synthesize_dataset(
             beam, kind, locs, noise, z=_read(spec, where, "z", _depths, None),
             label=label)
-        outputs[f"data_{ds.label}.csv"] = {"seed": ds_seed}
-        write_datasets_csv(out_dir / f"data_{ds.label}.csv", [ds])
-    _write_manifest(out_dir, cfg, seed, outputs)
+        write_datasets_csv(run.path(f"data_{ds.label}.csv", ds_seed), [ds])
     return EXIT_OK
 
 
-def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
+def cmd_place(cfg: dict, run: Run, args) -> int:
     beam = beam_from_config(cfg)
     p = _read(cfg, "config", "placement", _section)
     entropy_map = _read(p, "placement", "entropy_map", _switch, False)
@@ -359,20 +386,18 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
     # kind's candidate Sigma built once for its map and its greedies.
     # Each kind is its own problem, with its own budget of n_sensors.
     prior = placement.Prior(bcs, params)
-    outputs = {}
     if entropy_map:
         maps = {kind: placement.exhaustive_entropy_map(
             PlacementProblem(candidates=candidates, kinds=kind,
                              n_sensors=n_sensors, prior=prior),
-            max_combos=math.inf if full_scale else placement.MAX_COMBOS)
+            max_combos=math.inf if args.full_scale else placement.MAX_COMBOS)
             for kind in kinds}
         for kind, values in maps.items():
             # The map does not depend on the criterion: its rows are
             # formatted once and written to each criterion's file.
-            paths = [out_dir / f"entropy_map_{crit.value}_{kind.code}.csv"
+            paths = [run.path(f"entropy_map_{crit.value}_{kind.code}.csv")
                      for crit in criteria]
             write_map_csv(paths, n_candidates, n_sensors, values)
-            outputs.update((path.name, {"seed": seed}) for path in paths)
 
     results = []
     for crit in criteria:
@@ -395,10 +420,7 @@ def cmd_place(cfg: dict, out_dir: Path, seed: int, full_scale: bool) -> int:
                            for name in gp.Theta.FIELDS},
             })
 
-    with open(out_dir / "placement.json", "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
-    outputs["placement.json"] = {"seed": seed}
-    _write_manifest(out_dir, cfg, seed, outputs)
+    _write_json(run.path("placement.json"), results)
     return EXIT_OK
 
 
@@ -447,48 +469,44 @@ def read_model_inputs(cfg: dict, data_paths) -> tuple:
     return beam, datasets, bcs_from_config(cfg, beam)
 
 
-def cmd_identify(cfg: dict, out_dir: Path, seed: int, data_paths,
-                 dump_kernels: bool) -> int:
-    beam, datasets, bcs = read_model_inputs(cfg, data_paths)
+def cmd_identify(cfg: dict, run: Run, args) -> int:
+    beam, datasets, bcs = read_model_inputs(cfg, args.data)
     priors = priors_from_config(cfg, beam)
-    mcfg = mcmc_from_config(cfg, seed)
-    if dump_kernels:
+    mcfg = mcmc_from_config(cfg, run.seed)
+    if args.dump_kernels:
         # K at the chain's start point.
         theta0 = experiments.default_theta0(datasets, beam, priors)
-        np.savetxt(out_dir / "kernel_matrix.csv",
+        np.savetxt(run.path("kernel_matrix.csv"),
                    gp.assemble(datasets, bcs, theta0).K, delimiter=",")
     chain = experiments.identify(datasets, bcs, beam, mcfg, priors=priors)
 
-    write_csv(out_dir / "chain.csv", chain.param_names, chain.draws.tolist())
+    write_csv(run.path("chain.csv"), chain.param_names, chain.draws.tolist())
     stats = mcmc.summarize(chain)
-    summary = dict(stats, EI_normalized=stats["EI"]["mean"] / beam.EI_true,
-                   kGA_normalized=stats["kGA"]["mean"] / beam.kGA_true)
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    diagnostics = {
+    _write_json(run.path("summary.json"), dict(
+        stats, EI_normalized=stats["EI"]["mean"] / beam.EI_true,
+        kGA_normalized=stats["kGA"]["mean"] / beam.kGA_true), sort_keys=True)
+    _write_json(run.path("diagnostics.json"), {
         "acceptance_rate": chain.acceptance_rate,
-        "seed": seed,
+        "seed": run.seed,
         "ess": {name: mcmc.effective_sample_size(chain.draws[:, i])
                 for i, name in enumerate(chain.param_names)},
         "log_target": chain.target_counts,
-    }
-    with open(out_dir / "diagnostics.json", "w", encoding="utf-8") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-    _write_manifest(out_dir, cfg, seed, {
-        name: {"seed": seed}
-        for name in ("chain.csv", "summary.json", "diagnostics.json")})
+    }, sort_keys=True)
     return EXIT_OK
 
 
-def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
-                data_paths) -> int:
-    beam, datasets, bcs = read_model_inputs(cfg, data_paths)
+def cmd_predict(cfg: dict, run: Run, args) -> int:
+    beam, datasets, bcs = read_model_inputs(cfg, args.data)
+    learned = sorted(ds.label for ds in datasets if ds.learn_noise)
 
     def chain_row(names):
         codec = mcmc.ThetaCodec(names)
+        if sorted(codec.labels) != learned:
+            raise ValueError(f"noise columns for {sorted(codec.labels)}, but "
+                             f"the config learns the noise of {learned}")
         return lambda fields: codec.theta(finite_floats(names, fields))
 
-    thetas = read_csv(chain_path, chain_row, empty="empty chain file")
+    thetas = read_csv(args.chain, chain_row, empty="empty chain file")
     pcfg = _read(cfg, "config", "predict", _section, {})
     max_draws = _read(pcfg, "predict", "max_draws", _repeats, 100)
     if len(thetas) > max_draws:
@@ -509,47 +527,40 @@ def cmd_predict(cfg: dict, out_dir: Path, seed: int, chain_path,
             queries.append((kind, xx.ravel(), zz.ravel()))
         else:
             queries.append((kind, x_star, None))
-    outputs = {}
     for pred in gp.predict_mixture(datasets, bcs, thetas, queries):
-        name = f"pred_{pred.kind.code}.csv"
         n = pred.x_star.size
         z = [None] * n if pred.z_star is None else pred.z_star
-        write_csv(out_dir / name, ["kind", "x", "z", "mean", "var"],
+        write_csv(run.path(f"pred_{pred.kind.code}.csv"),
+                  ["kind", "x", "z", "mean", "var"],
                   zip([pred.kind.code] * n, pred.x_star, z, pred.mean,
                       pred.var))
-        outputs[name] = {"seed": seed}
-    _write_manifest(out_dir, cfg, seed, outputs)
     return EXIT_OK
 
 
-def cmd_study(cfg: dict, out_dir: Path, seed: int, study_name: str) -> int:
-    where = f"study.{study_name}"
+def cmd_study(cfg: dict, run: Run, args) -> int:
+    where = f"study.{args.study}"
     scfg = _read(_read(cfg, "config", "study", _section, {}), "study",
-                 study_name, _section)
-    mcfg = mcmc_from_config(cfg, seed)
+                 args.study, _section)
+    mcfg = mcmc_from_config(cfg, run.seed)
     reps = _read(scfg, where, "replications", _repeats, 50)
 
-    study = experiments.STUDIES[study_name]
+    study = experiments.STUDIES[args.study]
     settings = {k: _read(scfg, where, k, _positive)
                 for k in study.settings if k in scfg}
     points = experiments.sweep_study(
-        study_name, _read(scfg, where, study.config_key, _positives,
-                          study.default), reps, seed, mcfg, **settings)
+        args.study, _read(scfg, where, study.config_key, _positives,
+                          study.default), reps, run.seed, mcfg, **settings)
 
-    name = f"study_{study_name}.csv"
     fields = ["sweep_value", "n_reps", "n_failed"] + [
         f"{p}_{stat}" for p in ("EI", "kGA")
         for stat in ("mean", "mean_std", "post_std", "ci_lo", "ci_hi")]
-    write_csv(out_dir / name, fields,
+    write_csv(run.path(f"study_{args.study}.csv"), fields,
               ([value] + [agg.get(k) for k in fields[1:]]
                for value, agg in points.items()))
-    failures = f"study_{study_name}_failures.json"
-    with open(out_dir / failures, "w", encoding="utf-8") as fh:
-        json.dump([dict(sweep_value=value, **failure)
-                   for value, agg in points.items()
-                   for failure in agg["failures"]], fh, indent=2)
-    _write_manifest(out_dir, cfg, seed, {name: {"seed": seed},
-                                         failures: {"seed": seed}})
+    failures = f"study_{args.study}_failures.json"
+    _write_json(run.path(failures), [dict(sweep_value=value, **failure)
+                                     for value, agg in points.items()
+                                     for failure in agg["failures"]])
     n_failed = sum(agg["n_failed"] for agg in points.values())
     if n_failed and not any(agg["n_reps"] for agg in points.values()):
         print(f"numerical failure: no replication succeeded ({n_failed} "
@@ -564,28 +575,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Physics-informed GP toolkit for static Timoshenko beams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
+    def command(name, help, func):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="root seed (overrides config)")
         return p
 
-    command("simulate", "synthesize noisy datasets")
-    p = command("place", "run sensor placement criteria")
+    command("simulate", "synthesize noisy datasets", cmd_simulate)
+    p = command("place", "run sensor placement criteria", cmd_place)
     p.add_argument("--full-scale", action="store_true",
                    help="lift the entropy map's enumeration guard")
-    p = command("identify", "MH stiffness identification")
+    p = command("identify", "MH stiffness identification", cmd_identify)
     p.add_argument("--data", nargs="+", required=True,
                    help="dataset CSV files")
     p.add_argument("--dump-kernels", action="store_true",
                    help="dump the assembled covariance matrix as CSV")
-    p = command("predict", "mixture predictions from a chain")
+    p = command("predict", "mixture predictions from a chain", cmd_predict)
     p.add_argument("--chain", required=True, help="chain CSV from identify")
     p.add_argument("--data", nargs="+", required=True,
                    help="dataset CSV files used in training")
-    p = command("study", "replicated sweep studies")
+    p = command("study", "replicated sweep studies", cmd_study)
     p.add_argument("--study", required=True,
                    choices=list(experiments.STUDIES))
     return parser
@@ -597,25 +609,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None \
             else _read(cfg, "config", "seed", _count, 0)
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"error: cannot create output dir: {exc}", file=sys.stderr)
-            return EXIT_DATA
-
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed)
-        if args.command == "place":
-            return cmd_place(cfg, out_dir, seed,
-                             full_scale=args.full_scale)
-        if args.command == "identify":
-            return cmd_identify(cfg, out_dir, seed, args.data,
-                                dump_kernels=args.dump_kernels)
-        if args.command == "predict":
-            return cmd_predict(cfg, out_dir, seed, args.chain, args.data)
-        if args.command == "study":
-            return cmd_study(cfg, out_dir, seed, args.study)
+        run = Run(args.out, seed)
+        status = args.func(cfg, run, args)
+        _write_json(run.out_dir / "manifest.json", {
+            "config_sha256": config_hash(cfg), "root_seed": seed,
+            "outputs": run.outputs}, sort_keys=True)
+        return status
     except (ConfigError, EnumerationGuardError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -130,6 +130,17 @@ class TestExitCodes:
         assert run(["simulate", "--config", tmp_path / "nope.json",
                     "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
 
+    def test_output_dir_that_cannot_be_made_is_a_data_error(self, tmp_path,
+                                                             capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        cfg = {"version": 1, "beam": BEAM,
+               "datasets": [{"kind": "w", "grid": 3, "label": "w"}]}
+        assert run(["simulate", "--config", write_config(tmp_path, cfg),
+                    "--out", taken]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(taken) in err
+
     def test_unknown_quantity(self, tmp_path):
         cfg = {"version": 1, "beam": BEAM,
                "datasets": [{"kind": "xyz", "grid": 3, "label": "a"}]}
@@ -407,6 +418,15 @@ def workflow(tmp_path_factory):
     return tmp_path, out_id, out_pred
 
 
+def w_chain(out_id, n_rows):
+    """The workflow chain's header and first rows without its phi noise
+    column: a model of data_w.csv alone learns w's noise only."""
+    with open(out_id / "chain.csv", newline="") as fh:
+        names, *rows = list(csv.reader(fh))[:n_rows + 1]
+    drop = names.index("sigma_n:phi")
+    return [r[:drop] + r[drop + 1:] for r in [names] + rows]
+
+
 class TestIdentifyPredict:
     def test_identify_outputs(self, workflow):
         _, out_id, _ = workflow
@@ -441,8 +461,7 @@ class TestIdentifyPredict:
         # At ell = 1e-35 the deflection covariance is finite, but a shear
         # query's cross-covariance (derivative order 5) overflows.
         tmp_path, out_id, _ = workflow
-        with open(out_id / "chain.csv", newline="") as fh:
-            names, row = list(csv.reader(fh))[:2]
+        names, row = w_chain(out_id, 1)
         row[names.index("ell")] = "1e-35"
         chain = tmp_path / "tiny_ell_chain.csv"
         chain.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
@@ -460,8 +479,7 @@ class TestIdentifyPredict:
     def test_non_finite_chain_value_reports_line(self, workflow, capsys,
                                                  value):
         tmp_path, out_id, _ = workflow
-        with open(out_id / "chain.csv", newline="") as fh:
-            names, row = list(csv.reader(fh))[:2]
+        names, row = w_chain(out_id, 1)
         row[names.index("EI")] = value
         chain = tmp_path / "bad_chain.csv"
         chain.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
@@ -479,8 +497,7 @@ class TestIdentifyPredict:
         """Every row is checked, the middle one too, which thinning three
         rows to two drops."""
         tmp_path, out_id, _ = workflow
-        with open(out_id / "chain.csv", newline="") as fh:
-            names, *rows = list(csv.reader(fh))[:4]
+        names, *rows = w_chain(out_id, 3)
         rows[bad][names.index("EI")] = "-1.0"
         chain = tmp_path / "bad_theta_chain.csv"
         chain.write_text("\n".join(",".join(r) for r in [names] + rows)
@@ -661,8 +678,188 @@ class TestDatasetLabels:
         assert run(["simulate", "--config", write_config(tmp_path, cfg),
                     "--out", tmp_path / "out"]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.strip() == (
-            "config error: datasets[0]: label must be a non-empty string, "
-            "got ''")
+            "config error: datasets[0]: label must be a non-empty string "
+            "without / or \\, got ''")
+
+
+class TestPredictChainNoise:
+    """predict refuses a chain whose sigma_n columns are not the noise
+    levels that its config learns for --data, at the chain's header."""
+
+    SHORT = {"n_total": 40, "n_b": 10, "n_t": 2}
+
+    @pytest.mark.parametrize("identify_learns", [False, True])
+    def test_noise_columns_must_be_the_learned_levels(
+            self, workflow, capsys, identify_learns):
+        tmp_path, _, _ = workflow
+        data = tmp_path / "sim" / "data_w.csv"
+        name = f"noise_{identify_learns}"
+
+        def config(learn):
+            return write_config(tmp_path, {
+                "version": 1, "beam": BEAM, "mcmc": self.SHORT,
+                "datasets": [{"label": "w", "learn_noise": learn}]},
+                f"{name}_{learn}.json")
+
+        out_id = tmp_path / f"{name}_id"
+        assert run(["identify", "--config", config(identify_learns),
+                    "--out", out_id, "--data", data]) == 0
+        chain = out_id / "chain.csv"
+        out = tmp_path / f"{name}_pred"
+        assert run(["predict", "--config", config(not identify_learns),
+                    "--out", out, "--chain", chain, "--data", data]) == \
+            cli.EXIT_DATA
+        chain_noise, config_noise = (["w"], []) if identify_learns \
+            else ([], ["w"])
+        assert capsys.readouterr().err.strip() == (
+            f"data error: {chain}:1: noise columns for {chain_noise}, but "
+            f"the config learns the noise of {config_noise}")
+        assert list(out.iterdir()) == []
+
+
+class TestConfigRepeatedKey:
+    """A key given twice in one JSON object is refused, not last-wins."""
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"version": 1, "seed": 1, "seed": 2, "beam": %s}', "seed"),
+        ('{"version": 1, "beam": %s, '
+         '"mcmc": {"n_total": 100, "n_total": 50000}}', "n_total")],
+        ids=["top", "nested"])
+    def test_repeated_key_named(self, tmp_path, capsys, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text % json.dumps(BEAM))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", path, "--out", out]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            f"config error: key {key!r} appears twice in one object")
+        assert not out.exists()
+
+
+class TestSimulateDatasetRules:
+    """simulate refuses a dataset value that would do nothing or that
+    cannot name its file, by entry and key."""
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"grid": 3, "locations": [0.2, 0.4]},
+         "needs one of 'locations', 'grid' or 'placement', got "
+         "['locations', 'grid']"),
+        ({"locations": [0.2], "placement": {"n_sensors": 2}},
+         "needs one of 'locations', 'grid' or 'placement', got "
+         "['locations', 'placement']"),
+        ({"locations": [0.2, 0.4], "include_ends": True},
+         "include_ends needs grid"),
+        ({"grid": 3, "z": 0.05}, "z needs kind eps, got 'w'"),
+        ({"grid": 3, "snr": 50, "sigma_n": 0.01},
+         "sigma_n and snr exclude each other"),
+        ({"grid": 3, "label": "../escaped"},
+         "label must be a non-empty string without / or \\, got "
+         "'../escaped'"),
+        ({"grid": 3, "label": "a\\b"},
+         "label must be a non-empty string without / or \\, got "
+         "'a\\\\b'")],
+        ids=["grid-locations", "locations-placement", "include_ends", "z",
+             "sigma_n-snr", "label-slash", "label-backslash"])
+    def test_refused_by_entry_and_key(self, tmp_path, capsys, entry,
+                                      message):
+        cfg = {"version": 1, "beam": BEAM,
+               "datasets": [{"kind": "w", "grid": 3, "sigma_n": 0.0,
+                             "label": "w"},
+                            dict({"kind": "w", "label": "w2"}, **entry)]}
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_config(tmp_path, cfg),
+                    "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == \
+            f"config error: datasets[1]: {message}"
+        assert not (out / "manifest.json").exists()
+
+    def test_identify_reads_only_its_keys(self, workflow):
+        """identify reads a dataset's label and noise keys: the keys that
+        simulate refuses together leave it as it was."""
+        tmp_path, _, _ = workflow
+        cfg = {"version": 1, "beam": BEAM, "mcmc": {"n_total": 40,
+                                                    "n_b": 10, "n_t": 2},
+               "datasets": [{"kind": "w", "label": "w", "grid": 3,
+                             "locations": [0.2], "include_ends": True,
+                             "z": 0.05, "snr": 50, "sigma_n": 0.01}]}
+        out = tmp_path / "identify_keys"
+        assert run(["identify", "--config",
+                    write_config(tmp_path, cfg, "keys.json"), "--out", out,
+                    "--data", tmp_path / "sim" / "data_w.csv"]) == 0
+        # sigma_n holds w's noise fixed: the chain has no sigma_n:w.
+        assert (out / "chain.csv").read_text().splitlines()[0] == \
+            "sigma_s2,ell,EI,kGA"
+
+
+class TestManifest:
+    """Each command's manifest lists exactly the files its run wrote,
+    each with its seed."""
+
+    def listed(self, out, cfg_seed):
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {path.name for path in out.iterdir()}
+        assert set(manifest["outputs"]) == written - {"manifest.json"}
+        assert manifest["root_seed"] == cfg_seed
+        return manifest["outputs"]
+
+    def test_simulate(self, tmp_path):
+        cfg = {"version": 1, "beam": BEAM, "seed": 8,
+               "datasets": [{"kind": "w", "grid": 3, "snr": 10,
+                             "label": "w"},
+                            {"kind": "eps", "grid": 3, "z": 0.05,
+                             "sigma_n": 0.0, "label": "e"}]}
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_config(tmp_path, cfg),
+                    "--out", out]) == 0
+        assert self.listed(out, 8) == {
+            f"data_{label}.csv": {"seed": experiments.replication_seed(8, i,
+                                                                       0)}
+            for i, label in enumerate(["w", "e"])}
+
+    def test_place_with_entropy_map(self, tmp_path):
+        cfg = {"version": 1, "beam": BEAM, "seed": 4,
+               "placement": {"n_candidates": 6, "n_sensors": 2,
+                             "kinds": ["w", "phi"],
+                             "criteria": ["physics", "entropy"],
+                             "entropy_map": True}}
+        out = tmp_path / "out"
+        assert run(["place", "--config", write_config(tmp_path, cfg),
+                    "--out", out]) == 0
+        outputs = self.listed(out, 4)
+        assert len(outputs) == 5
+        assert {value["seed"] for value in outputs.values()} == {4}
+
+    def test_identify_dump_kernels_and_predict(self, workflow):
+        tmp_path, out_id, _ = workflow
+        data = [tmp_path / "sim" / f"data_{label}.csv"
+                for label in ("w", "phi", "q")]
+        cfg = {"version": 1, "beam": BEAM, "seed": 5,
+               "mcmc": {"n_total": 40, "n_b": 10, "n_t": 2},
+               "predict": {"kinds": ["w", "eps"], "n_grid": 5,
+                           "max_draws": 3,
+                           "strain_grid": {"nx": 3, "nz": 3}}}
+        config = write_config(tmp_path, cfg, "manifest.json")
+        out = tmp_path / "manifest_identify"
+        assert run(["identify", "--config", config, "--out", out,
+                    "--dump-kernels", "--data"] + data) == 0
+        assert set(self.listed(out, 5)) == {
+            "kernel_matrix.csv", "chain.csv", "summary.json",
+            "diagnostics.json"}
+        out = tmp_path / "manifest_predict"
+        assert run(["predict", "--config", config, "--out", out, "--chain",
+                    out_id / "chain.csv", "--data"] + data) == 0
+        assert set(self.listed(out, 5)) == {"pred_w.csv", "pred_eps.csv"}
+
+    def test_study(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TIMO_PIGP_THREADS", "1")
+        cfg = {"version": 1, "beam": BEAM, "seed": 6,
+               "mcmc": {"n_total": 60, "n_b": 20, "n_t": 2},
+               "study": {"noise": {"snrs": [20], "replications": 1}}}
+        out = tmp_path / "out"
+        assert run(["study", "--study", "noise", "--config",
+                    write_config(tmp_path, cfg), "--out", out]) == 0
+        assert set(self.listed(out, 6)) == {"study_noise.csv",
+                                            "study_noise_failures.json"}
 
 
 @pytest.mark.parametrize("cfg", [{}, {"mcmc": {}}], ids=["absent", "empty"])
@@ -903,8 +1100,13 @@ def _fuzz_run(directory, rows, cfg, command="identify"):
     if command in ("identify", "predict"):
         args += ["--data", data]
     if command == "predict":
+        # A sigma_n:w column where the config learns w's noise, as
+        # identify writes it.
+        w = (cfg.get("datasets") or [{}])[0]
+        learned = w.get("learn_noise", "sigma_n" not in w) is True
         chain = directory / "chain.csv"
-        chain.write_text("sigma_s2,ell,EI,kGA\n1.0,0.125,1.0,3.0\n")
+        chain.write_text("sigma_s2,ell,EI,kGA" + ",sigma_n:w" * learned
+                         + "\n1.0,0.125,1.0,3.0" + ",0.01" * learned + "\n")
         args += ["--chain", chain]
     if command == "study":
         args += ["--study", "noise"]
