@@ -346,6 +346,7 @@ def _write_json(path: Path, value, sort_keys: bool = False):
 
 def cmd_simulate(cfg: dict, run: Run, args) -> int:
     beam = beam_from_config(cfg)
+    made = []
     for label, (i, spec) in _dataset_specs(cfg).items():
         where = f"datasets[{i}]"
         kind = _read(spec, where, "kind", _kind)
@@ -360,9 +361,11 @@ def cmd_simulate(cfg: dict, run: Run, args) -> int:
             raise ConfigError(f"{where}: sigma_n and snr exclude each other")
         noise = NoiseSpec(snr=snr, seed=ds_seed) if snr is not None \
             else NoiseSpec(sigma_n=sigma_n or 0.0, seed=ds_seed)
-        ds = beam_mod.synthesize_dataset(
+        made.append((ds_seed, beam_mod.synthesize_dataset(
             beam, kind, locs, noise, z=_read(spec, where, "z", _depths, None),
-            label=label)
+            label=label)))
+    # Every entry is made before the first file is written.
+    for ds_seed, ds in made:
         write_datasets_csv(run.path(f"data_{ds.label}.csv", ds_seed), [ds])
     return EXIT_OK
 
@@ -439,16 +442,16 @@ def _apply_dataset_config(datasets: list, cfg: dict):
         spec = specs.get(ds.label, (None, {}))[1]
         where = f"dataset {ds.label!r}"
         sigma_n = _read(spec, where, "sigma_n", _level, None)
+        # Learned by default only where no sigma_n and no load rule set it.
+        learn = sigma_n is None and ds.kind is not QuantityKind.LOAD
         if sigma_n is not None:
             ds.sigma_n = sigma_n
-            ds.learn_noise = _read(spec, where, "learn_noise", _switch, False)
         elif ds.kind is QuantityKind.LOAD:
             ds.sigma_n = experiments.LOAD_NOISE_FACTOR * \
                 max(float(np.max(np.abs(ds.y))), 1e-300)
-            ds.learn_noise = False
         else:
             ds.sigma_n = 0.05 * float(np.std(ds.y))
-            ds.learn_noise = _read(spec, where, "learn_noise", _switch, True)
+        ds.learn_noise = _read(spec, where, "learn_noise", _switch, learn)
 
 
 def read_model_inputs(cfg: dict, data_paths) -> tuple:

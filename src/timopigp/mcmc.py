@@ -1,21 +1,22 @@
 """Random-walk Metropolis-Hastings over the GP hyperparameter posterior.
 
-Each prior says which coordinate its parameter is sampled in, and is flat
-in it: ``LogFlat`` in log(value), so positivity holds by construction and
-the log transform's Jacobian joins the target, ``UniformBounded`` in the
-value itself.  A chain's priors are the caller's boxes for EI and kGA and
+Each prior says which coordinate its parameter is sampled in and gives
+its log density in that coordinate: ``LogFlat`` is flat in log(value), so
+positivity holds by construction, and ``UniformBounded`` in the value
+itself.  A chain's priors are the caller's boxes for EI and kGA and
 ``LogFlat`` for the rest (signal variance, length scale, noise stds).  The
 Gaussian proposal is symmetric, so the proposal ratio cancels.
 
 One ``ThetaCodec`` maps parameter names to ``Theta`` fields: the chain's
 start vector and steps, its draws' Thetas and a chain CSV's header all go
 through it.  A chain builds its data layout and its list of priors once,
-in parameter order.  Each step undoes the log transform, checks
-positivity, builds the Theta and scores it with ``log_posterior``: the
-priors' log densities summed in that order plus
-``gp.log_marginal_likelihood``.  Each log-target evaluation lands in one
-count: a rejection by cause (prior support, invalid theta, non-finite K,
-ill-conditioned K) or the jitter level its factorization used.
+in parameter order.  Each step exponentiates the log coordinates, checks
+positivity, builds the Theta and scores it with ``log_posterior``, the
+chain's whole target: ``gp.log_marginal_likelihood`` plus each prior's
+log density in its sampling coordinate, with no Jacobian term.  Each
+log-target evaluation lands in one count: a rejection by cause (prior
+support, invalid theta, non-finite K, ill-conditioned K) or the jitter
+level its factorization used.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ REJECTIONS = ("prior_support", "invalid_theta", "non_finite_covariance",
 
 @dataclass(frozen=True)
 class LogFlat:
-    """Uniform in log(value) on the positive half-line, and sampled there.
+    """Uniform in log(value) on the positive half-line, and sampled there:
+    its log density in that coordinate is 0 for a positive value.
 
     The prior of every parameter but the stiffnesses: the kernel variance,
     the length scale and the noise levels.  It is improper, and flat in the
@@ -56,7 +58,7 @@ class LogFlat:
     log_coordinate = True
 
     def log_density(self, value: float) -> float:
-        return -float(np.log(value)) if value > 0 else -np.inf
+        return 0.0 if value > 0 else -np.inf
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,13 @@ class PosteriorChain:
 
 def log_posterior(layout: gp.Layout, theta: Theta, values, table,
                   counts: Counter) -> float:
-    """Unnormalized log posterior: log prior plus log marginal likelihood.
+    """The chain's target: log prior plus log marginal likelihood.
 
     ``values`` is theta's parameter vector in the order of ``table``, the
-    log densities of its names' priors; the log prior sums them in that
-    order.  The value is -inf off the prior's
-    support and for a K that cannot be factorized; ``counts`` gets one
-    count, the cause (``REJECTIONS``) or the jitter level.
+    log densities of its names' priors, each in its sampling coordinate;
+    the log prior sums them in that order.  The value is -inf off the
+    prior's support and for a K that cannot be factorized; ``counts``
+    gets one count, the cause (``REJECTIONS``) or the jitter level.
     """
     lp = 0.0
     for log_density, v in zip(table, values):
@@ -295,15 +297,13 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     layout = gp.data_layout(datasets, bcs)
     table = [prior.log_density for prior in prior_list]
     log_index = np.flatnonzero(log_mask)
-    log_positions = log_index.tolist()
     counts = Counter()
 
     def log_target(s):
         counts["evaluations"] += 1
-        logs = s.take(log_index)
-        values = s.tolist()
-        for i, v in zip(log_positions, np.exp(logs).tolist()):
-            values[i] = v
+        v = s.copy()
+        v[log_index] = np.exp(s[log_index])
+        values = v.tolist()
         if min(values) <= 0:
             counts["prior_support"] += 1
             return -np.inf
@@ -312,11 +312,7 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
         except ValueError:
             counts["invalid_theta"] += 1
             return -np.inf
-        lp = log_posterior(layout, theta, values, table, counts)
-        if not math.isfinite(lp):
-            return -np.inf
-        # Jacobian of the log transform.
-        return lp + float(np.add.reduce(logs))
+        return log_posterior(layout, theta, values, table, counts)
 
     # exp overflows to inf past a log-scale value of ~709: Theta refuses
     # the inf, so the chain counts it without a warning.

@@ -682,6 +682,49 @@ class TestDatasetLabels:
             "without / or \\, got ''")
 
 
+class TestLoadNoise:
+    """A q dataset without sigma_n keeps the load rule's level, held
+    fixed unless its entry sets learn_noise."""
+
+    SHORT = {"n_total": 40, "n_b": 10, "n_t": 2}
+
+    @pytest.mark.parametrize("learn,header", [
+        (None, "sigma_s2,ell,EI,kGA,sigma_n:w"),
+        (False, "sigma_s2,ell,EI,kGA,sigma_n:w"),
+        (True, "sigma_s2,ell,EI,kGA,sigma_n:w,sigma_n:q")],
+        ids=["absent", "false", "true"])
+    def test_learn_noise_read_on_q(self, workflow, monkeypatch, learn,
+                                   header):
+        tmp_path, _, _ = workflow
+        starts = []
+        real = experiments.default_theta0
+
+        def spy(*args):
+            starts.append(real(*args))
+            return starts[-1]
+        monkeypatch.setattr(experiments, "default_theta0", spy)
+        entry = {"label": "q"} if learn is None \
+            else {"label": "q", "learn_noise": learn}
+        path = write_config(tmp_path, {"version": 1, "beam": BEAM,
+                                       "mcmc": self.SHORT,
+                                       "datasets": [entry]},
+                            f"q_{learn}.json")
+        data = [tmp_path / "sim" / f"data_{label}.csv"
+                for label in ("w", "q")]
+        out = tmp_path / f"q_{learn}"
+        assert run(["identify", "--config", path, "--out", out,
+                    "--data"] + data) == 0
+        assert (out / "chain.csv").read_text().splitlines()[0] == header
+        if learn:
+            q = read_rows(data[1])
+            level = experiments.LOAD_NOISE_FACTOR * max(
+                abs(float(row["value"])) for row in q)
+            assert starts[0].sigma_n["q"] == pytest.approx(level,
+                                                           rel=1e-12)
+        assert run(["predict", "--config", path, "--out", out / "pred",
+                    "--chain", out / "chain.csv", "--data"] + data) == 0
+
+
 class TestPredictChainNoise:
     """predict refuses a chain whose sigma_n columns are not the noise
     levels that its config learns for --data, at the chain's header."""
@@ -772,6 +815,18 @@ class TestSimulateDatasetRules:
         assert capsys.readouterr().err.strip() == \
             f"config error: datasets[1]: {message}"
         assert not (out / "manifest.json").exists()
+
+    def test_refused_entry_leaves_no_file(self, tmp_path, capsys):
+        """Every entry is checked before the first file is written."""
+        cfg = {"version": 1, "beam": BEAM,
+               "datasets": [{"kind": "w", "grid": 3, "label": "w"},
+                            {"kind": "phi", "grid": 5, "z": 0.1}]}
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_config(tmp_path, cfg),
+                    "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == \
+            "config error: datasets[1]: z needs kind eps, got 'phi'"
+        assert list(out.iterdir()) == []
 
     def test_identify_reads_only_its_keys(self, workflow):
         """identify reads a dataset's label and noise keys: the keys that

@@ -45,8 +45,10 @@ def score(theta, datasets, bcs, priors, counts, layout=None):
 
 class TestPriors:
     def test_log_flat(self):
-        assert LogFlat().log_density(1.0) == pytest.approx(0.0)
-        assert LogFlat().log_density(np.e) == pytest.approx(-1.0)
+        """Flat in the log coordinate it is sampled in: 0 at every
+        positive value."""
+        for value in (1.0, np.e, 1e-300, 1e300):
+            assert LogFlat().log_density(value) == 0.0
         assert LogFlat().log_density(0.0) == -np.inf
         assert LogFlat().log_density(-3.0) == -np.inf
 
@@ -69,10 +71,10 @@ class TestPriors:
         assert UniformBounded(0.5, 1.5).log_coordinate is False
 
     def test_log_prior_sums(self):
-        """LogFlat's -log(value) for sigma_s2 and ell plus the boxes'."""
+        """LogFlat's 0 for sigma_s2 and ell plus the boxes'."""
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=2.0, ell=0.5, EI=1.0, kGA=3.0)
-        want = -np.log(2.0) - np.log(0.5) - np.log(1.0) - np.log(3.0)
+        want = -np.log(1.0) - np.log(3.0)
         lml, _ = gp.log_marginal_likelihood(gp.data_layout(datasets, bcs),
                                             theta)
         lp = score(theta, datasets, bcs, BOXES, Counter()) - lml
@@ -88,8 +90,8 @@ class TestPriors:
 
 class TestLogPosterior:
     def test_flat_priors_reduce_to_marginal_likelihood(self):
-        """Each prior is flat in its own coordinate: at sigma_s2 = ell = 1
-        LogFlat's density is 1, and so is that of boxes one unit wide."""
+        """Each prior is flat in its own coordinate: LogFlat's density is
+        1, and so is that of boxes one unit wide."""
         datasets, bcs = tiny_problem()
         theta = Theta(sigma_s2=1.0, ell=1.0, EI=1.0, kGA=3.0)
         priors = {"EI": UniformBounded(0.5, 1.5),
@@ -102,6 +104,18 @@ class TestLogPosterior:
         assert score(theta, datasets, bcs, priors, counts) == \
             pytest.approx(want, rel=1e-12)
         assert counts == {level: 1}
+
+    def test_target_is_evidence_plus_box_constants(self):
+        """At a fixed theta with a learned noise level, the target is the
+        log evidence plus the two boxes' constants: no Jacobian term."""
+        datasets, bcs = tiny_problem()
+        datasets[0].learn_noise = True
+        theta = Theta(sigma_s2=0.02, ell=0.3, EI=1.1, kGA=2.7,
+                      sigma_n={"w": 0.004})
+        lml, _ = gp.log_marginal_likelihood(gp.data_layout(datasets, bcs),
+                                            theta)
+        assert score(theta, datasets, bcs, BOXES, Counter()) == \
+            lml + (-np.log(1.0) - np.log(3.0))
 
     def test_non_finite_covariance_is_zero_density(self):
         datasets, bcs = tiny_problem()
@@ -354,9 +368,10 @@ class TestRunChain:
 def slow_target(datasets, bcs, priors, names, counts):
     """The chain's log target spelled out, one name and one step at a time.
 
-    Per-name priors, the dense K plus noise, scipy's ``cholesky`` up the
-    jitter ladder and ``cho_solve`` for the evidence, then the Jacobian
-    of the log transform.  ``counts`` gets what the chain counts.
+    Per-name priors, each in its sampling coordinate (``LogFlat`` is 0 on
+    the positive values), then the dense K plus noise, scipy's
+    ``cholesky`` up the jitter ladder and ``cho_solve`` for the evidence.
+    ``counts`` gets what the chain counts.
     """
     entries = gp.order_entries(datasets, bcs)
     y = np.concatenate([e.y for e in entries])
@@ -385,7 +400,7 @@ def slow_target(datasets, bcs, priors, names, counts):
             return -np.inf
         lp = 0.0
         for name, value in zip(names, vec):
-            lp += priors.get(name, LogFlat()).log_density(value)
+            lp += priors[name].log_density(value) if name in priors else 0.0
         if not np.isfinite(lp):
             counts["prior_support"] += 1
             return -np.inf
@@ -416,10 +431,7 @@ def slow_target(datasets, bcs, priors, names, counts):
         log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
         lml = float(-0.5 * y @ cho_solve((L, True), y) - 0.5 * log_det
                     - 0.5 * y.size * np.log(2.0 * np.pi))
-        lp = lml + lp
-        if not np.isfinite(lp):
-            return -np.inf
-        return lp + float(np.sum(s[is_log]))
+        return lml + lp
 
     return target, is_log
 
