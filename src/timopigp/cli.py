@@ -153,7 +153,7 @@ _sections = _list(_section, "a list of objects")
 
 # The mcmc section's keys, McmcConfig's fields but the seed, and parsers.
 _MCMC = {"n_total": _count, "n_b": _count, "n_t": _repeats,
-         "proposal_scale": _scales, "adapt": _switch}
+         "proposal_scale": _scales}
 
 
 def _keys(*values, **sections) -> dict:
@@ -447,8 +447,7 @@ def _apply_dataset_config(datasets: list, cfg: dict):
         if sigma_n is not None:
             ds.sigma_n = sigma_n
         elif ds.kind is QuantityKind.LOAD:
-            ds.sigma_n = experiments.LOAD_NOISE_FACTOR * \
-                max(float(np.max(np.abs(ds.y))), 1e-300)
+            ds.sigma_n = experiments.load_noise(ds.y)
         else:
             ds.sigma_n = 0.05 * float(np.std(ds.y))
         ds.learn_noise = _read(spec, where, "learn_noise", _switch, learn)
@@ -459,11 +458,18 @@ def read_model_inputs(cfg: dict, data_paths) -> tuple:
 
     The datasets of the CSV files, each row's x checked against the span,
     stably sorted into the block order, so the chain does not depend on
-    the order of the files, and with the config's noise treatment.
+    the order of the files, and with the config's noise treatment.  A
+    dataset id found in a second file (or the same file twice) is refused.
     """
     beam = beam_from_config(cfg)
-    datasets = sorted((ds for path in data_paths
-                       for ds in read_datasets_csv(path, beam.L)),
+    origin = {}
+    for path in data_paths:
+        for ds in read_datasets_csv(path, beam.L):
+            if ds.label in origin:
+                raise DataFormatError(path, 1, f"dataset {ds.label!r} is "
+                                      f"also in {origin[ds.label][0]}")
+            origin[ds.label] = path, ds
+    datasets = sorted((ds for _, ds in origin.values()),
                       key=lambda ds: BLOCK_INDEX[ds.kind])
     if not datasets:
         raise DataFormatError(data_paths[0] if data_paths else "<none>", 1,

@@ -14,9 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from timopigp import beam as beam_mod
-from timopigp import mcmc
+from timopigp import gp, mcmc
 from timopigp.beam import BeamConfig, NoiseSpec
-from timopigp.data import BoundaryCondition, Dataset
+from timopigp.data import BoundaryCondition
 from timopigp.gp import Theta
 from timopigp.mcmc import McmcConfig, UniformBounded
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
@@ -89,28 +89,32 @@ def sensor_set(beam: BeamConfig, kind: QuantityKind,
     return np.array(sorted(x for x, _ in result.selected))
 
 
+def load_noise(q) -> float:
+    """The noise std a load dataset of values ``q`` is held at."""
+    return LOAD_NOISE_FACTOR * max(float(np.max(np.abs(q))), 1e-300)
+
+
 def synth_identification_data(beam: BeamConfig, w_locs, phi_locs, snr: float,
                               seed: int, ndp: int = 1) -> list:
-    """Noisy deflection + rotation data with the informed load dataset."""
-    datasets = []
+    """Noisy deflection + rotation data, ``ndp`` points per site, with the
+    informed load: exact, once at each site of the first set given."""
     sub = np.random.SeedSequence(seed).generate_state(2)
-    if w_locs is not None and len(w_locs):
-        locs = np.tile(np.asarray(w_locs, float), ndp)
-        datasets.append(beam_mod.synthesize_dataset(
-            beam, QuantityKind.DEFLECTION, locs,
-            NoiseSpec(snr=snr, seed=int(sub[0])),
-            label="w", learn_noise=True))
-    if phi_locs is not None and len(phi_locs):
-        locs = np.tile(np.asarray(phi_locs, float), ndp)
-        datasets.append(beam_mod.synthesize_dataset(
-            beam, QuantityKind.ROTATION, locs,
-            NoiseSpec(snr=snr, seed=int(sub[1])),
-            label="phi", learn_noise=True))
-    base = w_locs if w_locs is not None and len(w_locs) else phi_locs
-    q_locs = np.asarray(base, float)
-    datasets.append(Dataset(
-        kind=QuantityKind.LOAD, x=q_locs, y=np.full(q_locs.size, beam.q0),
-        sigma_n=LOAD_NOISE_FACTOR * abs(beam.q0), label="q"))
+    plan = [(kind, label, np.asarray(locs, float), ndp,
+             NoiseSpec(snr=snr, seed=int(s)))
+            for kind, label, locs, s in (
+                (QuantityKind.DEFLECTION, "w", w_locs, sub[0]),
+                (QuantityKind.ROTATION, "phi", phi_locs, sub[1]))
+            if locs is not None and len(locs)]
+    if not plan:
+        raise ValueError("synth_identification_data needs w or phi "
+                         "locations")
+    plan.append((QuantityKind.LOAD, "q", plan[0][2], 1,
+                 NoiseSpec(sigma_n=0.0)))
+    datasets = [beam_mod.synthesize_dataset(
+        beam, kind, np.tile(locs, reps), noise, label=label,
+        learn_noise=kind is not QuantityKind.LOAD)
+        for kind, label, locs, reps, noise in plan]
+    datasets[-1].sigma_n = load_noise(datasets[-1].y)
     return datasets
 
 
@@ -141,17 +145,13 @@ def default_theta0(datasets, beam: BeamConfig, priors: dict) -> Theta:
     w_sets = [d for d in datasets if d.kind is QuantityKind.DEFLECTION]
     ref = w_sets[0] if w_sets else datasets[0]
     y_var = float(np.var(ref.y)) or 1.0
-    # De-scale by the diagonal amplification of the reference quantity's
-    # kernel so sigma_s2 starts near the latent process scale.
-    a = EI0 / kGA0
-    if ref.kind is QuantityKind.DEFLECTION:
-        gain = 1.0 + 2.0 * a / ell0**2 + 3.0 * (a / ell0**2) ** 2
-    elif ref.kind is QuantityKind.ROTATION:
-        gain = (1.0 / ell0**2 + 6.0 * a / ell0**4
-                + 15.0 * a**2 / ell0**6)
-    else:
-        gain = 1.0
-    sigma_s2_0 = max(y_var / gain, 1e-300)
+    # De-scale by the reference quantity's prior variance at unit sigma_s2
+    # (at its first depth for strain; 1 where that variance is 0), so
+    # sigma_s2 starts near the latent process scale.
+    point = gp.Points(ref.kind, np.zeros(1), None if ref.z is None
+                      else ref.z[:1])
+    gain = float(gp.covariance([point], Theta(1.0, ell0, EI0, kGA0))[0, 0])
+    sigma_s2_0 = max(y_var / (gain or 1.0), 1e-300)
 
     sigma_n0 = {}
     for ds in datasets:

@@ -88,7 +88,6 @@ class McmcConfig:
     n_t: int = 10
     proposal_scale: float | dict = DEFAULT_STEP
     seed: int = 0
-    adapt: bool = True
 
     def __post_init__(self):
         if not 0 <= self.n_b < self.n_total:
@@ -211,9 +210,8 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     """Generic symmetric-proposal MH core in unconstrained coordinates.
 
     ``scales`` holds the proposal std of each coordinate of ``x0``.
-    Returns (kept draws, acceptance rate).  Proposal scales optionally
-    adapt towards ~30% acceptance during burn-in and are frozen
-    afterwards.
+    Returns (kept draws, acceptance rate).  Proposal scales adapt towards
+    ~30% acceptance during burn-in and are frozen afterwards.
     """
     rng = np.random.default_rng(cfg.seed)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -246,7 +244,7 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
         if accepts == 0 and i + 1 >= stuck_limit:
             raise StuckChainError(i + 1, {"scales": scales.tolist(),
                                           "log_target": float(lt)})
-        if cfg.adapt and i < cfg.n_b and (i + 1) % window == 0:
+        if i < cfg.n_b and (i + 1) % window == 0:
             rate = window_accepts / window
             if rate < 0.25:
                 scales = np.maximum(scales * 0.8, scale_lo)

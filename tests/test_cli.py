@@ -595,6 +595,30 @@ class TestIdentifyPredict:
                                   "--data", empty]) == 3
             assert "no datasets loaded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("twice", [False, True],
+                             ids=["copy", "same-file"])
+    @pytest.mark.parametrize("command", ["identify", "predict"])
+    def test_dataset_id_in_two_files_refused(self, workflow, capsys,
+                                             command, twice):
+        """A dataset id loaded from two --data files, or from one file
+        given twice, exits 3 naming the id and both files: it is not read
+        as one dataset of twice the rows."""
+        tmp_path, out_id, _ = workflow
+        data = [tmp_path / "sim" / f"data_{label}.csv"
+                for label in ("w", "phi", "q")]
+        first = second = data[0]
+        if not twice:
+            second = tmp_path / "data_w_copy.csv"
+            second.write_bytes(first.read_bytes())
+        args = [command, "--config", tmp_path / "id.json",
+                "--out", tmp_path / f"two_{command}_{twice}",
+                "--data", *data, second]
+        if command == "predict":
+            args += ["--chain", out_id / "chain.csv"]
+        assert run(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            f"data error: {second}:1: dataset 'w' is also in {first}")
+
     def test_manifest_lists_outputs(self, workflow):
         _, out_id, out_pred = workflow
         m_id = json.loads((out_id / "manifest.json").read_text())
@@ -1124,7 +1148,6 @@ SIMULATE_CONFIG = {"version": 1, "beam": BEAM,
                    "datasets": [{"kind": "w", "grid": 3, "sigma_n": 0.0,
                                  "label": "w"}]}
 SWITCHES = [
-    ("identify", FUZZ_CONFIG, ("mcmc", "adapt"), "mcmc"),
     ("identify", FUZZ_CONFIG, ("datasets", 0, "learn_noise"), "dataset 'w'"),
     ("identify", dict(FUZZ_CONFIG, datasets=[{"label": "w"}]),
      ("datasets", 0, "learn_noise"), "dataset 'w'"),
@@ -1359,8 +1382,10 @@ MISSPELLED_KEYS = [
 
 # The knobs that gave a setting a second way in, each with its one knob:
 # a dataset's sigma_n (with learn_noise), a study's replications and
-# placement.MAX_COMBOS, which place --full-scale lifts.
+# placement.MAX_COMBOS, which place --full-scale lifts; and mcmc.adapt,
+# a switch no run turned off: burn-in always adapts the steps.
 REMOVED_KNOBS = [
+    ("identify", ("mcmc", "adapt"), False, "mcmc: unknown key 'adapt'"),
     ("identify", ("datasets", 0, "sigma_n_init"), 1e-3,
      "datasets[0]: unknown key 'sigma_n_init'"),
     ("study", ("study", "noise", "full_replications"), 5,

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from timopigp import beam as beam_mod
 from timopigp import cli, experiments, kernels, mcmc
+from timopigp.beam import NoiseSpec
 from timopigp.errors import StuckChainError
 from timopigp.experiments import (SweepTask, default_theta0, deflection_bcs,
                                   replication_seed, scenario_beam,
@@ -75,6 +77,39 @@ class TestSynthData:
         w = next(ds for ds in datasets if ds.label == "w")
         np.testing.assert_array_equal(w.x, [0.3, 0.6] * 3)
 
+    # sha256 of each dataset's x, y, z, sigma_n, label and learn_noise at
+    # r = 0.3, on sensor_set's physics-placed w and phi sites there.
+    PINNED = {
+        "w+phi": (dict(snr=100.0, seed=21), "ac584b2e5b1d1176f7ef1b6be7b95cb7"
+                  "979da679653f9d0fcebb61c3f574fd84"),
+        "w+phi, ndp 3": (dict(snr=20.0, seed=5, ndp=3), "735191c0a67eb1685d9"
+                         "2635e606eddcd93a5a1225fb2a6c2d41191a3777ada93"),
+        "phi": (dict(snr=20.0, seed=7), "66f795bfded835ff8ddf24bf3826d83c11c"
+                "d37913ed2d8364f801f9b66442d7e")}
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned_bytes(self, case):
+        kwargs, digest = self.PINNED[case]
+        w = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9] if "w" in case else None
+        phi = [0.0, 0.2, 0.43333333333333335, 0.5, 0.7, 0.7666666666666666,
+               1.0]
+        h = hashlib.sha256()
+        for ds in synth_identification_data(scenario_beam(0.3), w, phi,
+                                            **kwargs):
+            h.update(ds.x.tobytes() + ds.y.tobytes())
+            h.update(b"-" if ds.z is None else ds.z.tobytes())
+            h.update(np.float64(ds.sigma_n).tobytes())
+            h.update(f"{ds.label},{ds.learn_noise};".encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("w,phi", [(None, None), ([], None),
+                                       (None, []), ([], np.array([]))],
+                             ids=["none", "w-empty", "phi-empty", "empty"])
+    def test_no_locations_named(self, w, phi):
+        with pytest.raises(ValueError, match="needs w or phi locations"):
+            synth_identification_data(scenario_beam(1.0), w, phi, 20.0,
+                                      seed=1)
+
     def test_deterministic(self):
         beam = scenario_beam(1.0)
         a = synth_identification_data(beam, [0.3, 0.6], [0.5], 20.0, seed=9)
@@ -104,23 +139,35 @@ class TestPriorsAndStart:
         assert theta0.sigma_n["w"] > 0
 
 
-    @pytest.mark.parametrize("kind", [QuantityKind.DEFLECTION,
-                                      QuantityKind.ROTATION])
+    @pytest.mark.parametrize("kind", [
+        QuantityKind.DEFLECTION, QuantityKind.ROTATION, QuantityKind.STRAIN,
+        QuantityKind.MOMENT, QuantityKind.SHEAR, QuantityKind.LOAD])
     def test_theta0_gain_is_the_prior_variance(self, kind):
         """sigma_s2 starts at var(y) / (k(x, x) / sigma_s2) of the first
-        deflection dataset, or else the first dataset: here w or phi."""
+        deflection dataset, or else the first dataset, of any kind: a
+        strain's k at its first depth."""
         beam = scenario_beam(1.0)     # a = EI / kGA = 1/3; ell0 = L/4
-        locs = [0.3, 0.5, 0.7]
-        w, phi = (locs, None) if kind is QuantityKind.DEFLECTION \
-            else (None, locs)
-        datasets = synth_identification_data(beam, w, phi, snr=20.0, seed=1)
-        assert datasets[0].kind is kind
-        theta0 = default_theta0(datasets, beam, stiffness_priors(beam, {}))
+        z = [0.05, -0.03, 0.02] if kind is QuantityKind.STRAIN else None
+        ref = beam_mod.synthesize_dataset(beam, kind, [0.3, 0.5, 0.7],
+                                          NoiseSpec(snr=20.0, seed=1), z=z)
+        theta0 = default_theta0([ref], beam, stiffness_priors(beam, {}))
         unit = Theta(sigma_s2=1.0, ell=theta0.ell, EI=theta0.EI,
                      kGA=theta0.kGA)
-        gain = float(kernels.kernel(kind, kind, 0.0, 0.0, unit))
-        assert np.var(datasets[0].y) / theta0.sigma_s2 == \
+        depth = None if z is None else z[0]
+        gain = float(kernels.kernel(kind, kind, 0.0, 0.0, unit, z=depth,
+                                    z_prime=depth))
+        assert np.var(ref.y) / theta0.sigma_s2 == \
             pytest.approx(gain, rel=1e-12)
+
+    def test_theta0_strain_on_the_neutral_axis_is_not_de_scaled(self):
+        """A strain reference whose first depth is 0 has prior variance 0
+        there: sigma_s2 starts at var(y), not at a division by zero."""
+        beam = scenario_beam(1.0)
+        ref = beam_mod.synthesize_dataset(
+            beam, QuantityKind.STRAIN, [0.3, 0.5, 0.7],
+            NoiseSpec(snr=20.0, seed=1), z=[0.0, 0.05, -0.05])
+        theta0 = default_theta0([ref], beam, stiffness_priors(beam, {}))
+        assert theta0.sigma_s2 == np.var(ref.y)
 
 
 class TestSensorSet:

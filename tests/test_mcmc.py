@@ -219,7 +219,7 @@ class TestRandomWalkMetropolis:
         assert 0.1 < acc < 0.9
 
     def test_small_steps_accept_almost_always(self):
-        cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=1, adapt=False)
+        cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=1)
         _, acc = random_walk_metropolis(
             lambda x: -0.5 * float(x[0] ** 2), np.array([0.3]), cfg,
             scales=[1e-8])
@@ -227,7 +227,7 @@ class TestRandomWalkMetropolis:
 
     def test_detailed_balance_two_halves(self):
         """Transitions A->B and B->A between the half-lines balance."""
-        cfg = McmcConfig(n_total=60000, n_b=0, n_t=1, seed=9, adapt=False)
+        cfg = McmcConfig(n_total=60000, n_b=0, n_t=1, seed=9)
         draws, _ = random_walk_metropolis(
             lambda x: -0.5 * float(x[0] ** 2), np.array([0.1]), cfg,
             scales=[1.5])
@@ -250,7 +250,7 @@ class TestRandomWalkMetropolis:
         def spike(x):
             return 0.0 if abs(float(x[0])) < 1e-300 else -np.inf
 
-        cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=3, adapt=False)
+        cfg = McmcConfig(n_total=2000, n_b=0, n_t=1, seed=3)
         with pytest.raises(StuckChainError):
             random_walk_metropolis(spike, np.array([0.0]), cfg,
                                    scales=[0.1])
@@ -272,7 +272,7 @@ class TestRandomWalkMetropolis:
 
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed=None: ZeroUniform())
-        cfg = McmcConfig(n_total=20, n_b=0, n_t=1, seed=0, adapt=False)
+        cfg = McmcConfig(n_total=20, n_b=0, n_t=1, seed=0)
         draws, acc = random_walk_metropolis(
             lambda x: 0.0 if x[0] == 0.0 else -np.inf, np.array([0.0]), cfg,
             scales=[0.1])
@@ -448,7 +448,7 @@ def lean_scenario(scales):
     theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0,
                    sigma_n={"w": 1e-3})
     cfg = McmcConfig(n_total=400, n_b=100, n_t=1, seed=3,
-                     proposal_scale=scales, adapt=False)
+                     proposal_scale=scales)
     return datasets, bcs, priors, cfg, theta0
 
 
