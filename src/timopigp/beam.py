@@ -120,8 +120,7 @@ def field_max(cfg: BeamConfig, quantity: QuantityKind, z=None) -> float:
 
 
 def synthesize_dataset(cfg: BeamConfig, quantity: QuantityKind, locations,
-                       noise: NoiseSpec, z=None, label: str = "",
-                       learn_noise: bool = False) -> Dataset:
+                       noise: NoiseSpec, z=None, label: str = "") -> Dataset:
     """Sample the analytic field at ``locations`` and add i.i.d. white noise.
 
     Deterministic for a fixed ``noise.seed``.  With ``snr`` set, the noise
@@ -145,4 +144,4 @@ def synthesize_dataset(cfg: BeamConfig, quantity: QuantityKind, locations,
     rng = np.random.default_rng(noise.seed)
     y = field + sigma * rng.standard_normal(x.shape)
     return Dataset(kind=quantity, x=x, y=y, z=z_arr, sigma_n=sigma,
-                   learn_noise=learn_noise, label=label)
+                   label=label)

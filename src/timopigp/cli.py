@@ -30,7 +30,7 @@ from timopigp.errors import (DataFormatError, EntropyOverflowError,
 from timopigp.mcmc import McmcConfig
 from timopigp.placement import (PlacementCriterion, PlacementProblem,
                                 greedy_place)
-from timopigp.quantities import BLOCK_INDEX, QuantityKind
+from timopigp.quantities import QuantityKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -319,6 +319,9 @@ def _dataset_specs(cfg: dict) -> dict:
     specs = {}
     for i, spec in enumerate(_read(cfg, "config", "datasets", _sections, [])):
         label = _read(spec, f"datasets[{i}]", "label", _label, f"ds{i}")
+        if label != label.strip():  # the dataset CSV reader strips ids
+            raise ConfigError(f"datasets[{i}]: label {label!r} starts or "
+                              "ends with whitespace")
         if label in specs:
             raise ConfigError(f"datasets[{i}]: label {label!r} is also "
                               f"datasets[{specs[label][0]}]'s")
@@ -427,39 +430,13 @@ def cmd_place(cfg: dict, run: Run, args) -> int:
     return EXIT_OK
 
 
-def _apply_dataset_config(datasets: list, cfg: dict):
-    """Attach noise treatment from the config to CSV-loaded datasets, each
-    from the entry of its name; an entry with noise keys must name one."""
-    specs = _dataset_specs(cfg)
-    loaded = dict.fromkeys(ds.label for ds in datasets)
-    for label, (i, spec) in specs.items():
-        if label not in loaded and (spec.get("sigma_n") is not None
-                                    or spec.get("learn_noise") is not None):
-            raise ConfigError(f"datasets[{i}]: label {label!r} sets a noise "
-                              "key but names no dataset of --data (loaded: "
-                              f"{', '.join(map(repr, loaded))})")
-    for ds in datasets:
-        spec = specs.get(ds.label, (None, {}))[1]
-        where = f"dataset {ds.label!r}"
-        sigma_n = _read(spec, where, "sigma_n", _level, None)
-        # Learned by default only where no sigma_n and no load rule set it.
-        learn = sigma_n is None and ds.kind is not QuantityKind.LOAD
-        if sigma_n is not None:
-            ds.sigma_n = sigma_n
-        elif ds.kind is QuantityKind.LOAD:
-            ds.sigma_n = experiments.load_noise(ds.y)
-        else:
-            ds.sigma_n = 0.05 * float(np.std(ds.y))
-        ds.learn_noise = _read(spec, where, "learn_noise", _switch, learn)
-
-
 def read_model_inputs(cfg: dict, data_paths) -> tuple:
     """(beam, datasets, BCs) for identify and predict.
 
     The datasets of the CSV files, each row's x checked against the span,
-    stably sorted into the block order, so the chain does not depend on
-    the order of the files, and with the config's noise treatment.  A
-    dataset id found in a second file (or the same file twice) is refused.
+    noise set (``experiments.set_noise``) by their config entries.  A
+    dataset id in a second file (or the same file twice) is refused, and
+    so is an entry with noise keys that names no loaded dataset.
     """
     beam = beam_from_config(cfg)
     origin = {}
@@ -469,12 +446,25 @@ def read_model_inputs(cfg: dict, data_paths) -> tuple:
                 raise DataFormatError(path, 1, f"dataset {ds.label!r} is "
                                       f"also in {origin[ds.label][0]}")
             origin[ds.label] = path, ds
-    datasets = sorted((ds for _, ds in origin.values()),
-                      key=lambda ds: BLOCK_INDEX[ds.kind])
+    datasets = [ds for _, ds in origin.values()]
     if not datasets:
         raise DataFormatError(data_paths[0] if data_paths else "<none>", 1,
                               "no datasets loaded")
-    _apply_dataset_config(datasets, cfg)
+    specs = _dataset_specs(cfg)
+    loaded = [ds.label for ds in gp.order_entries(datasets, [])]
+    for label, (i, spec) in specs.items():
+        if label not in loaded and (spec.get("sigma_n") is not None
+                                    or spec.get("learn_noise") is not None):
+            raise ConfigError(f"datasets[{i}]: label {label!r} sets a noise "
+                              "key but names no dataset of --data (loaded: "
+                              f"{', '.join(map(repr, loaded))})")
+    levels, learn = {}, {}
+    for label in loaded:
+        spec, where = specs.get(label, (None, {}))[1], f"dataset {label!r}"
+        levels[label] = _read(spec, where, "sigma_n", _level, None)
+        if "learn_noise" in spec:  # a null is refused, not read as absent
+            learn[label] = _read(spec, where, "learn_noise", _switch)
+    experiments.set_noise(datasets, levels, learn)
     return beam, datasets, bcs_from_config(cfg, beam)
 
 
@@ -516,6 +506,8 @@ def cmd_predict(cfg: dict, run: Run, args) -> int:
         return lambda fields: codec.theta(finite_floats(names, fields))
 
     thetas = read_csv(args.chain, chain_row, empty="empty chain file")
+    if not thetas:  # a header without rows
+        raise DataFormatError(args.chain, 1, "empty chain file")
     pcfg = _read(cfg, "config", "predict", _section, {})
     max_draws = _read(pcfg, "predict", "max_draws", _repeats, 100)
     if len(thetas) > max_draws:

@@ -89,9 +89,22 @@ def sensor_set(beam: BeamConfig, kind: QuantityKind,
     return np.array(sorted(x for x, _ in result.selected))
 
 
-def load_noise(q) -> float:
-    """The noise std a load dataset of values ``q`` is held at."""
-    return LOAD_NOISE_FACTOR * max(float(np.max(np.abs(q))), 1e-300)
+def _own_noise(ds) -> float:
+    """A dataset's own noise level: its sigma_n, else 0.05 std(y)."""
+    return ds.sigma_n if ds.sigma_n > 0 else 0.05 * float(np.std(ds.y))
+
+
+def set_noise(datasets, levels: dict, learn: dict) -> None:
+    """Set each dataset's noise, by its label: a level in ``levels`` (not
+    None) is held, a load is held at ``LOAD_NOISE_FACTOR`` max|q|, and any
+    other dataset is learned from its own level (``_own_noise``).  A flag
+    in ``learn`` sets whether a dataset's level is learned."""
+    for ds in datasets:
+        level, load = levels.get(ds.label), ds.kind is QuantityKind.LOAD
+        ds.sigma_n = level if level is not None else (
+            LOAD_NOISE_FACTOR * max(float(np.max(np.abs(ds.y))), 1e-300)
+            if load else _own_noise(ds))
+        ds.learn_noise = learn.get(ds.label, level is None and not load)
 
 
 def synth_identification_data(beam: BeamConfig, w_locs, phi_locs, snr: float,
@@ -111,10 +124,9 @@ def synth_identification_data(beam: BeamConfig, w_locs, phi_locs, snr: float,
     plan.append((QuantityKind.LOAD, "q", plan[0][2], 1,
                  NoiseSpec(sigma_n=0.0)))
     datasets = [beam_mod.synthesize_dataset(
-        beam, kind, np.tile(locs, reps), noise, label=label,
-        learn_noise=kind is not QuantityKind.LOAD)
+        beam, kind, np.tile(locs, reps), noise, label=label)
         for kind, label, locs, reps, noise in plan]
-    datasets[-1].sigma_n = load_noise(datasets[-1].y)
+    set_noise(datasets, {}, {})
     return datasets
 
 
@@ -137,13 +149,13 @@ def stiffness_priors(beam: BeamConfig, factors: dict) -> dict:
 
 def default_theta0(datasets, beam: BeamConfig, priors: dict) -> Theta:
     """Start point: the midpoints of the EI and kGA boxes, data
-    heuristics for the rest."""
+    heuristics for the rest, from the datasets in block order."""
+    datasets = gp.order_entries(datasets, [])
     EI0, kGA0 = (0.5 * (priors[name].lo + priors[name].hi)
                  for name in ("EI", "kGA"))
     ell0 = beam.L / 4.0
 
-    w_sets = [d for d in datasets if d.kind is QuantityKind.DEFLECTION]
-    ref = w_sets[0] if w_sets else datasets[0]
+    ref = datasets[0]  # the first w dataset, if any: w leads block order
     y_var = float(np.var(ref.y)) or 1.0
     # De-scale by the reference quantity's prior variance at unit sigma_s2
     # (at its first depth for strain; 1 where that variance is 0), so
@@ -153,11 +165,8 @@ def default_theta0(datasets, beam: BeamConfig, priors: dict) -> Theta:
     gain = float(gp.covariance([point], Theta(1.0, ell0, EI0, kGA0))[0, 0])
     sigma_s2_0 = max(y_var / (gain or 1.0), 1e-300)
 
-    sigma_n0 = {}
-    for ds in datasets:
-        if ds.learn_noise:
-            init = ds.sigma_n if ds.sigma_n > 0 else 0.05 * np.std(ds.y)
-            sigma_n0[ds.label] = float(max(init, 1e-12))
+    sigma_n0 = {ds.label: float(max(_own_noise(ds), 1e-12))
+                for ds in datasets if ds.learn_noise}
     return Theta(sigma_s2=sigma_s2_0, ell=ell0, EI=EI0, kGA=kGA0,
                  sigma_n=sigma_n0)
 

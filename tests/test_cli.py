@@ -126,6 +126,31 @@ class TestExitCodes:
                     "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_config_not_json_named(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"version": 1,')
+        assert run(["simulate", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: invalid JSON in {path}: ")
+
+    @pytest.mark.parametrize("rows,at", [
+        (["quantity,x,value,z,dataset_id", "w,0.5,0.01,,w"],
+         "1: expected header quantity,x,z,value,dataset_id"),
+        ([",".join(CSV_HEADER), "w,0.5,,0.01,a", "phi,0.5,,0.01,a"],
+         "3: dataset 'a' mixes quantities w and phi"),
+        ([",".join(CSV_HEADER), "eps,0.5,0.05,0.01,e", "eps,0.5,,0.01,e"],
+         "3: strain rows require a z value")],
+        ids=["header", "mixed-quantities", "strain-without-z"])
+    def test_dataset_csv_refused_at_line(self, tmp_path, capsys, rows, at):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code = run(["identify", "--config",
+                    write_config(tmp_path, {"version": 1, "beam": BEAM}),
+                    "--out", tmp_path / "o", "--data", bad])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"data error: {bad}:{at}"
+
     def test_missing_config(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.json",
                     "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
@@ -529,6 +554,26 @@ class TestIdentifyPredict:
         assert f"bad_header_chain.csv:1: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "sigma_s2,ell,EI,kGA\n"],
+                             ids=["no-header", "header-only"])
+    def test_empty_chain_file_named(self, workflow, capsys, text):
+        """A chain file without rows is a data error at its first line,
+        whether or not it has a header."""
+        tmp_path, _, _ = workflow
+        chain = tmp_path / "empty.csv"
+        chain.write_text(text)
+        cfg = {"version": 1, "beam": BEAM,
+               "datasets": [{"label": "w", "learn_noise": False}]}
+        out = tmp_path / "empty_chain_pred"
+        code = run(["predict", "--config",
+                    write_config(tmp_path, cfg, "empty_chain.json"),
+                    "--out", out, "--chain", chain,
+                    "--data", tmp_path / "sim" / "data_w.csv"])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.strip() == \
+            f"data error: {chain}:1: empty chain file"
+        assert list(out.iterdir()) == []
+
     def test_chain_columns_read_by_name(self, workflow):
         """A chain CSV with its columns in another order predicts the
         same bytes."""
@@ -695,6 +740,27 @@ class TestDatasetLabels:
         assert capsys.readouterr().err.strip() == (
             "config error: datasets[1]: label 'q' is also datasets[0]'s")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("label", [" w", "w ", "\tw"])
+    def test_label_with_outer_whitespace_refused(self, workflow, capsys,
+                                                 label):
+        """The dataset CSV reader strips ids, so such a label would name
+        no dataset of its own simulate run: every command refuses it."""
+        tmp_path, _, _ = workflow
+        cfg = {"version": 1, "beam": BEAM, "seed": 3, "mcmc": self.SHORT,
+               "datasets": [{"kind": "w", "grid": 7, "snr": 50,
+                             "label": label, "learn_noise": False}]}
+        path = write_config(tmp_path, cfg, "padded.json")
+        message = (f"config error: datasets[0]: label {label!r} starts or "
+                   "ends with whitespace")
+        out = tmp_path / "padded"
+        assert run(["simulate", "--config", path, "--out", out]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == message
+        assert run(["identify", "--config", path, "--out", out / "id",
+                    "--data", tmp_path / "sim" / "data_w.csv"]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == message
 
     def test_empty_label_named(self, tmp_path, capsys):
         cfg = {"version": 1, "beam": BEAM,

@@ -13,6 +13,7 @@ import pytest
 from timopigp import beam as beam_mod
 from timopigp import cli, experiments, kernels, mcmc
 from timopigp.beam import NoiseSpec
+from timopigp.data import Dataset
 from timopigp.errors import StuckChainError
 from timopigp.experiments import (SweepTask, default_theta0, deflection_bcs,
                                   replication_seed, scenario_beam,
@@ -168,6 +169,52 @@ class TestPriorsAndStart:
             NoiseSpec(snr=20.0, seed=1), z=[0.0, 0.05, -0.05])
         theta0 = default_theta0([ref], beam, stiffness_priors(beam, {}))
         assert theta0.sigma_s2 == np.var(ref.y)
+
+    def test_chain_does_not_depend_on_dataset_order(self):
+        """identify on the datasets in reverse order writes the same
+        chain: its parameters follow the block order."""
+        beam = scenario_beam(1.0)
+        datasets = synth_identification_data(beam, [0.25, 0.5, 0.75],
+                                             [0.1, 0.9], snr=20.0, seed=3)
+        cfg = McmcConfig(n_total=200, n_b=50, n_t=2, seed=5)
+        chains = [experiments.identify(order, support_bcs(beam), beam, cfg)
+                  for order in (datasets, datasets[::-1])]
+        assert chains[1].param_names == chains[0].param_names
+        assert chains[1].draws.tobytes() == chains[0].draws.tobytes()
+
+
+class TestNoiseRule:
+    """``experiments.set_noise`` gives the held level and the learned
+    flag that README states for each kind, sigma_n and learn_noise."""
+
+    Y = [0.1, -0.3, 0.2]
+    GIVEN = 0.02
+    # (kind, sigma_n given) -> (level, learned when learn_noise is absent)
+    RULE = {("w", False): (0.05 * np.std(Y), True),
+            ("phi", False): (0.05 * np.std(Y), True),
+            ("q", False): (experiments.LOAD_NOISE_FACTOR * 0.3, False),
+            ("w", True): (GIVEN, False),
+            ("phi", True): (GIVEN, False),
+            ("q", True): (GIVEN, False)}
+
+    @pytest.mark.parametrize("learn", [None, True, False],
+                             ids=["absent", "true", "false"])
+    @pytest.mark.parametrize("kind,given", list(RULE))
+    def test_level_and_flag(self, kind, given, learn):
+        ds = Dataset(kind=QuantityKind(kind), x=[0.2, 0.5, 0.8], y=self.Y,
+                     label="d")
+        experiments.set_noise([ds], {"d": self.GIVEN} if given else {},
+                              {} if learn is None else {"d": learn})
+        level, learned = self.RULE[kind, given]
+        assert ds.sigma_n == pytest.approx(level, rel=1e-15)
+        assert ds.learn_noise is (learned if learn is None else learn)
+
+    def test_own_level_is_kept(self):
+        """A study dataset carries its simulated level: learned from it."""
+        ds = Dataset(kind=QuantityKind.DEFLECTION, x=[0.2, 0.5],
+                     y=[0.1, 0.2], sigma_n=0.004, label="w")
+        experiments.set_noise([ds], {}, {})
+        assert ds.sigma_n == 0.004 and ds.learn_noise
 
 
 class TestSensorSet:

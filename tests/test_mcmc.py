@@ -529,6 +529,33 @@ class TestLeanStep:
         chain = run_chain(*lean_scenario({"sigma_s2": 400.0}))
         assert chain.target_counts["rejected"]["invalid_theta"] > 0
 
+    def test_ill_conditioned_proposals_are_counted(self, monkeypatch):
+        """A proposal whose K fails every rung of the jitter ladder has
+        zero density, counted as ill_conditioned, and the chain runs on.
+        Here the Cholesky fails wherever the correlation of the first two
+        rows, w at x = 0.25 and 0.5, is above the start's, as it is for a
+        longer length scale."""
+        datasets, bcs = tiny_problem()
+        theta0 = Theta(sigma_s2=0.01, ell=0.25, EI=1.0, kGA=3.0)
+
+        def correlation(K):
+            return K[0, 1] / np.sqrt(K[0, 0] * K[1, 1])
+        top = correlation(gp.assemble(datasets, bcs, theta0).K)
+        real = gp.dpotrf
+
+        def dpotrf(K, lower=0, clean=0):
+            if correlation(K) > top:
+                return K, 1
+            return real(K, lower=lower, clean=clean)
+        monkeypatch.setattr(gp, "dpotrf", dpotrf)
+        cfg = McmcConfig(n_total=300, n_b=100, n_t=2, seed=11)
+        chain = run_chain(datasets, bcs, BOXES, cfg, theta0)
+        counts = chain.target_counts
+        assert counts["rejected"]["ill_conditioned"] > 0
+        assert sum(counts["rejected"].values()) + \
+            sum(counts["jitter"].values()) == cfg.n_total + 1
+        assert len(chain) == (cfg.n_total - cfg.n_b) // cfg.n_t
+
     def test_counts_add_up_to_evaluations(self):
         datasets, bcs = tiny_problem()
         priors = {"EI": UniformBounded(0.5, 1.5),
