@@ -21,7 +21,10 @@ sampler builds its layout once per chain and ``predict_mixture`` once
 per call, with each query's two layouts: its cross-covariance, and its
 prior variances at one point per distinct depth (one point, depth 0,
 without z); ``covariance`` and ``assemble`` build and evaluate one in a
-call.
+call.  ``evaluate`` of several thetas runs the same steps once over one
+flat table of all their entries, and ``log_marginal_likelihoods`` scores
+data at one set of sites (``Layout.over``) at several thetas from that
+stack, each member bit for bit its one-theta value.
 
 Datasets and boundary conditions are stacked in the fixed block order
 (w, phi, eps, M, V, q), with measurement noise added on diagonal blocks
@@ -152,8 +155,11 @@ def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def order_entries(datasets, bcs) -> tuple:
-    """Stack datasets then BCs, stably sorted into the fixed block order."""
-    return tuple(sorted([*datasets, *bcs], key=lambda e: BLOCK_INDEX[e.kind]))
+    """Datasets and BCs in the fixed block order: per kind, the datasets
+    by label, then the BCs in the order given."""
+    keyed = [((BLOCK_INDEX[d.kind], 0, d.label), d) for d in datasets]
+    keyed += [((BLOCK_INDEX[b.kind], 1, ""), b) for b in bcs]
+    return tuple(e for _, e in sorted(keyed, key=lambda k: k[0]))
 
 
 def _slices(entries) -> tuple:
@@ -162,6 +168,8 @@ def _slices(entries) -> tuple:
 
 
 _N_ORDERS = 2 * kernels.MAX_ORDER + 1
+# The length of ``kernels.term_factors``.
+_N_FACTORS = kernels.N_COEFFICIENTS + 2 * _N_ORDERS
 # He_k highest power first, padded with leading zeros to one length.
 _HORNER = np.array([(0.0,) * (_N_ORDERS - 1 - k) + h
                     for k, h in enumerate(kernels.HERMITE)])
@@ -317,12 +325,53 @@ class Layout:
         # polynomial begins its coefficients are 0, so y stays an exact 0
         # (u >= 0), or NaN where u is infinite, as its first step makes.
         self.horner = tuple(terms.horner.take(code, axis=1))
+        self._stacked = None
         self.z_factors = None
         if any(e.kind is QuantityKind.STRAIN for e in self.rows + cols):
             zi, zj = source("z", 1.0)
             self.z_factors = tuple(
                 np.where(power.take(column, axis=1) == 1, z, 1.0)
                 for power, z in zip(terms.z_powers, (zi, zj)))
+
+    def over(self, rows) -> Layout:
+        """This data layout over other entries at the same sites: its
+        tables, with the other entries' observations and noise plan."""
+        rows = tuple(rows)
+
+        def sites(entries):
+            return [(e.kind, e.x.tobytes(),
+                     None if e.z is None else e.z.tobytes())
+                    for e in entries]
+        if sites(rows) != sites(self.rows):
+            raise ValueError("entries are not at the layout's sites")
+        other = object.__new__(Layout)
+        other.__dict__.update(
+            (k, v) for k, v in vars(self).items()
+            if not isinstance(getattr(Layout, k, None),
+                              functools.cached_property))
+        other.rows = rows
+        return other
+
+    def stacked(self, b: int) -> tuple:
+        """(term index, factor index, Horner rows) of a flat table over
+        at least b thetas, for ``evaluate``'s stack.
+
+        Theta t's E entries sit at t E .. t E + E - 1, and the zero of a
+        slot without a term after the last theta's.  The tables of b
+        thetas serve fewer: the first thetas' entries and the zero stay
+        where they are.  Cached for the largest b asked.
+        """
+        cached = self._stacked
+        if cached is None or cached[0] < b:
+            e = self.lengths.size
+            index = self.term_index - 1 + (
+                e * np.arange(b)).reshape(-1, 1, 1, 1)
+            index[:, self.term_index == 0] = b * e
+            factors = (self.entry_factors[:, None, :] + _N_FACTORS
+                       * np.arange(b)[:, None]).reshape(3, -1)
+            horner = tuple(np.tile(c, b) for c in self.horner)
+            self._stacked = cached = (b, index, factors, horner)
+        return cached[1:]
 
     @functools.cached_property
     def y(self) -> np.ndarray:
@@ -356,35 +405,66 @@ class Layout:
 
 # Overflow shows up as inf/NaN entries, which the callers name.
 @np.errstate(over="ignore", invalid="ignore")
-def evaluate(layout: Layout, theta: Theta) -> np.ndarray:
-    """The covariance matrix of ``layout`` at ``theta``.
+def evaluate(layout: Layout, theta) -> np.ndarray:
+    """The covariance matrix of ``layout`` at ``theta``, or at each of a
+    sequence of Thetas their (B, n, n) stack.
 
     Per element and term this is ``kernels.kernel``'s arithmetic:
     (c_i c_j) ((scale He_k(u)) exp(-u u / 2)), times z and z' where the
     term carries them, summed over the terms in their order from 0.  A
-    slot without a term adds an exact 0.
+    slot without a term adds an exact 0.  A stack runs each step once
+    over one flat table of all thetas' entries (``Layout.stacked``), so
+    each member is bit for bit its one-theta matrix.
     """
-    factors = kernels.term_factors(theta).take(layout.entry_factors)
-    ci, cj, scale = factors[0], factors[1], factors[2]
+    if not isinstance(theta, Theta):
+        return _evaluate_stack(layout, theta)
     u = layout.lengths / theta.ell
     table = np.zeros(u.size + 1)
-    hermite = table[1:]
-    for c in layout.horner:
+    return _summed(layout, kernels.term_factors(theta).take(
+        layout.entry_factors), u, table, table[1:], layout.horner,
+                   layout.term_index)
+
+
+def _evaluate_stack(layout: Layout, thetas) -> np.ndarray:
+    """``evaluate``'s steps over the flat table of a sequence of Thetas."""
+    if len(thetas) == 1:  # the one-theta path costs less
+        return evaluate(layout, thetas[0])[None]
+    index, factor_index, horner = layout.stacked(len(thetas))
+    table = np.zeros(factor_index.shape[1] + 1)
+    used = len(thetas) * layout.lengths.size
+    if used < factor_index.shape[1]:  # tables of more thetas
+        index, factor_index = index[:len(thetas)], factor_index[:, :used]
+        horner = [c[:used] for c in horner]
+    # Each theta's scalars are term_factors' Python floats.
+    factors = np.concatenate([kernels.term_factors(t) for t in thetas]) \
+        .take(factor_index)
+    u = layout.lengths / np.array([t.ell for t in thetas])[:, None]
+    return _summed(layout, factors, u.reshape(-1), table, table[:used],
+                   horner, index)
+
+
+def _summed(layout: Layout, factors, u, table, hermite, horner,
+            index) -> np.ndarray:
+    """Fill ``hermite``, the entries' zeros in ``table``, with each
+    entry's term, then sum each element's slots: ``index``'s last three
+    axes are slot, row and column, after one per theta in a stack."""
+    for c in horner:
         hermite *= u
         hermite += c
     # (c_i c_j) ((scale He_k(u)) exp(-u u / 2)), each product of two
     # operands as ``kernels.kernel`` takes it.
+    ci, cj, scale = factors[0], factors[1], factors[2]
     hermite *= scale
     hermite *= np.exp(-0.5 * u * u)
     ci *= cj
     hermite *= ci
     # Slot by slot from an exact 0, as ``kernels.kernel`` sums: a
-    # reduction over the leading axis adds the slots in order.
-    stack = table.take(layout.term_index)
+    # reduction over the slot axis adds the slots in order.
+    stack = table.take(index)
     if layout.z_factors is not None:
         stack *= layout.z_factors[0]
         stack *= layout.z_factors[1]
-    return np.add.reduce(stack, axis=0, initial=0.0)
+    return np.add.reduce(stack, axis=index.ndim - 3, initial=0.0)
 
 
 def covariance(rows, theta: Theta) -> np.ndarray:
@@ -408,21 +488,24 @@ def data_layout(datasets, bcs) -> Layout:
     return Layout(entries)
 
 
-def _factor(layout: Layout, theta: Theta) -> tuple:
-    """(K, L, jitter level): a data layout evaluated, its noise added and
-    factorized, the one path ``factorize`` and ``log_marginal_likelihood``
-    share."""
-    K = evaluate(layout, theta)
+def _noise(layout: Layout, theta: Theta, out=None) -> np.ndarray:
+    """A data layout's noise variance per row at theta, written into
+    ``out`` if given (a copy of the layout's fixed noise)."""
     noise, learned = layout.noise
     if learned:
-        noise = noise.copy()
+        noise = noise.copy() if out is None else out
         for sl, label, sigma in learned:
             sig = theta.sigma_n.get(label, sigma)
             if sig > 0:
-                noise[sl] = sig**2
-    # A row without noise adds an exact 0: K's bits stay as they are.
-    K.reshape(-1)[::K.shape[0] + 1] += noise
-    check_finite(K)
+                try:
+                    noise[sl] = sig**2
+                except OverflowError:  # an inf K, which the caller names
+                    noise[sl] = math.inf
+    return noise
+
+
+def _cholesky(K: np.ndarray) -> tuple:
+    """(L, jitter level) of a finite K: dpotrf, then up the jitter ladder."""
     chol, info = dpotrf(K, lower=1, clean=1)
     level = 0.0
     if info:
@@ -435,7 +518,18 @@ def _factor(layout: Layout, theta: Theta) -> tuple:
                 break
         else:
             raise IllConditionedModelError((0.0,) + JITTER_LADDER)
-    return K, chol, level
+    return chol, level
+
+
+def _factor(layout: Layout, theta: Theta) -> tuple:
+    """(K, L, jitter level): a data layout evaluated, its noise added and
+    factorized, the one path ``factorize`` and ``log_marginal_likelihood``
+    share."""
+    K = evaluate(layout, theta)
+    # A row without noise adds an exact 0: K's bits stay as they are.
+    K.reshape(-1)[::K.shape[0] + 1] += _noise(layout, theta)
+    check_finite(K)
+    return (K, *_cholesky(K))
 
 
 def factorize(layout: Layout, theta: Theta) -> CovarianceModel:
@@ -459,8 +553,52 @@ def log_marginal_likelihood(layout: Layout, theta: Theta) -> tuple:
     """
     _, chol, level = _factor(layout, theta)
     log_det = 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
+    return _log_evidence(layout, chol, log_det), level
+
+
+def _log_evidence(layout: Layout, chol: np.ndarray, log_det: float) -> float:
     return (float(layout.half_y @ _solve(chol, layout.y)) - 0.5 * log_det
-            - layout.log_norm, level)
+            - layout.log_norm)
+
+
+def log_marginal_likelihoods(layouts, thetas) -> list:
+    """``log_marginal_likelihood`` of each data layout at its theta.
+
+    The layouts are one layout and others over its sites
+    (``Layout.over``), so one stacked ``evaluate`` of the first serves
+    all; each member's noise, check, factorization and evidence are then
+    one theta's, bit for bit.  Per member: (log evidence, jitter level),
+    or the NonFiniteCovarianceError or IllConditionedModelError that
+    ``log_marginal_likelihood`` raises for it.
+    """
+    K = evaluate(layouts[0], thetas)
+    m, n = K.shape[:2]
+    noise = np.array([layout.noise[0] for layout in layouts])
+    for layout, theta, row in zip(layouts, thetas, noise):
+        _noise(layout, theta, row)
+    K.reshape(m, -1)[:, ::n + 1] += noise
+    out, chols = [], []
+    for k, finite in zip(K, np.isfinite(K).reshape(m, -1).all(axis=1)):
+        try:
+            if not finite:
+                check_finite(k)
+            chol, level = _cholesky(k)
+        except (NonFiniteCovarianceError, IllConditionedModelError) as exc:
+            out.append(exc)
+            continue
+        out.append(level)
+        chols.append(chol)
+    if chols:
+        # The log-diagonals of all factors summed row by row, as one
+        # factor's are summed.
+        diagonals = np.array([c.diagonal() for c in chols])
+        log_dets = iter((2.0 * np.add.reduce(
+            np.log(diagonals, out=diagonals), axis=1)).tolist())
+        factored = iter(chols)
+        out = [(_log_evidence(layout, next(factored), next(log_dets)), r)
+               if isinstance(r, float) else r
+               for layout, r in zip(layouts, out)]
+    return out
 
 
 class _Plan(NamedTuple):

@@ -17,6 +17,12 @@ log density in its sampling coordinate, with no Jacobian term.  Each
 log-target evaluation lands in one count: a rejection by cause (prior
 support, invalid theta, non-finite K, ill-conditioned K) or the jitter
 level its factorization used.
+
+``run_lockstep`` steps chains whose data sit at one set of sites
+together, each with its own Generator and rules (``_Walk``, which
+``random_walk_metropolis`` steps too): their proposals are checked as one
+block and their covariances evaluated as one stack, and each chain's
+draws and counts are its ``run_chain``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ class LogFlat:
     """
 
     log_coordinate = True
+    # The support, 0 excluded: a chain refuses a value <= 0 before it
+    # asks any prior.
+    lo, hi = 0.0, math.inf
 
     def log_density(self, value: float) -> float:
         return 0.0 if value > 0 else -np.inf
@@ -188,9 +197,7 @@ def log_posterior(layout: gp.Layout, theta: Theta, values, table,
     prior's support and for a K that cannot be factorized; ``counts``
     gets one count, the cause (``REJECTIONS``) or the jitter level.
     """
-    lp = 0.0
-    for log_density, v in zip(table, values):
-        lp += log_density(v)
+    lp = _log_prior(table, values)
     if not math.isfinite(lp):
         counts["prior_support"] += 1
         return -math.inf
@@ -206,6 +213,64 @@ def log_posterior(layout: gp.Layout, theta: Theta, values, table,
     return lml + lp
 
 
+def _log_prior(table, values) -> float:
+    """The log prior: each name's log density, summed in name order."""
+    lp = 0.0
+    for log_density, v in zip(table, values):
+        lp += log_density(v)
+    return lp
+
+
+class _Walk:
+    """One random walk: its position, its log target there, and the rules
+    each sampler loop applies after a step (acceptance, the stuck rule,
+    burn-in adaptation and the keep stride)."""
+
+    WINDOW = 50
+
+    def __init__(self, x, lt, cfg: McmcConfig, scales):
+        if not np.isfinite(lt):
+            raise ValueError("initial point has zero posterior density")
+        self.x, self.lt = x, lt
+        self.rng = np.random.default_rng(cfg.seed)
+        self.scales = np.asarray(scales, dtype=float)
+        # Growth is damped and capped: an over-accepting burn-in phase
+        # (e.g. a drift along a flat ridge) must not inflate the scales so
+        # far that the frozen post-burn-in chain stops moving entirely.
+        self.scale_hi = 5.0 * self.scales
+        self.scale_lo = 1e-4 * self.scales
+        self.n_b, self.n_t = cfg.n_b, cfg.n_t
+        self.stuck_limit = 10 * max(cfg.n_b, 100)
+        self.kept = []
+        self.accepts = self.window_accepts = 0
+
+    def propose(self) -> tuple:
+        """(proposal, uniform): the two draws of a step, in that order."""
+        prop = self.x + self.scales * self.rng.standard_normal(self.x.size)
+        return prop, self.rng.random()  # random(): uniform()'s draw, faster
+
+    def settle(self, i: int, prop, lt_prop: float, a: float) -> None:
+        """Step i: take or leave ``prop`` at uniform ``a``, then apply the
+        stuck, adaptation and keep rules."""
+        # A zero-density proposal is never taken, not even at a = 0.
+        if math.isfinite(lt_prop) and np.log(a) <= lt_prop - self.lt:
+            self.x, self.lt = prop, lt_prop
+            self.accepts += 1
+            self.window_accepts += 1
+        if self.accepts == 0 and i + 1 >= self.stuck_limit:
+            raise StuckChainError(i + 1, {"scales": self.scales.tolist(),
+                                          "log_target": float(self.lt)})
+        if i < self.n_b and (i + 1) % self.WINDOW == 0:
+            rate = self.window_accepts / self.WINDOW
+            if rate < 0.25:
+                self.scales = np.maximum(self.scales * 0.8, self.scale_lo)
+            elif rate > 0.40:
+                self.scales = np.minimum(self.scales * 1.1, self.scale_hi)
+            self.window_accepts = 0
+        if i >= self.n_b and (i - self.n_b) % self.n_t == 0:
+            self.kept.append(self.x.copy())
+
+
 def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     """Generic symmetric-proposal MH core in unconstrained coordinates.
 
@@ -213,47 +278,69 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     Returns (kept draws, acceptance rate).  Proposal scales adapt towards
     ~30% acceptance during burn-in and are frozen afterwards.
     """
-    rng = np.random.default_rng(cfg.seed)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    d = x.size
-    scales = np.asarray(scales, dtype=float)
-
-    lt = log_target(x)
-    if not np.isfinite(lt):
-        raise ValueError("initial point has zero posterior density")
-
-    kept = []
-    accepts = 0
-    window_accepts = 0
-    window = 50
-    stuck_limit = 10 * max(cfg.n_b, 100)
-    # Growth is damped and capped: an over-accepting burn-in phase (e.g. a
-    # drift along a flat ridge) must not inflate the scales so far that the
-    # frozen post-burn-in chain stops moving entirely.
-    scale_hi = 5.0 * scales
-    scale_lo = 1e-4 * scales
+    walk = _Walk(x, log_target(x), cfg, scales)
     for i in range(cfg.n_total):
-        prop = x + scales * rng.standard_normal(d)
-        lt_prop = log_target(prop)
-        a = rng.random()  # uniform() on [0, 1): the same draw, less overhead
-        # A zero-density proposal is never taken, not even at a = 0.
-        if math.isfinite(lt_prop) and np.log(a) <= lt_prop - lt:
-            x, lt = prop, lt_prop
-            accepts += 1
-            window_accepts += 1
-        if accepts == 0 and i + 1 >= stuck_limit:
-            raise StuckChainError(i + 1, {"scales": scales.tolist(),
-                                          "log_target": float(lt)})
-        if i < cfg.n_b and (i + 1) % window == 0:
-            rate = window_accepts / window
-            if rate < 0.25:
-                scales = np.maximum(scales * 0.8, scale_lo)
-            elif rate > 0.40:
-                scales = np.minimum(scales * 1.1, scale_hi)
-            window_accepts = 0
-        if i >= cfg.n_b and (i - cfg.n_b) % cfg.n_t == 0:
-            kept.append(x.copy())
-    return np.asarray(kept), accepts / cfg.n_total
+        prop, a = walk.propose()
+        walk.settle(i, prop, log_target(prop), a)
+    return np.asarray(walk.kept), walk.accepts / cfg.n_total
+
+
+class _Chain:
+    """One chain's fixed parts, set up as ``run_chain`` describes: its
+    codec, priors in parameter order, log-coordinate mask, start in
+    sampling coordinates, proposal scales, data layout and counts."""
+
+    def __init__(self, priors: dict, cfg: McmcConfig, theta0: Theta,
+                 layout: gp.Layout):
+        self.codec = codec = ThetaCodec.of(theta0)
+        self.names = names = codec.names
+        for key in priors:
+            if key not in names:
+                raise ValueError(f"priors key {key!r} names no parameter "
+                                 "of the chain")
+        for name in ("EI", "kGA"):
+            if name not in priors:
+                raise ValueError(f"no prior box for {name}")
+        self.priors = [priors.get(name, LogFlat()) for name in names]
+        self.log_mask = np.array([p.log_coordinate for p in self.priors])
+        self.log_index = np.flatnonzero(self.log_mask)
+        x0 = ThetaCodec.vector(theta0)
+        if np.any(x0[self.log_mask] <= 0):
+            raise ValueError("log-transformed parameters must start "
+                             "positive")
+        self.s0 = x0.copy()
+        self.s0[self.log_mask] = np.log(x0[self.log_mask])
+
+        # Linear-space parameters get proposal steps relative to their
+        # start value; log-space parameters step in log units directly.
+        ps = cfg.proposal_scale
+        steps = ps if isinstance(ps, dict) else dict.fromkeys(names, ps)
+        for key in steps:
+            if key not in names:
+                raise ValueError(f"proposal_scale key {key!r} names no "
+                                 "learned noise level")
+        self.scales = np.array([steps.get(name, DEFAULT_STEP)
+                                for name in names], dtype=float)
+        self.scales[~self.log_mask] *= np.abs(x0[~self.log_mask])
+        self.cfg, self.layout = cfg, layout
+        self.table = [prior.log_density for prior in self.priors]
+        self.log_prior0 = _log_prior(self.table, x0.tolist())
+        self.counts = Counter()
+
+    def result(self, draws_s: np.ndarray, acc: float) -> PosteriorChain:
+        draws = draws_s.copy()
+        draws[:, self.log_mask] = np.exp(draws_s[:, self.log_mask])
+        counts = self.counts
+        target_counts = {
+            "evaluations": counts["evaluations"],
+            "rejected": {cause: counts[cause] for cause in REJECTIONS},
+            "jitter": {repr(level): counts[level]
+                       for level in (0.0,) + gp.JITTER_LADDER},
+        }
+        return PosteriorChain(param_names=self.names, draws=draws,
+                              acceptance_rate=acc,
+                              target_counts=target_counts)
 
 
 def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
@@ -264,38 +351,9 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     out gets ``LogFlat``, and a key that names no parameter of the chain
     is refused.  Each is sampled in its prior's coordinate.
     """
-    codec = ThetaCodec.of(theta0)
-    names = codec.names
-    for key in priors:
-        if key not in names:
-            raise ValueError(f"priors key {key!r} names no parameter of "
-                             "the chain")
-    for name in ("EI", "kGA"):
-        if name not in priors:
-            raise ValueError(f"no prior box for {name}")
-    prior_list = [priors.get(name, LogFlat()) for name in names]
-    log_mask = np.array([prior.log_coordinate for prior in prior_list])
-    x0 = ThetaCodec.vector(theta0)
-    if np.any(x0[log_mask] <= 0):
-        raise ValueError("log-transformed parameters must start positive")
-    s0 = x0.copy()
-    s0[log_mask] = np.log(x0[log_mask])
-
-    # Linear-space parameters get proposal steps relative to their start
-    # value; log-space parameters step in log units directly.
-    ps = cfg.proposal_scale
-    steps = ps if isinstance(ps, dict) else dict.fromkeys(names, ps)
-    for key in steps:
-        if key not in names:
-            raise ValueError(f"proposal_scale key {key!r} names no learned "
-                             "noise level")
-    scales = np.array([steps.get(name, DEFAULT_STEP) for name in names],
-                      dtype=float)
-    scales[~log_mask] *= np.abs(x0[~log_mask])
-    layout = gp.data_layout(datasets, bcs)
-    table = [prior.log_density for prior in prior_list]
-    log_index = np.flatnonzero(log_mask)
-    counts = Counter()
+    chain = _Chain(priors, cfg, theta0, gp.data_layout(datasets, bcs))
+    codec, layout, table = chain.codec, chain.layout, chain.table
+    log_index, counts = chain.log_index, chain.counts
 
     def log_target(s):
         counts["evaluations"] += 1
@@ -315,18 +373,145 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     # exp overflows to inf past a log-scale value of ~709: Theta refuses
     # the inf, so the chain counts it without a warning.
     with np.errstate(over="ignore"):
-        draws_s, acc = random_walk_metropolis(log_target, s0, cfg,
-                                              scales=scales)
-    draws = draws_s.copy()
-    draws[:, log_mask] = np.exp(draws_s[:, log_mask])
-    target_counts = {
-        "evaluations": counts["evaluations"],
-        "rejected": {cause: counts[cause] for cause in REJECTIONS},
-        "jitter": {repr(level): counts[level]
-                   for level in (0.0,) + gp.JITTER_LADDER},
-    }
-    return PosteriorChain(param_names=names, draws=draws,
-                          acceptance_rate=acc, target_counts=target_counts)
+        draws_s, acc = random_walk_metropolis(log_target, chain.s0, cfg,
+                                              scales=chain.scales)
+    return chain.result(draws_s, acc)
+
+
+# The most stacked term elements (chains times a layout's terms) that
+# run_lockstep steps at once: 50 chains of a 151-point layout with
+# four-term blocks would hold 36 MB of them, and the index as much again.
+STACK_ELEMENTS = 1 << 19
+
+
+def run_lockstep(runs) -> list:
+    """``run_chain`` of each run, the chains stepped together.
+
+    ``runs`` holds one ``(datasets, bcs, priors, cfg, theta0)`` per chain,
+    as ``run_chain`` takes them; their entries sit at one set of sites,
+    their start points have one list of names, and their priors sample
+    the same names in log coordinates.  Each chain keeps its own
+    Generator, priors, data, noise, proposal scales and rules
+    (``_Walk``), and its draws, acceptance rate and counts are its
+    ``run_chain``'s bit for bit: at each step the chains' proposals are
+    checked as one block and their covariances evaluated as one stack
+    (``gp.log_marginal_likelihoods``).  Runs that would stack more than
+    ``STACK_ELEMENTS`` term elements are stepped in consecutive groups.
+
+    Returns per run its PosteriorChain, or the exception that
+    ``run_chain`` raises for it (a chain that fails leaves the others'
+    draws as they are).
+    """
+    out, chains = [None] * len(runs), []
+    layout = None
+    for k, (datasets, bcs, priors, cfg, theta0) in enumerate(runs):
+        layout = gp.data_layout(datasets, bcs) if layout is None \
+            else layout.over(gp.order_entries(datasets, bcs))
+        try:
+            chains.append((k, _Chain(priors, cfg, theta0, layout)))
+        except ValueError as exc:
+            out[k] = exc
+    if not chains:
+        return out
+    if any(c.names != chains[0][1].names
+           or (c.log_mask != chains[0][1].log_mask).any()
+           for _, c in chains):
+        raise ValueError("lock-step chains must sample the same names in "
+                         "the same coordinates")
+    per = max(1, STACK_ELEMENTS // layout.term_index.size)
+    for at in range(0, len(chains), per):
+        group = chains[at:at + per]
+        for (k, _), result in zip(group, _step_together(
+                [chain for _, chain in group])):
+            out[k] = result
+    return out
+
+
+def _step_together(chains) -> list:
+    """Each chain's PosteriorChain, or the exception it failed with."""
+    out = dict.fromkeys(chains)
+    walks = {}
+    with np.errstate(over="ignore"):
+        starts = _log_targets(chains, np.array([c.s0 for c in chains]),
+                              _bounds(chains))
+        for chain, lt in zip(chains, starts):
+            try:
+                walks[chain] = _Walk(chain.s0.copy(), lt, chain.cfg,
+                                     chain.scales)
+            except ValueError as exc:
+                out[chain] = exc
+        live, changed = list(walks), True
+        ends = {c.cfg.n_total for c in live}
+        for i in range(max(ends, default=0)):
+            if changed or i in ends:  # a chain failed or is done
+                live = [c for c in live
+                        if i < c.cfg.n_total and out[c] is None]
+                if not live:
+                    break
+                steppers = [walks[c] for c in live]
+                bounds = _bounds(live)
+            steps = [walk.propose() for walk in steppers]
+            lts = _log_targets(live, np.array([p for p, _ in steps]), bounds)
+            changed = False
+            for chain, walk, (prop, a), lt in zip(live, steppers, steps, lts):
+                try:
+                    walk.settle(i, prop, lt, a)
+                except StuckChainError as exc:
+                    out[chain], changed = exc, True
+    for chain, walk in walks.items():
+        if out[chain] is None:
+            out[chain] = chain.result(np.asarray(walk.kept),
+                                      walk.accepts / chain.cfg.n_total)
+    return list(out.values())
+
+
+def _log_targets(chains, S: np.ndarray, bounds: tuple) -> list:
+    """Each chain's log target at its row of S, counted as ``run_chain``'s
+    log target counts it.
+
+    Every prior is flat on its support, so a row whose values are all
+    positive, finite and in their priors' supports (``bounds``, one row
+    per chain) is scored with the chain's log prior at its start; those
+    rows are found at once.  Any other row is off the support, or gets
+    no Theta if it is positive and holds an inf, as in ``run_chain``'s
+    order of checks.
+    """
+    V = S.copy()
+    np.exp(S, out=V, where=chains[0].log_mask)
+    lo, hi = bounds
+    inside = ((lo <= V) & (V <= hi)).all(axis=1).tolist()
+    out = [-math.inf] * len(chains)
+    scored, thetas = [], []
+    for j, (chain, values) in enumerate(zip(chains, V.tolist())):
+        chain.counts["evaluations"] += 1
+        if inside[j]:
+            scored.append(j)
+            thetas.append(chain.codec.theta(values))
+        elif min(values) > 0 and max(values) == math.inf:
+            chain.counts["invalid_theta"] += 1
+        else:
+            chain.counts["prior_support"] += 1
+    if scored:
+        layouts = [chains[j].layout for j in scored]
+        for j, r in zip(scored, gp.log_marginal_likelihoods(layouts, thetas)):
+            chain = chains[j]
+            if isinstance(r, NonFiniteCovarianceError):
+                chain.counts["non_finite_covariance"] += 1
+            elif isinstance(r, IllConditionedModelError):
+                chain.counts["ill_conditioned"] += 1
+            else:
+                chain.counts[r[1]] += 1
+                out[j] = r[0] + chain.log_prior0
+    return out
+
+
+def _bounds(chains) -> tuple:
+    """The chains' prior supports, one (lo, hi) row per chain, narrowed to
+    the positive finite floats."""
+    lo = np.array([[p.lo for p in c.priors] for c in chains])
+    hi = np.array([[p.hi for p in c.priors] for c in chains])
+    return (np.maximum(lo, math.ulp(0.0)),
+            np.minimum(hi, np.finfo(float).max))
 
 
 def summarize(chain: PosteriorChain) -> dict:

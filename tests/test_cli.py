@@ -1055,7 +1055,7 @@ class TestStudy:
         """A replication that raises is listed with its sweep value,
         replication index, seed and error in study_noise_failures.json."""
         monkeypatch.setenv("TIMO_PIGP_THREADS", "1")
-        real, calls = experiments.identify, []
+        real, calls = experiments.default_theta0, []
 
         def second_fails(*args, **kwargs):
             calls.append(1)
@@ -1063,7 +1063,9 @@ class TestStudy:
                 raise StuckChainError(7)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "identify", second_fails)
+        # Each replication's chain starts from default_theta0, whether it
+        # runs alone or in lock-step with the others.
+        monkeypatch.setattr(experiments, "default_theta0", second_fails)
         cfg = {"version": 1, "beam": BEAM, "seed": 42,
                "mcmc": {"n_total": 200, "n_b": 50, "n_t": 5},
                "study": {"noise": {"snrs": [10, 50], "replications": 2}}}

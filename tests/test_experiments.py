@@ -182,6 +182,23 @@ class TestPriorsAndStart:
         assert chains[1].param_names == chains[0].param_names
         assert chains[1].draws.tobytes() == chains[0].draws.tobytes()
 
+    def test_chain_does_not_depend_on_same_kind_order(self):
+        """Two w datasets in either order write the same chain: the
+        datasets of one kind follow their labels."""
+        beam = scenario_beam(1.0)
+        w1, w2 = (beam_mod.synthesize_dataset(
+            beam, QuantityKind.DEFLECTION, np.array(x),
+            NoiseSpec(snr=20.0, seed=seed), label=label)
+            for x, seed, label in (([0.2, 0.5, 0.8], 1, "w1"),
+                                   ([0.3, 0.6], 2, "w2")))
+        experiments.set_noise([w1, w2], {}, {})
+        cfg = McmcConfig(n_total=200, n_b=50, n_t=2, seed=5)
+        chains = [experiments.identify(order, support_bcs(beam), beam, cfg)
+                  for order in ([w1, w2], [w2, w1])]
+        assert chains[0].param_names[-2:] == ["sigma_n:w1", "sigma_n:w2"]
+        assert chains[1].param_names == chains[0].param_names
+        assert chains[1].draws.tobytes() == chains[0].draws.tobytes()
+
 
 class TestNoiseRule:
     """``experiments.set_noise`` gives the held level and the learned
@@ -435,10 +452,10 @@ class TestSweeps:
             raise StuckChainError(10)
 
         monkeypatch.setattr(experiments, "identify", fail)
-        res = experiments._run_sweep_task(SweepTask(
+        res = experiments._run_sweep_part([SweepTask(
             beam_r=1.0, snr=20.0, ndp=1, seed=1, chain_seed=2,
-            mcmc=McmcConfig(n_total=10, n_b=5, n_t=1)))
-        assert res == {"error": repr(StuckChainError(10))}
+            mcmc=McmcConfig(n_total=10, n_b=5, n_t=1))])
+        assert res == [{"error": repr(StuckChainError(10))}]
 
     def test_aggregate_handles_failures(self):
         agg = experiments._aggregate([
@@ -469,6 +486,93 @@ class TestSweeps:
         monkeypatch.delenv(experiments.THREADS_ENV)
         monkeypatch.delattr(os, "sched_getaffinity")
         assert experiments.worker_count() == 8
+
+
+# A study in a process of its own, its argv[1] a JSON (study, values,
+# settings): its aggregates and failures as JSON pairs on stdout.
+STUDY_CHILD = """
+import json, sys
+from timopigp import experiments
+from timopigp.mcmc import McmcConfig
+study, values, settings = json.loads(sys.argv[1])
+points = experiments.sweep_study(study, values, 3, 7, McmcConfig(
+    n_total=300, n_b=100, n_t=5), **settings)
+print(json.dumps([[value, points[value]] for value in values]))
+"""
+
+STUDY_CASES = {"noise": ([10, 50], {"r": 1.0}),
+               "rigidity": ([0.01, 1.0], {"snr": 20.0}),
+               "ndp": ([1, 2], {"snr": 20.0})}
+
+
+def reference_study(study, values, settings) -> list:
+    """STUDY_CHILD's pairs, one ``run_chain`` per replication, as the
+    study ran its replications before they stepped together."""
+    spec = experiments.STUDIES[study]
+    out = []
+    for p, value in enumerate(values):
+        setting = {"beam_r": settings.get("r", 1.0),
+                   "snr": settings.get("snr", 10.0), "ndp": 1,
+                   spec.field: value}
+        beam = scenario_beam(setting["beam_r"])
+        sites = [sensor_set(beam, kind,
+                            PlacementCriterion.PHYSICS_INFORMED_ENTROPY)
+                 for kind in (QuantityKind.DEFLECTION, QuantityKind.ROTATION)]
+        results, failures = [], []
+        for rep in range(3):
+            seed = replication_seed(7, spec.offset + p, rep)
+            datasets = synth_identification_data(
+                beam, *sites, snr=setting["snr"], seed=seed,
+                ndp=setting["ndp"])
+            priors = stiffness_priors(beam, {})
+            try:
+                chain = mcmc.run_chain(
+                    datasets, support_bcs(beam), priors,
+                    McmcConfig(n_total=300, n_b=100, n_t=5,
+                               seed=seed ^ 0x9E37),
+                    default_theta0(datasets, beam, priors))
+            except Exception as exc:
+                results.append({"error": repr(exc)})
+                failures.append({"replication": rep, "seed": seed,
+                                 "error": repr(exc)})
+                continue
+            stats = mcmc.summarize(chain)
+            results.append({f"{name}_{field}": stats[name][field] / truth
+                            for name, truth in (("EI", beam.EI_true),
+                                                ("kGA", beam.kGA_true))
+                            for field in ("mean", "std")})
+        out.append([value, dict(experiments._aggregate(results),
+                                failures=failures)])
+    return json.loads(json.dumps(out))
+
+
+def study_in_child(threads, study, values, settings) -> list:
+    """STUDY_CHILD under ``TIMO_PIGP_THREADS=threads`` and ``-X dev``,
+    with a ResourceWarning an error and the wait bounded."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path,
+               TIMO_PIGP_THREADS=str(threads))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-W", "error::RuntimeWarning", "-c", STUDY_CHILD,
+         json.dumps([study, values, settings])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("study", list(STUDY_CASES))
+def test_study_bytes_do_not_depend_on_workers(study):
+    """A study's aggregates and failures with one worker (each group of
+    replications at one set of sites in lock-step) and with two (parts
+    of 3 in lock-step, parts of 2 and 1 through run_chain) are the
+    per-replication run_chain reference's, float for float."""
+    values, settings = STUDY_CASES[study]
+    want = reference_study(study, values, settings)
+    for threads in (1, 2):
+        assert study_in_child(threads, study, values, settings) == want
 
 
 class TestEffectiveSampleSize:

@@ -620,6 +620,68 @@ class TestLayoutEngine:
                                match=f": {n_bad} of "):
                 gp.assemble(datasets, bcs, theta)
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=entry_lists(), cols=st.none() | entry_lists(),
+           stack=st.lists(thetas(ell=log_uniform(-2.0, 0.5))
+                          | thetas(ell=log_uniform(-323.0, -30.0)),
+                          min_size=1, max_size=5))
+    def test_stack_is_each_theta_alone(self, rows, cols, stack):
+        """B thetas through one flat table give B matrices, each bit for
+        bit its one-theta matrix, non-finite entries and their counts
+        included; the table of B thetas serves fewer afterwards."""
+        layout = gp.Layout(rows, cols)
+        for members in (stack, stack[1:]):
+            if not members:
+                continue
+            K = gp.evaluate(layout, members)
+            assert K.shape == (len(members), *layout.shape)
+            for k, theta in zip(K, members):
+                alone = gp.evaluate(layout, theta)
+                assert same_bits(k, alone)
+                n_bad = int(np.sum(~np.isfinite(k)))
+                if n_bad:
+                    with pytest.raises(NonFiniteCovarianceError,
+                                       match=f": {n_bad} of "):
+                        gp.check_finite(alone)
+                else:
+                    gp.check_finite(alone)
+
+    def test_stacked_evidence_is_each_alone(self):
+        """log_marginal_likelihoods over data at one set of sites equals
+        log_marginal_likelihood per member, bit for bit, a member with a
+        non-finite K included; entries at other sites are refused."""
+        datasets, bcs = identify_scenario()
+        layout = gp.data_layout(datasets, bcs)
+        rng = np.random.default_rng(4)
+        layouts = [layout]
+        for i in range(3):
+            other = [Dataset(kind=d.kind, x=d.x, z=d.z,
+                             y=d.y + rng.normal(0.0, 0.01, d.y.size),
+                             sigma_n=d.sigma_n * (i + 2),
+                             learn_noise=d.learn_noise, label=d.label)
+                     for d in datasets]
+            layouts.append(layout.over(gp.order_entries(other, bcs)))
+        thetas = [Theta(sigma_s2=0.1 * (i + 1), ell=(0.3, 1e-300, 0.5,
+                                                     0.2)[i],
+                        EI=1.0, kGA=3.0 / 0.3,
+                        sigma_n={"w": 1e-3 * (i + 1), "phi": 2e-3})
+                  for i in range(4)]
+        got = gp.log_marginal_likelihoods(layouts, thetas)
+        for lay, theta, r in zip(layouts, thetas, got):
+            try:
+                want = gp.log_marginal_likelihood(lay, theta)
+            except NonFiniteCovarianceError as exc:
+                assert isinstance(r, NonFiniteCovarianceError)
+                assert str(r) == str(exc)
+                continue
+            assert r == want
+        assert isinstance(got[1], NonFiniteCovarianceError)
+        assert sum(isinstance(r, tuple) for r in got) == 3
+        moved = [Dataset(kind=d.kind, x=d.x + 0.01, y=d.y, z=d.z,
+                         label=d.label) for d in datasets]
+        with pytest.raises(ValueError, match="not at the layout's sites"):
+            layout.over(gp.order_entries(moved, bcs))
+
     def test_sign_fold_keeps_nan_bits(self):
         """Odd-degree terms at negative differences (w-phi, w-V) at a tiny
         length scale: the reference's NaNs carry the sign bit that a

@@ -529,6 +529,16 @@ class TestLeanStep:
         chain = run_chain(*lean_scenario({"sigma_s2": 400.0}))
         assert chain.target_counts["rejected"]["invalid_theta"] > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_variance_is_non_finite(self):
+        """A learned noise level past 1.3e154, whose square overflows, is
+        a K with inf entries, counted as non_finite_covariance; the chain
+        used to raise OverflowError.  In lock-step it is the same."""
+        run = lean_scenario({"sigma_n:w": 400.0})
+        chain = run_chain(*run)
+        assert chain.target_counts["rejected"]["non_finite_covariance"] > 0
+        assert same_chain(mcmc.run_lockstep([run] * 3)[1], chain)
+
     def test_ill_conditioned_proposals_are_counted(self, monkeypatch):
         """A proposal whose K fails every rung of the jitter ladder has
         zero density, counted as ill_conditioned, and the chain runs on.
@@ -570,6 +580,106 @@ class TestLeanStep:
         assert sum(counts["rejected"].values()) + \
             sum(counts["jitter"].values()) == cfg.n_total + 1
         assert all(isinstance(v, int) for v in counts["rejected"].values())
+
+
+def lockstep_runs(b):
+    """b chains at the sites of ``lean_scenario``: each with its own data,
+    noise, prior boxes, start, seed, burn-in, keep stride, length and
+    proposal scales, the scales cycling through ``TestLeanStep``'s."""
+    runs = []
+    for k in range(b):
+        datasets, bcs = tiny_problem(seed=k, sigma=0.05 * (1 + k % 3))
+        datasets[0].learn_noise = True
+        bcs.append(BoundaryCondition(kind=QuantityKind.MOMENT,
+                                     x=np.array([0.0, 1.0])))
+        priors = {"EI": UniformBounded(0.8 - 0.02 * k, 1.2 + 0.02 * k),
+                  "kGA": UniformBounded(2.5, 3.5 + 0.1 * k)}
+        theta0 = Theta(sigma_s2=0.01 * (1 + 0.1 * k), ell=0.25, EI=1.0,
+                       kGA=3.0, sigma_n={"w": 1e-3})
+        scales = (0.1, {"ell": 40.0}, {"sigma_s2": 400.0})[k % 3]
+        cfg = McmcConfig(n_total=300 + 20 * k, n_b=80 + 10 * k,
+                         n_t=1 + k % 3, seed=k, proposal_scale=scales)
+        runs.append((datasets, bcs, priors, cfg, theta0))
+    return runs
+
+
+def same_chain(a, b):
+    return (a.param_names == b.param_names
+            and a.draws.tobytes() == b.draws.tobytes()
+            and a.acceptance_rate == b.acceptance_rate
+            and a.target_counts == b.target_counts)
+
+
+class TestLockstep:
+    """``run_lockstep`` gives each chain its ``run_chain`` bit for bit."""
+
+    @pytest.mark.parametrize("b", [3, 4, 7])
+    def test_each_chain_is_its_run_chain(self, monkeypatch, b):
+        """Proposals are rejected for every cause: off the prior support,
+        an overflowing log-scale step (invalid_theta), a K with inf or
+        NaN, and a K that a Cholesky stub fails up the whole jitter
+        ladder wherever the correlation of its first two rows, w at
+        x = 0.25 and 0.5, is above every start's."""
+        runs = lockstep_runs(b)
+
+        def correlation(K):
+            return K[0, 1] / np.sqrt(K[0, 0] * K[1, 1])
+        top = max(correlation(gp.assemble(datasets, bcs, theta0).K)
+                  for datasets, bcs, _, _, theta0 in runs)
+        real = gp.dpotrf
+
+        def dpotrf(K, lower=0, clean=0):
+            if correlation(K) > top:
+                return K, 1
+            return real(K, lower=lower, clean=clean)
+        monkeypatch.setattr(gp, "dpotrf", dpotrf)
+
+        got = mcmc.run_lockstep(runs)
+        hits = Counter()
+        for run, chain in zip(runs, got):
+            assert same_chain(chain, run_chain(*run))
+            hits.update({cause: n for cause, n in
+                         chain.target_counts["rejected"].items() if n})
+            hits.update({level: n for level, n in
+                         chain.target_counts["jitter"].items() if n})
+        assert set(hits) >= {*mcmc.REJECTIONS, "0.0"}
+        assert any(chain.acceptance_rate > 0.0 for chain in got)
+
+    def test_failed_chains_fail_alone(self):
+        """A chain whose start has zero density and a chain that never
+        accepts fail with run_chain's exception text; the others' draws
+        are their run_chain's and the same as in a group without them."""
+        runs = lockstep_runs(4)
+        datasets, bcs, priors, cfg, theta0 = runs[1]
+        runs[1] = (datasets, bcs, priors, cfg,
+                   Theta(theta0.sigma_s2, theta0.ell, 2.0, theta0.kGA,
+                         sigma_n=theta0.sigma_n))
+        datasets, bcs, priors, cfg, theta0 = runs[2]
+        runs[2] = (datasets, bcs, priors,
+                   McmcConfig(n_total=1100, n_b=50, n_t=1, seed=2,
+                              proposal_scale=1e3), theta0)
+        got = mcmc.run_lockstep(runs)
+        for k, cls in ((1, ValueError), (2, StuckChainError)):
+            assert type(got[k]) is cls
+            with pytest.raises(cls) as raised:
+                run_chain(*runs[k])
+            assert str(got[k]) == str(raised.value)
+        assert "initial point has zero posterior density" in str(got[1])
+        assert "no proposal accepted in 1000 steps" in str(got[2])
+        alone = mcmc.run_lockstep([runs[0], runs[3]])
+        for k, chain in zip((0, 3), alone):
+            assert same_chain(got[k], run_chain(*runs[k]))
+            assert same_chain(got[k], chain)
+
+    def test_chains_at_other_sites_refused(self):
+        runs = lockstep_runs(3)
+        datasets, bcs, priors, cfg, theta0 = runs[1]
+        moved = [Dataset(kind=d.kind, x=d.x + 0.05, y=d.y,
+                         sigma_n=d.sigma_n, learn_noise=True, label=d.label)
+                 for d in datasets]
+        runs[1] = (moved, bcs, priors, cfg, theta0)
+        with pytest.raises(ValueError, match="not at the layout's sites"):
+            mcmc.run_lockstep(runs)
 
 
 class TestSummarize:
