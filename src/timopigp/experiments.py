@@ -205,13 +205,6 @@ class SweepTask:
     mcmc: McmcConfig
 
 
-# The fewest chains that a part of a sweep group steps in lock-step; a
-# smaller part runs each chain alone.  At the sweep's scenario lock-step
-# made chain steps 0.94x as fast as run_chain at 2 chains and 1.18x as
-# fast at 3 (2-vCPU VM).
-LOCKSTEP_MIN = 3
-
-
 def _attempt(fn, *args):
     """fn(*args), or the exception it raised: a replication's failure is
     recorded and the sweep continues."""
@@ -224,8 +217,9 @@ def _attempt(fn, *args):
 def _run_sweep_part(tasks: list) -> list:
     """The results of replications at one set of sites (one beam_r and
     ndp): one sensor_set pair, then the chains in lock-step
-    (``mcmc.run_lockstep``) if there are ``LOCKSTEP_MIN`` of them, else
-    one ``identify`` each; the draws are the same either way."""
+    (``mcmc.run_lockstep``).  If that raises, each chain runs alone
+    (``identify``), so the error is one replication's; the draws are the
+    same either way."""
     beam = scenario_beam(tasks[0].beam_r)
     w_locs, phi_locs = (
         sensor_set(beam, kind, PlacementCriterion.PHYSICS_INFORMED_ENTROPY)
@@ -236,14 +230,14 @@ def _run_sweep_part(tasks: list) -> list:
                                          ndp=task.ndp),
                bcs, beam, replace(task.mcmc, seed=task.chain_seed))
               for task in tasks]
-    if len(tasks) < LOCKSTEP_MIN:
-        chains = [_attempt(identify, *args) for args in inputs]
-    else:
-        chains = [_attempt(_chain_run, *args) for args in inputs]
-        runs = [run for run in chains if isinstance(run, tuple)]
-        done = iter(mcmc.run_lockstep(runs))
+    runs = [_attempt(_chain_run, *args) for args in inputs]
+    try:
+        done = iter(mcmc.run_lockstep(
+            [run for run in runs if isinstance(run, tuple)]))
         chains = [next(done) if isinstance(run, tuple) else run
-                  for run in chains]
+                  for run in runs]
+    except Exception:  # one chain's error, found again when run alone
+        chains = [_attempt(identify, *args) for args in inputs]
     out = []
     for chain in chains:
         if isinstance(chain, Exception):

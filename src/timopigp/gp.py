@@ -22,9 +22,9 @@ per call, with each query's two layouts: its cross-covariance, and its
 prior variances at one point per distinct depth (one point, depth 0,
 without z); ``covariance`` and ``assemble`` build and evaluate one in a
 call.  ``evaluate`` of several thetas runs the same steps once over one
-flat table of all their entries, and ``log_marginal_likelihoods`` scores
-data at one set of sites (``Layout.over``) at several thetas from that
-stack, each member bit for bit its one-theta value.
+flat table of all their entries, each member bit for bit its one-theta
+matrix, and ``log_marginal_likelihood`` scores data at one set of sites
+(``Layout.over``) from its member of that stack.
 
 Datasets and boundary conditions are stacked in the fixed block order
 (w, phi, eps, M, V, q), with measurement noise added on diagonal blocks
@@ -416,50 +416,39 @@ def evaluate(layout: Layout, theta) -> np.ndarray:
     over one flat table of all thetas' entries (``Layout.stacked``), so
     each member is bit for bit its one-theta matrix.
     """
-    if not isinstance(theta, Theta):
-        return _evaluate_stack(layout, theta)
-    u = layout.lengths / theta.ell
-    table = np.zeros(u.size + 1)
-    return _summed(layout, kernels.term_factors(theta).take(
-        layout.entry_factors), u, table, table[1:], layout.horner,
-                   layout.term_index)
-
-
-def _evaluate_stack(layout: Layout, thetas) -> np.ndarray:
-    """``evaluate``'s steps over the flat table of a sequence of Thetas."""
-    if len(thetas) == 1:  # the one-theta path costs less
-        return evaluate(layout, thetas[0])[None]
-    index, factor_index, horner = layout.stacked(len(thetas))
-    table = np.zeros(factor_index.shape[1] + 1)
-    used = len(thetas) * layout.lengths.size
-    if used < factor_index.shape[1]:  # tables of more thetas
-        index, factor_index = index[:len(thetas)], factor_index[:, :used]
-        horner = [c[:used] for c in horner]
-    # Each theta's scalars are term_factors' Python floats.
-    factors = np.concatenate([kernels.term_factors(t) for t in thetas]) \
-        .take(factor_index)
-    u = layout.lengths / np.array([t.ell for t in thetas])[:, None]
-    return _summed(layout, factors, u.reshape(-1), table, table[:used],
-                   horner, index)
-
-
-def _summed(layout: Layout, factors, u, table, hermite, horner,
-            index) -> np.ndarray:
-    """Fill ``hermite``, the entries' zeros in ``table``, with each
-    entry's term, then sum each element's slots: ``index``'s last three
-    axes are slot, row and column, after one per theta in a stack."""
+    if isinstance(theta, Theta):
+        factors = kernels.term_factors(theta).take(layout.entry_factors)
+        u = layout.lengths / theta.ell
+        table = np.zeros(u.size + 1)
+        hermite, horner, index = table[1:], layout.horner, layout.term_index
+    elif len(theta) == 1:  # the one-theta path costs less
+        return evaluate(layout, theta[0])[None]
+    else:
+        index, factor_index, horner = layout.stacked(len(theta))
+        table = np.zeros(factor_index.shape[1] + 1)
+        used = len(theta) * layout.lengths.size
+        if used < factor_index.shape[1]:  # tables of more thetas
+            index, factor_index = index[:len(theta)], factor_index[:, :used]
+            horner = [c[:used] for c in horner]
+        # Each theta's scalars are term_factors' Python floats.
+        factors = np.concatenate([kernels.term_factors(t) for t in theta]) \
+            .take(factor_index)
+        u = (layout.lengths
+             / np.array([t.ell for t in theta])[:, None]).reshape(-1)
+        hermite = table[:used]
+    ci, cj, scale = factors[0], factors[1], factors[2]
     for c in horner:
         hermite *= u
         hermite += c
     # (c_i c_j) ((scale He_k(u)) exp(-u u / 2)), each product of two
     # operands as ``kernels.kernel`` takes it.
-    ci, cj, scale = factors[0], factors[1], factors[2]
     hermite *= scale
     hermite *= np.exp(-0.5 * u * u)
     ci *= cj
     hermite *= ci
     # Slot by slot from an exact 0, as ``kernels.kernel`` sums: a
-    # reduction over the slot axis adds the slots in order.
+    # reduction over the slot axis (after the theta axis of a stack) adds
+    # the slots in order.
     stack = table.take(index)
     if layout.z_factors is not None:
         stack *= layout.z_factors[0]
@@ -488,24 +477,26 @@ def data_layout(datasets, bcs) -> Layout:
     return Layout(entries)
 
 
-def _noise(layout: Layout, theta: Theta, out=None) -> np.ndarray:
-    """A data layout's noise variance per row at theta, written into
-    ``out`` if given (a copy of the layout's fixed noise)."""
+def _factor(layout: Layout, theta: Theta, K=None) -> tuple:
+    """(K, L, jitter level): a data layout evaluated, its noise added and
+    factorized, the one path ``factorize`` and ``log_marginal_likelihood``
+    share.  ``K``, if given, is the layout's matrix at theta (a member of
+    a stacked ``evaluate``), and the noise is added to it in place."""
+    if K is None:
+        K = evaluate(layout, theta)
     noise, learned = layout.noise
     if learned:
-        noise = noise.copy() if out is None else out
+        noise = noise.copy()
         for sl, label, sigma in learned:
             sig = theta.sigma_n.get(label, sigma)
             if sig > 0:
                 try:
                     noise[sl] = sig**2
-                except OverflowError:  # an inf K, which the caller names
+                except OverflowError:  # an inf K, which check_finite names
                     noise[sl] = math.inf
-    return noise
-
-
-def _cholesky(K: np.ndarray) -> tuple:
-    """(L, jitter level) of a finite K: dpotrf, then up the jitter ladder."""
+    # A row without noise adds an exact 0: K's bits stay as they are.
+    K.reshape(-1)[::K.shape[0] + 1] += noise
+    check_finite(K)
     chol, info = dpotrf(K, lower=1, clean=1)
     level = 0.0
     if info:
@@ -518,18 +509,7 @@ def _cholesky(K: np.ndarray) -> tuple:
                 break
         else:
             raise IllConditionedModelError((0.0,) + JITTER_LADDER)
-    return chol, level
-
-
-def _factor(layout: Layout, theta: Theta) -> tuple:
-    """(K, L, jitter level): a data layout evaluated, its noise added and
-    factorized, the one path ``factorize`` and ``log_marginal_likelihood``
-    share."""
-    K = evaluate(layout, theta)
-    # A row without noise adds an exact 0: K's bits stay as they are.
-    K.reshape(-1)[::K.shape[0] + 1] += _noise(layout, theta)
-    check_finite(K)
-    return (K, *_cholesky(K))
+    return K, chol, level
 
 
 def factorize(layout: Layout, theta: Theta) -> CovarianceModel:
@@ -544,61 +524,20 @@ def assemble(datasets, bcs, theta: Theta) -> CovarianceModel:
     return factorize(data_layout(datasets, bcs), theta)
 
 
-def log_marginal_likelihood(layout: Layout, theta: Theta) -> tuple:
+def log_marginal_likelihood(layout: Layout, theta: Theta, K=None) -> tuple:
     """(log evidence, jitter level) of a data layout at theta.
 
     The Gaussian log evidence -y'K^-1 y/2 - log|K|/2 - n log(2 pi)/2,
     K = L L' (Rasmussen & Williams, GPML eq. 2.30), from ``factorize``'s
     path without building the model; it raises as ``factorize`` does.
+    ``K``, if given, is as ``_factor`` takes it: a member of the stack
+    that ``evaluate`` gives a layout over the same sites (``Layout.over``)
+    at several thetas.
     """
-    _, chol, level = _factor(layout, theta)
+    _, chol, level = _factor(layout, theta, K)
     log_det = 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
-    return _log_evidence(layout, chol, log_det), level
-
-
-def _log_evidence(layout: Layout, chol: np.ndarray, log_det: float) -> float:
     return (float(layout.half_y @ _solve(chol, layout.y)) - 0.5 * log_det
-            - layout.log_norm)
-
-
-def log_marginal_likelihoods(layouts, thetas) -> list:
-    """``log_marginal_likelihood`` of each data layout at its theta.
-
-    The layouts are one layout and others over its sites
-    (``Layout.over``), so one stacked ``evaluate`` of the first serves
-    all; each member's noise, check, factorization and evidence are then
-    one theta's, bit for bit.  Per member: (log evidence, jitter level),
-    or the NonFiniteCovarianceError or IllConditionedModelError that
-    ``log_marginal_likelihood`` raises for it.
-    """
-    K = evaluate(layouts[0], thetas)
-    m, n = K.shape[:2]
-    noise = np.array([layout.noise[0] for layout in layouts])
-    for layout, theta, row in zip(layouts, thetas, noise):
-        _noise(layout, theta, row)
-    K.reshape(m, -1)[:, ::n + 1] += noise
-    out, chols = [], []
-    for k, finite in zip(K, np.isfinite(K).reshape(m, -1).all(axis=1)):
-        try:
-            if not finite:
-                check_finite(k)
-            chol, level = _cholesky(k)
-        except (NonFiniteCovarianceError, IllConditionedModelError) as exc:
-            out.append(exc)
-            continue
-        out.append(level)
-        chols.append(chol)
-    if chols:
-        # The log-diagonals of all factors summed row by row, as one
-        # factor's are summed.
-        diagonals = np.array([c.diagonal() for c in chols])
-        log_dets = iter((2.0 * np.add.reduce(
-            np.log(diagonals, out=diagonals), axis=1)).tolist())
-        factored = iter(chols)
-        out = [(_log_evidence(layout, next(factored), next(log_dets)), r)
-               if isinstance(r, float) else r
-               for layout, r in zip(layouts, out)]
-    return out
+            - layout.log_norm, level)
 
 
 class _Plan(NamedTuple):

@@ -19,10 +19,10 @@ support, invalid theta, non-finite K, ill-conditioned K) or the jitter
 level its factorization used.
 
 ``run_lockstep`` steps chains whose data sit at one set of sites
-together, each with its own Generator and rules (``_Walk``, which
-``random_walk_metropolis`` steps too): their proposals are checked as one
-block and their covariances evaluated as one stack, and each chain's
-draws and counts are its ``run_chain``'s bit for bit.
+together, each with its own Generator and rules (``_walk``, the walk
+that ``random_walk_metropolis`` drives too): their covariances are
+evaluated as one stack, and each chain's draws and counts are its
+``run_chain``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class PosteriorChain:
 
 
 def log_posterior(layout: gp.Layout, theta: Theta, values, table,
-                  counts: Counter) -> float:
+                  counts: Counter, K=None) -> float:
     """The chain's target: log prior plus log marginal likelihood.
 
     ``values`` is theta's parameter vector in the order of ``table``, the
@@ -196,13 +196,17 @@ def log_posterior(layout: gp.Layout, theta: Theta, values, table,
     the log prior sums them in that order.  The value is -inf off the
     prior's support and for a K that cannot be factorized; ``counts``
     gets one count, the cause (``REJECTIONS``) or the jitter level.
+    ``K``, if given, is the layout's covariance at theta from a stacked
+    ``gp.evaluate``.
     """
-    lp = _log_prior(table, values)
+    lp = 0.0
+    for log_density, v in zip(table, values):
+        lp += log_density(v)
     if not math.isfinite(lp):
         counts["prior_support"] += 1
         return -math.inf
     try:
-        lml, level = gp.log_marginal_likelihood(layout, theta)
+        lml, level = gp.log_marginal_likelihood(layout, theta, K)
     except NonFiniteCovarianceError:
         counts["non_finite_covariance"] += 1
         return -math.inf
@@ -213,62 +217,51 @@ def log_posterior(layout: gp.Layout, theta: Theta, values, table,
     return lml + lp
 
 
-def _log_prior(table, values) -> float:
-    """The log prior: each name's log density, summed in name order."""
-    lp = 0.0
-    for log_density, v in zip(table, values):
-        lp += log_density(v)
-    return lp
+def _walk(x0, cfg: McmcConfig, scales):
+    """``random_walk_metropolis``'s walk as a generator: it yields the
+    start, then each step's proposal, is sent the log target of each, and
+    returns (kept draws, acceptance rate)."""
+    rng = np.random.default_rng(cfg.seed)
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    d = x.size
+    scales = np.asarray(scales, dtype=float)
 
+    lt = yield x
+    if not np.isfinite(lt):
+        raise ValueError("initial point has zero posterior density")
 
-class _Walk:
-    """One random walk: its position, its log target there, and the rules
-    each sampler loop applies after a step (acceptance, the stuck rule,
-    burn-in adaptation and the keep stride)."""
-
-    WINDOW = 50
-
-    def __init__(self, x, lt, cfg: McmcConfig, scales):
-        if not np.isfinite(lt):
-            raise ValueError("initial point has zero posterior density")
-        self.x, self.lt = x, lt
-        self.rng = np.random.default_rng(cfg.seed)
-        self.scales = np.asarray(scales, dtype=float)
-        # Growth is damped and capped: an over-accepting burn-in phase
-        # (e.g. a drift along a flat ridge) must not inflate the scales so
-        # far that the frozen post-burn-in chain stops moving entirely.
-        self.scale_hi = 5.0 * self.scales
-        self.scale_lo = 1e-4 * self.scales
-        self.n_b, self.n_t = cfg.n_b, cfg.n_t
-        self.stuck_limit = 10 * max(cfg.n_b, 100)
-        self.kept = []
-        self.accepts = self.window_accepts = 0
-
-    def propose(self) -> tuple:
-        """(proposal, uniform): the two draws of a step, in that order."""
-        prop = self.x + self.scales * self.rng.standard_normal(self.x.size)
-        return prop, self.rng.random()  # random(): uniform()'s draw, faster
-
-    def settle(self, i: int, prop, lt_prop: float, a: float) -> None:
-        """Step i: take or leave ``prop`` at uniform ``a``, then apply the
-        stuck, adaptation and keep rules."""
+    kept = []
+    accepts = 0
+    window_accepts = 0
+    window = 50
+    stuck_limit = 10 * max(cfg.n_b, 100)
+    # Growth is damped and capped: an over-accepting burn-in phase (e.g. a
+    # drift along a flat ridge) must not inflate the scales so far that the
+    # frozen post-burn-in chain stops moving entirely.
+    scale_hi = 5.0 * scales
+    scale_lo = 1e-4 * scales
+    for i in range(cfg.n_total):
+        prop = x + scales * rng.standard_normal(d)
+        lt_prop = yield prop
+        a = rng.random()  # uniform() on [0, 1): the same draw, less overhead
         # A zero-density proposal is never taken, not even at a = 0.
-        if math.isfinite(lt_prop) and np.log(a) <= lt_prop - self.lt:
-            self.x, self.lt = prop, lt_prop
-            self.accepts += 1
-            self.window_accepts += 1
-        if self.accepts == 0 and i + 1 >= self.stuck_limit:
-            raise StuckChainError(i + 1, {"scales": self.scales.tolist(),
-                                          "log_target": float(self.lt)})
-        if i < self.n_b and (i + 1) % self.WINDOW == 0:
-            rate = self.window_accepts / self.WINDOW
+        if math.isfinite(lt_prop) and np.log(a) <= lt_prop - lt:
+            x, lt = prop, lt_prop
+            accepts += 1
+            window_accepts += 1
+        if accepts == 0 and i + 1 >= stuck_limit:
+            raise StuckChainError(i + 1, {"scales": scales.tolist(),
+                                          "log_target": float(lt)})
+        if i < cfg.n_b and (i + 1) % window == 0:
+            rate = window_accepts / window
             if rate < 0.25:
-                self.scales = np.maximum(self.scales * 0.8, self.scale_lo)
+                scales = np.maximum(scales * 0.8, scale_lo)
             elif rate > 0.40:
-                self.scales = np.minimum(self.scales * 1.1, self.scale_hi)
-            self.window_accepts = 0
-        if i >= self.n_b and (i - self.n_b) % self.n_t == 0:
-            self.kept.append(self.x.copy())
+                scales = np.minimum(scales * 1.1, scale_hi)
+            window_accepts = 0
+        if i >= cfg.n_b and (i - cfg.n_b) % cfg.n_t == 0:
+            kept.append(x.copy())
+    return np.asarray(kept), accepts / cfg.n_total
 
 
 def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
@@ -278,12 +271,14 @@ def random_walk_metropolis(log_target, x0, cfg: McmcConfig, scales):
     Returns (kept draws, acceptance rate).  Proposal scales adapt towards
     ~30% acceptance during burn-in and are frozen afterwards.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    walk = _Walk(x, log_target(x), cfg, scales)
-    for i in range(cfg.n_total):
-        prop, a = walk.propose()
-        walk.settle(i, prop, log_target(prop), a)
-    return np.asarray(walk.kept), walk.accepts / cfg.n_total
+    walk = _walk(x0, cfg, scales)
+    step = walk.send
+    try:
+        x = next(walk)
+        while True:
+            x = step(log_target(x))
+    except StopIteration as done:
+        return done.value
 
 
 class _Chain:
@@ -325,7 +320,6 @@ class _Chain:
         self.scales[~self.log_mask] *= np.abs(x0[~self.log_mask])
         self.cfg, self.layout = cfg, layout
         self.table = [prior.log_density for prior in self.priors]
-        self.log_prior0 = _log_prior(self.table, x0.tolist())
         self.counts = Counter()
 
     def result(self, draws_s: np.ndarray, acc: float) -> PosteriorChain:
@@ -351,7 +345,11 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     out gets ``LogFlat``, and a key that names no parameter of the chain
     is refused.  Each is sampled in its prior's coordinate.
     """
-    chain = _Chain(priors, cfg, theta0, gp.data_layout(datasets, bcs))
+    return _sample(_Chain(priors, cfg, theta0, gp.data_layout(datasets, bcs)))
+
+
+def _sample(chain: _Chain) -> PosteriorChain:
+    """A chain set up (``_Chain``), sampled alone."""
     codec, layout, table = chain.codec, chain.layout, chain.table
     log_index, counts = chain.log_index, chain.counts
 
@@ -373,15 +371,17 @@ def run_chain(datasets, bcs, priors: dict, cfg: McmcConfig,
     # exp overflows to inf past a log-scale value of ~709: Theta refuses
     # the inf, so the chain counts it without a warning.
     with np.errstate(over="ignore"):
-        draws_s, acc = random_walk_metropolis(log_target, chain.s0, cfg,
-                                              scales=chain.scales)
+        draws_s, acc = random_walk_metropolis(log_target, chain.s0,
+                                              chain.cfg, scales=chain.scales)
     return chain.result(draws_s, acc)
 
 
 # The most stacked term elements (chains times a layout's terms) that
-# run_lockstep steps at once: 50 chains of a 151-point layout with
-# four-term blocks would hold 36 MB of them, and the index as much again.
-STACK_ELEMENTS = 1 << 19
+# run_lockstep steps at once; more chains run as consecutive groups.  A
+# stack's cost per theta rises past about 25 000 of them: the sweep's
+# 2 500-term layout read 15-16 us per theta at 8 to 10 chains and 30 us
+# at 12 or more (2-vCPU VM), so it steps 6 chains at a time.
+STACK_ELEMENTS = 1 << 14
 
 
 def run_lockstep(runs) -> list:
@@ -389,24 +389,26 @@ def run_lockstep(runs) -> list:
 
     ``runs`` holds one ``(datasets, bcs, priors, cfg, theta0)`` per chain,
     as ``run_chain`` takes them; their entries sit at one set of sites,
-    their start points have one list of names, and their priors sample
-    the same names in log coordinates.  Each chain keeps its own
-    Generator, priors, data, noise, proposal scales and rules
-    (``_Walk``), and its draws, acceptance rate and counts are its
-    ``run_chain``'s bit for bit: at each step the chains' proposals are
-    checked as one block and their covariances evaluated as one stack
-    (``gp.log_marginal_likelihoods``).  Runs that would stack more than
-    ``STACK_ELEMENTS`` term elements are stepped in consecutive groups.
+    and their priors sample the same names in the same coordinates.  Each
+    chain keeps its own Generator, priors, data, noise, proposal scales
+    and rules (``_walk``), and its draws, acceptance rate and counts are
+    its ``run_chain``'s bit for bit: at each step the chains' proposals
+    are mapped to Thetas as one block, their covariances evaluated as one
+    stack, and each is scored by ``log_posterior`` from its member of
+    the stack.  Runs that would stack more than ``STACK_ELEMENTS`` term
+    elements are stepped in consecutive groups.
 
     Returns per run its PosteriorChain, or the exception that
     ``run_chain`` raises for it (a chain that fails leaves the others'
     draws as they are).
     """
     out, chains = [None] * len(runs), []
-    layout = None
+    base = None
     for k, (datasets, bcs, priors, cfg, theta0) in enumerate(runs):
-        layout = gp.data_layout(datasets, bcs) if layout is None \
-            else layout.over(gp.order_entries(datasets, bcs))
+        if base is None:
+            layout = base = gp.data_layout(datasets, bcs)
+        else:
+            layout = base.over(gp.order_entries(datasets, bcs))
         try:
             chains.append((k, _Chain(priors, cfg, theta0, layout)))
         except ValueError as exc:
@@ -418,100 +420,88 @@ def run_lockstep(runs) -> list:
            for _, c in chains):
         raise ValueError("lock-step chains must sample the same names in "
                          "the same coordinates")
-    per = max(1, STACK_ELEMENTS // layout.term_index.size)
+    per = max(1, STACK_ELEMENTS // base.term_index.size)
     for at in range(0, len(chains), per):
-        group = chains[at:at + per]
-        for (k, _), result in zip(group, _step_together(
-                [chain for _, chain in group])):
+        group = [chain for _, chain in chains[at:at + per]]
+        # One chain has nothing to step together with: run_chain's own
+        # loop spares it the block bookkeeping (0.83x as fast per step in
+        # lock-step at the sweep's scenario).
+        done = _step_together(group, base) if len(group) > 1 \
+            else [_alone(group[0])]
+        for (k, _), result in zip(chains[at:at + per], done):
             out[k] = result
     return out
 
 
-def _step_together(chains) -> list:
-    """Each chain's PosteriorChain, or the exception it failed with."""
-    out = dict.fromkeys(chains)
-    walks = {}
+def _alone(chain: _Chain):
+    """``_sample(chain)``, or the exception a chain fails with."""
+    try:
+        return _sample(chain)
+    except (ValueError, StuckChainError) as exc:
+        return exc
+
+
+def _step_together(chains, base: gp.Layout) -> list:
+    """Each chain's PosteriorChain, or the exception it failed with;
+    ``base`` is the layout whose stacked ``evaluate`` serves all."""
+    out = [None] * len(chains)
+    walks = [_walk(chain.s0, chain.cfg, chain.scales) for chain in chains]
+    points = [next(walk) for walk in walks]  # the starts
+    live = list(range(len(chains)))
+    # exp overflows as in run_chain, and is counted as there.
     with np.errstate(over="ignore"):
-        starts = _log_targets(chains, np.array([c.s0 for c in chains]),
-                              _bounds(chains))
-        for chain, lt in zip(chains, starts):
-            try:
-                walks[chain] = _Walk(chain.s0.copy(), lt, chain.cfg,
-                                     chain.scales)
-            except ValueError as exc:
-                out[chain] = exc
-        live, changed = list(walks), True
-        ends = {c.cfg.n_total for c in live}
-        for i in range(max(ends, default=0)):
-            if changed or i in ends:  # a chain failed or is done
-                live = [c for c in live
-                        if i < c.cfg.n_total and out[c] is None]
-                if not live:
-                    break
-                steppers = [walks[c] for c in live]
-                bounds = _bounds(live)
-            steps = [walk.propose() for walk in steppers]
-            lts = _log_targets(live, np.array([p for p, _ in steps]), bounds)
-            changed = False
-            for chain, walk, (prop, a), lt in zip(live, steppers, steps, lts):
-                try:
-                    walk.settle(i, prop, lt, a)
-                except StuckChainError as exc:
-                    out[chain], changed = exc, True
-    for chain, walk in walks.items():
-        if out[chain] is None:
-            out[chain] = chain.result(np.asarray(walk.kept),
-                                      walk.accepts / chain.cfg.n_total)
-    return list(out.values())
-
-
-def _log_targets(chains, S: np.ndarray, bounds: tuple) -> list:
-    """Each chain's log target at its row of S, counted as ``run_chain``'s
-    log target counts it.
-
-    Every prior is flat on its support, so a row whose values are all
-    positive, finite and in their priors' supports (``bounds``, one row
-    per chain) is scored with the chain's log prior at its start; those
-    rows are found at once.  Any other row is off the support, or gets
-    no Theta if it is positive and holds an inf, as in ``run_chain``'s
-    order of checks.
-    """
-    V = S.copy()
-    np.exp(S, out=V, where=chains[0].log_mask)
-    lo, hi = bounds
-    inside = ((lo <= V) & (V <= hi)).all(axis=1).tolist()
-    out = [-math.inf] * len(chains)
-    scored, thetas = [], []
-    for j, (chain, values) in enumerate(zip(chains, V.tolist())):
-        chain.counts["evaluations"] += 1
-        if inside[j]:
-            scored.append(j)
-            thetas.append(chain.codec.theta(values))
-        elif min(values) > 0 and max(values) == math.inf:
-            chain.counts["invalid_theta"] += 1
-        else:
-            chain.counts["prior_support"] += 1
-    if scored:
-        layouts = [chains[j].layout for j in scored]
-        for j, r in zip(scored, gp.log_marginal_likelihoods(layouts, thetas)):
-            chain = chains[j]
-            if isinstance(r, NonFiniteCovarianceError):
-                chain.counts["non_finite_covariance"] += 1
-            elif isinstance(r, IllConditionedModelError):
-                chain.counts["ill_conditioned"] += 1
-            else:
-                chain.counts[r[1]] += 1
-                out[j] = r[0] + chain.log_prior0
+        while live:  # until a chain ends
+            members = [chains[j] for j in live]
+            support = (np.array([[p.lo for p in c.priors] for c in members]),
+                       np.array([[p.hi for p in c.priors] for c in members]))
+            ended = False
+            while not ended:
+                lts = _log_targets(members, base, support,
+                                   np.array([points[j] for j in live]))
+                for j, lt in zip(live, lts):
+                    try:
+                        points[j] = walks[j].send(lt)
+                    except StopIteration as done:
+                        out[j], ended = chains[j].result(*done.value), True
+                    except (ValueError, StuckChainError) as exc:
+                        out[j], ended = exc, True
+            live = [j for j in live if out[j] is None]
     return out
 
 
-def _bounds(chains) -> tuple:
-    """The chains' prior supports, one (lo, hi) row per chain, narrowed to
-    the positive finite floats."""
-    lo = np.array([[p.lo for p in c.priors] for c in chains])
-    hi = np.array([[p.hi for p in c.priors] for c in chains])
-    return (np.maximum(lo, math.ulp(0.0)),
-            np.minimum(hi, np.finfo(float).max))
+def _log_targets(chains, base: gp.Layout, support: tuple,
+                 S: np.ndarray) -> list:
+    """Each chain's log target at its row of S: ``run_chain``'s log
+    target, with the covariances of the rows that map to a Theta inside
+    their priors' ``support`` (one (lo, hi) row per chain) evaluated as
+    one stack."""
+    V = S.copy()
+    np.exp(S, out=V, where=chains[0].log_mask)
+    lo, hi = support
+    inside = ((lo <= V) & (V <= hi)).all(axis=1).tolist()
+    out = [-math.inf] * len(chains)
+    scored, stacked = [], []
+    for j, (chain, values) in enumerate(zip(chains, V.tolist())):
+        chain.counts["evaluations"] += 1
+        if min(values) <= 0:
+            chain.counts["prior_support"] += 1
+            continue
+        try:
+            theta = chain.codec.theta(values)
+        except ValueError:
+            chain.counts["invalid_theta"] += 1
+            continue
+        scored.append((j, theta, values))
+        if inside[j]:
+            stacked.append(theta)
+    # A row off the support gets no member: log_posterior rejects it
+    # before it asks for one.
+    K = iter(gp.evaluate(base, stacked) if stacked else ())
+    for j, theta, values in scored:
+        chain = chains[j]
+        out[j] = log_posterior(chain.layout, theta, values, chain.table,
+                               chain.counts, next(K) if inside[j] else None)
+    return out
 
 
 def summarize(chain: PosteriorChain) -> dict:

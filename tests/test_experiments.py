@@ -446,16 +446,37 @@ def test_predict_pinned(tmp_path):
 
 class TestSweeps:
     def test_failed_replications_are_recorded(self, monkeypatch):
-        """A replication whose identification raises is recorded with its
-        error, without aborting the sweep."""
+        """A replication whose chain raises is recorded with its error,
+        without aborting the sweep."""
         def fail(*args, **kwargs):
             raise StuckChainError(10)
 
-        monkeypatch.setattr(experiments, "identify", fail)
+        monkeypatch.setattr(experiments, "default_theta0", fail)
         res = experiments._run_sweep_part([SweepTask(
             beam_r=1.0, snr=20.0, ndp=1, seed=1, chain_seed=2,
             mcmc=McmcConfig(n_total=10, n_b=5, n_t=1))])
         assert res == [{"error": repr(StuckChainError(10))}]
+
+    def test_unexpected_error_fails_one_replication(self, monkeypatch):
+        """An error that lock-step does not expect, raised by one chain,
+        fails that replication alone: the part's chains run again one by
+        one, and the others' results are their lock-step results."""
+        tasks = [SweepTask(beam_r=1.0, snr=20.0, ndp=1, seed=seed,
+                           chain_seed=seed + 10,
+                           mcmc=McmcConfig(n_total=60, n_b=20, n_t=2))
+                 for seed in range(3)]
+        want = experiments._run_sweep_part(tasks)
+        real = mcmc._walk
+
+        def walk(x0, cfg, scales):
+            if cfg.seed == 11:
+                raise RuntimeError("boom")
+            return real(x0, cfg, scales)
+        monkeypatch.setattr(mcmc, "_walk", walk)
+        got = experiments._run_sweep_part(tasks)
+        assert got[1] == {"error": repr(RuntimeError("boom"))}
+        assert "error" not in want[1]
+        assert [got[0], got[2]] == [want[0], want[2]]
 
     def test_aggregate_handles_failures(self):
         agg = experiments._aggregate([
@@ -567,8 +588,8 @@ def study_in_child(threads, study, values, settings) -> list:
 def test_study_bytes_do_not_depend_on_workers(study):
     """A study's aggregates and failures with one worker (each group of
     replications at one set of sites in lock-step) and with two (parts
-    of 3 in lock-step, parts of 2 and 1 through run_chain) are the
-    per-replication run_chain reference's, float for float."""
+    of 2 and 1 in lock-step) are the per-replication run_chain
+    reference's, float for float."""
     values, settings = STUDY_CASES[study]
     want = reference_study(study, values, settings)
     for threads in (1, 2):

@@ -647,9 +647,10 @@ class TestLayoutEngine:
                     gp.check_finite(alone)
 
     def test_stacked_evidence_is_each_alone(self):
-        """log_marginal_likelihoods over data at one set of sites equals
-        log_marginal_likelihood per member, bit for bit, a member with a
-        non-finite K included; entries at other sites are refused."""
+        """log_marginal_likelihood of data at one set of sites from its
+        member of a stacked evaluate equals its one-theta value, bit for
+        bit, a member with a non-finite K included; entries at other
+        sites are refused."""
         datasets, bcs = identify_scenario()
         layout = gp.data_layout(datasets, bcs)
         rng = np.random.default_rng(4)
@@ -666,17 +667,19 @@ class TestLayoutEngine:
                         EI=1.0, kGA=3.0 / 0.3,
                         sigma_n={"w": 1e-3 * (i + 1), "phi": 2e-3})
                   for i in range(4)]
-        got = gp.log_marginal_likelihoods(layouts, thetas)
-        for lay, theta, r in zip(layouts, thetas, got):
+        stack = gp.evaluate(layout, thetas)
+        scored = 0
+        for lay, theta, k in zip(layouts, thetas, stack):
             try:
                 want = gp.log_marginal_likelihood(lay, theta)
             except NonFiniteCovarianceError as exc:
-                assert isinstance(r, NonFiniteCovarianceError)
-                assert str(r) == str(exc)
+                with pytest.raises(NonFiniteCovarianceError) as got:
+                    gp.log_marginal_likelihood(lay, theta, k)
+                assert str(got.value) == str(exc)
                 continue
-            assert r == want
-        assert isinstance(got[1], NonFiniteCovarianceError)
-        assert sum(isinstance(r, tuple) for r in got) == 3
+            assert gp.log_marginal_likelihood(lay, theta, k) == want
+            scored += 1
+        assert scored == 3
         moved = [Dataset(kind=d.kind, x=d.x + 0.01, y=d.y, z=d.z,
                          label=d.label) for d in datasets]
         with pytest.raises(ValueError, match="not at the layout's sites"):

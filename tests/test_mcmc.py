@@ -671,6 +671,27 @@ class TestLockstep:
             assert same_chain(got[k], run_chain(*runs[k]))
             assert same_chain(got[k], chain)
 
+    @pytest.mark.parametrize("per", [2, 3])
+    def test_consecutive_groups_are_each_run_chain(self, monkeypatch, per):
+        """With room in the stack for ``per`` chains' terms, five chains
+        are stepped in consecutive groups (the last of per = 2 a chain
+        alone), each still its run_chain."""
+        runs = lockstep_runs(5)
+        datasets, bcs = runs[0][:2]
+        terms = gp.data_layout(datasets, bcs).term_index.size
+        monkeypatch.setattr(mcmc, "STACK_ELEMENTS", per * terms + terms // 2)
+        evaluate, sizes = gp.evaluate, []
+
+        def spy(layout, theta):
+            if not isinstance(theta, Theta):
+                sizes.append(len(theta))
+            return evaluate(layout, theta)
+        monkeypatch.setattr(gp, "evaluate", spy)
+        got = mcmc.run_lockstep(runs)
+        assert max(sizes, default=1) == per
+        for run, chain in zip(runs, got):
+            assert same_chain(chain, run_chain(*run))
+
     def test_chains_at_other_sites_refused(self):
         runs = lockstep_runs(3)
         datasets, bcs, priors, cfg, theta0 = runs[1]
