@@ -325,7 +325,7 @@ class Layout:
         # polynomial begins its coefficients are 0, so y stays an exact 0
         # (u >= 0), or NaN where u is infinite, as its first step makes.
         self.horner = tuple(terms.horner.take(code, axis=1))
-        self._stacked = None
+        self._stacked = {}
         self.z_factors = None
         if any(e.kind is QuantityKind.STRAIN for e in self.rows + cols):
             zi, zj = source("z", 1.0)
@@ -353,16 +353,14 @@ class Layout:
         return other
 
     def stacked(self, b: int) -> tuple:
-        """(term index, factor index, Horner rows) of a flat table over
-        at least b thetas, for ``evaluate``'s stack.
+        """(term index, factor index, Horner rows) of a flat table over b
+        thetas, for ``evaluate``'s stack; cached per b.
 
         Theta t's E entries sit at t E .. t E + E - 1, and the zero of a
-        slot without a term after the last theta's.  The tables of b
-        thetas serve fewer: the first thetas' entries and the zero stay
-        where they are.  Cached for the largest b asked.
+        slot without a term after the last theta's.
         """
-        cached = self._stacked
-        if cached is None or cached[0] < b:
+        tables = self._stacked.get(b)
+        if tables is None:
             e = self.lengths.size
             index = self.term_index - 1 + (
                 e * np.arange(b)).reshape(-1, 1, 1, 1)
@@ -370,8 +368,8 @@ class Layout:
             factors = (self.entry_factors[:, None, :] + _N_FACTORS
                        * np.arange(b)[:, None]).reshape(3, -1)
             horner = tuple(np.tile(c, b) for c in self.horner)
-            self._stacked = cached = (b, index, factors, horner)
-        return cached[1:]
+            self._stacked[b] = tables = (index, factors, horner)
+        return tables
 
     @functools.cached_property
     def y(self) -> np.ndarray:
@@ -425,11 +423,8 @@ def evaluate(layout: Layout, theta) -> np.ndarray:
         return evaluate(layout, theta[0])[None]
     else:
         index, factor_index, horner = layout.stacked(len(theta))
-        table = np.zeros(factor_index.shape[1] + 1)
-        used = len(theta) * layout.lengths.size
-        if used < factor_index.shape[1]:  # tables of more thetas
-            index, factor_index = index[:len(theta)], factor_index[:, :used]
-            horner = [c[:used] for c in horner]
+        used = factor_index.shape[1]
+        table = np.zeros(used + 1)
         # Each theta's scalars are term_factors' Python floats.
         factors = np.concatenate([kernels.term_factors(t) for t in theta]) \
             .take(factor_index)
